@@ -211,8 +211,8 @@ def corpus_knots():
     add("trefoil-kinked", insert_kink(t, 1, 1))
     add("trefoil-kinked-neg", insert_kink(t, 2, -1))
     add("fig8-kinked", insert_kink(f, 1, 1))
-    add("trefoil-poked", insert_poke(t, 1, 4))
-    add("fig8-poked", insert_poke(f, 1, 5))
+    add("trefoil-poked", insert_poke(t, 4, 1))
+    add("fig8-poked", insert_poke(f, 4, 1))
     for word in (
         (1, 1, 1, 2),
         (1, 1, 2, 1, 1, 2),

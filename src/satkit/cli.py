@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import formats
-from .diagram import Diagram, simplify
+from .diagram import Diagram
 from .errors import DomainError, ParseError, SatkitError
 from .groups import strong_winding_check
 from .invariants import alexander_poly, determinant, satellite_formula_report
@@ -91,38 +91,10 @@ def _write_out(obj, path):
     if path is None:
         return
     if str(path).endswith(".json"):
-        text = json.dumps(_to_obj_any(obj), sort_keys=True, indent=2)
+        text = json.dumps(formats.to_obj(obj), sort_keys=True, indent=2)
     else:
-        text = _serialize_any(obj)
+        text = formats.serialize(obj)
     pathlib.Path(path).write_text(text + "\n")
-
-
-def _serialize_any(obj):
-    if isinstance(obj, Pattern):
-        return formats.serialize_pattern(obj)
-    if isinstance(obj, Diagram):
-        return formats.serialize_diagram(obj)
-    if isinstance(obj, (StringLink, InfectionOperator)):
-        return formats.serialize_string_link(obj)
-    from .surgery import FramedLink
-
-    if isinstance(obj, FramedLink):
-        return formats.serialize_framed_link(obj)
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
-
-
-def _to_obj_any(obj):
-    if isinstance(obj, Pattern):
-        return formats.pattern_to_obj(obj)
-    if isinstance(obj, Diagram):
-        return formats.diagram_to_obj(obj)
-    if isinstance(obj, (StringLink, InfectionOperator)):
-        return formats.string_link_to_obj(obj)
-    from .surgery import FramedLink
-
-    if isinstance(obj, FramedLink):
-        return formats.framed_link_to_obj(obj)
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -321,40 +293,22 @@ def cmd_slink(args):
 
 
 def _corpus_load(directory):
-    root = pathlib.Path(directory)
     knots, patterns, fixtures, skipped = [], [], [], []
-    for path in sorted(root.iterdir()):
-        if path.is_dir():
+    for path in sorted(pathlib.Path(directory).iterdir()):
+        if path.is_dir() or path.suffix not in (".json", ".pd", ".pat", ".fl", ".sl"):
             continue
         try:
-            if path.suffix == ".json":
-                obj = json.loads(path.read_text())
-                if obj.get("type") == "satellite-fixture":
-                    fixtures.append((
-                        path.name,
-                        formats.obj_to_any(obj["pattern"]),
-                        formats.obj_to_any(obj["companion"]),
-                        formats.obj_to_any(obj["satellite"]),
-                    ))
-                    continue
-                loaded = formats.obj_to_any(obj)
-            elif path.suffix in (".pd", ".pat", ".fl", ".sl"):
-                loaded = formats.load_path(path)
-            else:
-                continue
-        except (SatkitError, json.JSONDecodeError, KeyError) as exc:
+            loaded = formats.load_path(path)
+        except SatkitError as exc:
             skipped.append((path.name, str(exc)))
             continue
-        if isinstance(loaded, Diagram) and loaded.is_knot():
+        if isinstance(loaded, tuple):  # a satellite fixture
+            fixtures.append((path.name, *loaded))
+        elif isinstance(loaded, Diagram) and loaded.is_knot():
             knots.append((path.name, loaded))
         elif isinstance(loaded, Pattern):
             patterns.append((path.name, loaded))
     return knots, patterns, fixtures, skipped
-
-
-def _formula_case(job):
-    name, p, k = job
-    return suites_mod.satellite_formula_suite([(name, p, k)])[0]
 
 
 def cmd_corpus(args):
@@ -362,20 +316,9 @@ def cmd_corpus(args):
     knots, patterns, fixtures, skipped = _corpus_load(args.directory)
     results = {}
     if "satellite-formula" in wanted:
-        jobs = [
-            (f"{pn}*{kn}", p, k)
-            for pn, p in patterns
-            for kn, k in knots
-        ]
-        if args.jobs > 1 and jobs:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                cases = list(pool.map(_formula_case, jobs))
-        else:
-            cases = [_formula_case(j) for j in jobs]
-        cases.extend(suites_mod.declared_satellite_suite(fixtures))
-        results["satellite-formula"] = cases
+        pairs = [(f"{pn}*{kn}", p, k) for pn, p in patterns for kn, k in knots]
+        results["satellite-formula"] = (suites_mod.satellite_formula_suite(pairs)
+                                        + suites_mod.declared_satellite_suite(fixtures))
     if "meridian" in wanted:
         results["meridian"] = suites_mod.meridian_suite(knots, limit=args.limit)
     if "pipeline" in wanted:
@@ -416,7 +359,6 @@ def build_parser():
     top.add_argument("--limit", type=int, default=10**6, help="coset enumeration limit")
     top.add_argument("--effort", type=int, default=None, help="simplification move budget")
     top.add_argument("--format", choices=("text", "structured"), default="text")
-    top.add_argument("--jobs", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, handler, *specs, **kw):

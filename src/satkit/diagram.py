@@ -364,9 +364,6 @@ def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     return c1.crossings == c2.crossings and c1.components == c2.components
 
 
-UNKNOT = None  # set below once Diagram exists
-
-
 def unknot() -> Diagram:
     """The 0-crossing unknot: one free-loop component."""
     return Diagram((), ((1,),))

@@ -1,30 +1,33 @@
 """Text and structured-document formats for diagrams, patterns, framed
 links and string links.
 
-Diagram text: whitespace-separated ``X[a,b,c,d]`` tokens, a ``C[(...)]``
-component block (optional when the standard consecutive numbering makes
-the partition unambiguous), and an optional ``N[...]`` name block.
-Pattern files add ``CUT[(edge,sign),...]``; framed links ``F[f1,...]``
-with an optional role block ``R[...]``; string links use ``SL[m]`` with
-``P[(...),...]`` strand paths and an optional ``DIR[+,-,...]`` block.
+Each object type has one structured form: the dict its ``*_to_obj``
+function returns, which JSON documents carry as is.  Text writes the same
+dict as one block per field (``_BLOCKS``: ``X[a,b,c,d]`` per crossing,
+``C[(1,2,...),...]`` components, ``CUT[(e,+1),...]`` the cut, ...) in a
+fixed order; ``_TYPES`` lists the blocks each type may and must carry.
+Text may omit ``C`` when the standard consecutive numbering makes the
+partition unambiguous, and omits ``DIR`` when every strand runs upward.
 
-The serializer always relabels through the canonical form, so emitted
-text is deterministic and parse(serialize(d)) reproduces the canonical
-representative.
+Diagrams, patterns and framed links are relabelled through the canonical
+form, so emitted text is deterministic and parse(serialize(d))
+reproduces the canonical representative.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 
 from .diagram import Diagram, canonical
-from .errors import ParseError
-from .patterns import Pattern
+from .errors import DomainError, ParseError
+from .patterns import Pattern, _pattern_key
 from .stringlinks import InfectionOperator, StringLink
 from .surgery import FramedLink
 
 _TOKEN = re.compile(r"([A-Z]+)\[([^\]]*)\]")
+_TUPLE = re.compile(r"\(([^()]*)\)")
 
 
 def _blocks(text):
@@ -41,6 +44,9 @@ def _blocks(text):
     return out
 
 
+# -- block bodies: read text, write values, check decoded shapes ---------------------
+
+
 def _ints(body, position):
     if not body.strip():
         return []
@@ -50,177 +56,111 @@ def _ints(body, position):
         raise ParseError(f"expected integers, got {body!r}", position=position) from exc
 
 
+def _one_int(body, position):
+    vals = _ints(body, position)
+    if len(vals) != 1:
+        raise ParseError(f"expected one integer, got {body!r}", position=position)
+    return vals[0]
+
+
+def _crossing(body, position):
+    vals = _ints(body, position)
+    if len(vals) != 4:
+        raise ParseError("crossings take four edge labels", position=position)
+    return tuple(vals)
+
+
 def _tuples(body, position):
-    out = []
-    for m in re.finditer(r"\(([^()]*)\)", body):
-        out.append(tuple(_ints(m.group(1), position)))
-    leftover = re.sub(r"\(([^()]*)\)", "", body).replace(",", "").strip()
-    if leftover:
+    out = [tuple(_ints(m.group(1), position)) for m in _TUPLE.finditer(body)]
+    if _TUPLE.sub("", body).replace(",", "").strip():
         raise ParseError(f"malformed tuple block {body!r}", position=position)
     return out
 
 
-def _infer_components(crossings, position):
-    """Partition by strand continuation, ordering each cycle by the
-    standard consecutive-label convention."""
-    parent = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b, c, d in crossings:
-        for e in (a, b, c, d):
-            parent.setdefault(e, e)
-        union(a, c)
-        union(b, d)
-    groups = {}
-    for e in parent:
-        groups.setdefault(find(e), []).append(e)
-    comps = [tuple(sorted(g)) for g in groups.values()]
-    comps.sort(key=lambda g: g[0])
-    return tuple(comps)
+def _words(body, position):
+    return tuple(t.strip() for t in body.split(",")) if body.strip() else ()
 
 
-def parse_diagram(text: str) -> Diagram:
-    crossings = []
-    components = None
-    names = None
-    for kind, body, pos in _blocks(text):
-        if kind == "X":
-            vals = _ints(body, pos)
-            if len(vals) != 4:
-                raise ParseError("crossings take four edge labels", position=pos)
-            crossings.append(tuple(vals))
-        elif kind == "C":
-            components = tuple(_tuples(body, pos))
-        elif kind == "N":
-            names = tuple(t.strip() for t in body.split(",")) if body.strip() else ()
-        else:
-            raise ParseError(f"unknown block {kind}", position=pos)
-    if components is None:
-        if not crossings:
-            raise ParseError("no crossings and no component block", position=0)
-        components = _infer_components(crossings, 0)
-    return Diagram(tuple(crossings), components, names)
-
-
-def serialize_diagram(d: Diagram) -> str:
-    c = canonical(d)
-    parts = [f"X[{a},{b},{cc},{dd}]" for a, b, cc, dd in c.crossings]
-    parts.append("C[" + ",".join("(" + ",".join(map(str, cyc)) + ")" for cyc in c.components) + "]")
-    if d.names:
-        parts.append("N[" + ",".join(d.names) + "]")
-    return " ".join(parts)
+def _arrows(body, position):
+    try:
+        return tuple({"+": 1, "-": -1}[t.strip()] for t in body.split(","))
+    except KeyError as exc:
+        raise ParseError(f"directions are + or -, got {body!r}", position=position) from exc
 
 
 def _signed(s):
     return f"+{s}" if s > 0 else str(s)
 
 
-def parse_pattern(text: str) -> Pattern:
-    cut = None
-    rest = []
-    for kind, body, pos in _blocks(text):
-        if kind == "CUT":
-            cut = [tuple(t) for t in _tuples(body, pos)]
-        else:
-            rest.append(f"{kind}[{body}]")
-    if cut is None:
-        raise ParseError("pattern file needs a CUT block", position=0)
-    base = parse_diagram(" ".join(rest))
-    return Pattern(base, tuple(cut))
+def _write_tuples(rows):
+    return ",".join("(" + ",".join(map(str, row)) + ")" for row in rows)
 
 
-def serialize_pattern(p: Pattern) -> str:
-    # push the cut through the canonical relabeling via a marked walk
-    from .patterns import _pattern_key
-
-    cr, comps, cut = _pattern_key(p)
-    parts = [f"X[{a},{b},{c},{d}]" for a, b, c, d in cr]
-    parts.append("C[" + ",".join("(" + ",".join(map(str, cyc)) + ")" for cyc in comps) + "]")
-    parts.append("CUT[" + ",".join(f"({e},{_signed(s)})" for e, s in cut) + "]")
-    return " ".join(parts)
+def _int(v):
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
 
 
-def parse_framed_link(text: str) -> FramedLink:
-    framings = None
-    roles = None
-    rest = []
-    for kind, body, pos in _blocks(text):
-        if kind == "F":
-            framings = tuple(_ints(body, pos))
-        elif kind == "R":
-            roles = tuple(t.strip() for t in body.split(",")) if body.strip() else ()
-        else:
-            rest.append(f"{kind}[{body}]")
-    if framings is None:
-        raise ParseError("framed link file needs an F block", position=0)
-    d = parse_diagram(" ".join(rest))
-    return FramedLink(d, framings, roles)
+def _str(v):
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
 
 
-def serialize_framed_link(fl: FramedLink) -> str:
-    out = serialize_diagram(fl.diagram)
-    out += " F[" + ",".join(str(f) for f in fl.framings) + "]"
-    if fl.roles:
-        out += " R[" + ",".join(fl.roles) + "]"
-    return out
+def _each(check):
+    return lambda values: tuple(check(v) for v in values)
 
 
-def parse_string_link(text: str) -> StringLink:
-    m = None
-    crossings = []
-    paths = None
-    directions = None
-    cut = None
-    for kind, body, pos in _blocks(text):
-        if kind == "SL":
-            m = _ints(body, pos)[0]
-        elif kind == "X":
-            vals = _ints(body, pos)
-            if len(vals) != 4:
-                raise ParseError("crossings take four edge labels", position=pos)
-            crossings.append(tuple(vals))
-        elif kind == "P":
-            paths = tuple(_tuples(body, pos))
-        elif kind == "DIR":
-            directions = tuple(1 if t.strip() == "+" else -1 for t in body.split(","))
-        elif kind == "CUT":
-            cut = [tuple(t) for t in _tuples(body, pos)]
-        else:
-            raise ParseError(f"unknown block {kind}", position=pos)
-    if m is None or paths is None:
-        raise ParseError("string link file needs SL and P blocks", position=0)
-    sl = StringLink(m, tuple(crossings), paths, directions or ())
-    if cut is not None:
-        return InfectionOperator(sl, tuple(cut))
-    return sl
+def _rows(width=None):
+    def check(rows):
+        out = tuple(_each(_int)(row) for row in rows)
+        if any(not row or (width and len(row) != width) for row in out):
+            raise ValueError(f"expected rows of {width or 'one or more'} integers")
+        return out
+
+    return check
 
 
-def serialize_string_link(obj) -> str:
-    if isinstance(obj, InfectionOperator):
-        sl, cut = obj.link, obj.cut
-    else:
-        sl, cut = obj, None
-    parts = [f"SL[{sl.strand_count}]"]
-    parts.extend(f"X[{a},{b},{c},{d}]" for a, b, c, d in sl.crossings)
-    parts.append("P[" + ",".join("(" + ",".join(map(str, p)) + ")" for p in sl.strands) + "]")
-    if any(d < 0 for d in sl.directions):
-        parts.append("DIR[" + ",".join("+" if d > 0 else "-" for d in sl.directions) + "]")
-    if cut is not None:
-        parts.append("CUT[" + ",".join(f"({e},{_signed(s)})" for e, s in cut) + "]")
-    return " ".join(parts)
+# block tag -> (field, read its text body, write the field's value, check a
+# decoded value), in emitted order
+_BLOCKS = {
+    "SL": ("strand_count", _one_int, str, _int),
+    "X": ("crossings", _crossing, None, _rows(4)),  # written one block per crossing
+    "P": ("strands", _tuples, _write_tuples, _rows()),
+    "C": ("components", _tuples, _write_tuples, _rows()),
+    "N": ("names", _words, ",".join, _each(_str)),
+    "DIR": ("directions", _arrows, lambda v: ",".join("+" if d > 0 else "-" for d in v), _each(_int)),
+    "CUT": ("cut", _tuples, lambda v: ",".join(f"({e},{_signed(s)})" for e, s in v), _rows(2)),
+    "F": ("framings", _ints, lambda v: ",".join(map(str, v)), _each(_int)),
+    "R": ("roles", _words, ",".join, _each(_str)),
+}
 
 
-# -- structured (JSON) forms ----------------------------------------------------
+def _diagram(f):
+    return Diagram(f["crossings"], f["components"], f.get("names") or None)
+
+
+def _string_link(f):
+    return StringLink(f["strand_count"], f["crossings"], f["strands"], f.get("directions", ()))
+
+
+# document type -> (blocks it may carry, blocks it must carry, decoder of the
+# checked fields)
+_TYPES = {
+    "diagram": ({"X", "C", "N"}, {"X", "C"}, _diagram),
+    "pattern": ({"X", "C", "CUT"}, {"X", "C", "CUT"}, lambda f: Pattern(_diagram(f), f["cut"])),
+    "framed-link": ({"X", "C", "N", "F", "R"}, {"X", "C", "F"},
+                    lambda f: FramedLink(_diagram(f), f["framings"], f.get("roles") or None)),
+    "string-link": ({"SL", "X", "P", "DIR"}, {"SL", "X", "P"}, _string_link),
+    "infection-operator": ({"SL", "X", "P", "DIR", "CUT"}, {"SL", "X", "P", "CUT"},
+                           lambda f: InfectionOperator(_string_link(f), f["cut"])),
+}
+
+_FIXTURE_PARTS = (("pattern", Pattern), ("companion", Diagram), ("satellite", Diagram))
+
+
+# -- structured forms -------------------------------------------------------------
 
 
 def diagram_to_obj(d: Diagram):
@@ -233,8 +173,7 @@ def diagram_to_obj(d: Diagram):
 
 
 def pattern_to_obj(p: Pattern):
-    from .patterns import _pattern_key
-
+    # the cut rides through the canonical relabelling via a marked walk
     cr, comps, cut = _pattern_key(p)
     return {
         "type": "pattern",
@@ -281,37 +220,156 @@ def satellite_fixture_to_obj(pattern: Pattern, companion: Diagram, declared: Dia
     }
 
 
+_ENCODERS = {
+    Diagram: diagram_to_obj,
+    Pattern: pattern_to_obj,
+    FramedLink: framed_link_to_obj,
+    StringLink: string_link_to_obj,
+    InfectionOperator: string_link_to_obj,
+}
+
+
+def to_obj(x):
+    """The structured form of any serializable object."""
+    encode = _ENCODERS.get(type(x))
+    if encode is None:
+        raise DomainError(f"cannot serialize {type(x).__name__}")
+    return encode(x)
+
+
 def obj_to_any(obj):
+    """Decode a structured document.  A ``satellite-fixture`` decodes to
+    the tuple (pattern, companion, declared satellite)."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"a structured document is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind == "diagram":
-        return Diagram(
-            tuple(tuple(x) for x in obj["crossings"]),
-            tuple(tuple(c) for c in obj["components"]),
-            tuple(obj["names"]) if obj.get("names") else None,
-        )
-    if kind == "pattern":
-        base = Diagram(
-            tuple(tuple(x) for x in obj["crossings"]),
-            tuple(tuple(c) for c in obj["components"]),
-        )
-        return Pattern(base, tuple(tuple(e) for e in obj["cut"]))
-    if kind == "framed-link":
-        d = Diagram(
-            tuple(tuple(x) for x in obj["crossings"]),
-            tuple(tuple(c) for c in obj["components"]),
-        )
-        return FramedLink(d, tuple(obj["framings"]), tuple(obj["roles"]) if obj.get("roles") else None)
-    if kind in ("string-link", "infection-operator"):
-        sl = StringLink(
-            obj["strand_count"],
-            tuple(tuple(x) for x in obj["crossings"]),
-            tuple(tuple(p) for p in obj["strands"]),
-            tuple(obj.get("directions", ())),
-        )
-        if kind == "infection-operator":
-            return InfectionOperator(sl, tuple(tuple(e) for e in obj["cut"]))
-        return sl
-    raise ParseError(f"unknown document type {kind!r}")
+    if kind == "satellite-fixture":
+        parts = []
+        for key, want in _FIXTURE_PARTS:
+            part = obj_to_any(obj.get(key))
+            if not isinstance(part, want):
+                raise ParseError(f"satellite-fixture {key} must be a {want.__name__}")
+            parts.append(part)
+        return tuple(parts)
+    if kind not in _TYPES:
+        raise ParseError(f"unknown document type {kind!r}")
+    allowed, required, decode = _TYPES[kind]
+    fields = {}
+    for tag, (field, _, _, check) in _BLOCKS.items():
+        if tag not in allowed:
+            continue
+        if obj.get(field) is None:
+            if tag in required:
+                raise ParseError(f"{kind} needs {field} (the {tag} block)")
+            continue
+        try:
+            fields[field] = check(obj[field])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed {kind} {field}: {exc}") from exc
+    return decode(fields)
+
+
+# -- text: the structured form written and read block by block -----------------------
+
+
+def _write(obj):
+    parts = []
+    for tag, (field, _, write, _) in _BLOCKS.items():
+        value = obj.get(field)
+        if value is None:
+            continue
+        if tag == "X":
+            parts.extend(f"X[{a},{b},{c},{d}]" for a, b, c, d in value)
+        elif tag != "DIR" or -1 in value:  # all-upward strands need no DIR block
+            parts.append(f"{tag}[{write(value)}]")
+    return " ".join(parts)
+
+
+def _infer_components(crossings):
+    """Partition by strand continuation, ordering each cycle by the
+    standard consecutive-label convention."""
+    parent = {}
+
+    def find(e):
+        while parent.get(e, e) != e:
+            parent[e] = parent.get(parent[e], parent[e])
+            e = parent[e]
+        return e
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for a, b, c, d in crossings:
+        for e in (a, b, c, d):
+            parent.setdefault(e, e)
+        union(a, c)
+        union(b, d)
+    groups = {}
+    for e in parent:
+        groups.setdefault(find(e), []).append(e)
+    comps = [tuple(sorted(g)) for g in groups.values()]
+    comps.sort(key=lambda g: g[0])
+    return tuple(comps)
+
+
+def _read(text, *kinds):
+    """Decode text as the first of ``kinds`` that allows every block in it."""
+    allowed = set().union(*(_TYPES[kind][0] for kind in kinds))
+    obj = {"crossings": []}
+    tags = set()
+    for tag, body, pos in _blocks(text):
+        if tag not in allowed:
+            raise ParseError(f"unknown block {tag}", position=pos)
+        field, read, _, _ = _BLOCKS[tag]
+        if tag == "X":
+            obj["crossings"].append(read(body, pos))
+        else:
+            obj[field] = read(body, pos)
+        tags.add(tag)
+    obj["type"] = next(kind for kind in kinds if tags <= _TYPES[kind][0])
+    if "C" in allowed and "components" not in obj and obj["crossings"]:
+        obj["components"] = _infer_components(obj["crossings"])
+    return obj_to_any(obj)
+
+
+def serialize(x) -> str:
+    """The text form of any serializable object."""
+    return _write(to_obj(x))
+
+
+def parse_diagram(text: str) -> Diagram:
+    return _read(text, "diagram")
+
+
+def serialize_diagram(d: Diagram) -> str:
+    return _write(diagram_to_obj(d))
+
+
+def parse_pattern(text: str) -> Pattern:
+    return _read(text, "pattern")
+
+
+def serialize_pattern(p: Pattern) -> str:
+    return _write(pattern_to_obj(p))
+
+
+def parse_framed_link(text: str) -> FramedLink:
+    return _read(text, "framed-link")
+
+
+def serialize_framed_link(fl: FramedLink) -> str:
+    return _write(framed_link_to_obj(fl))
+
+
+def parse_string_link(text: str):
+    """A string link, or an infection operator when a CUT block is present."""
+    return _read(text, "string-link", "infection-operator")
+
+
+def serialize_string_link(obj) -> str:
+    return _write(string_link_to_obj(obj))
 
 
 _PARSERS = {
@@ -324,12 +382,17 @@ _PARSERS = {
 
 def load_path(path):
     """Parse a file by extension; .json files carry the structured form."""
-    import pathlib
-
     p = pathlib.Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not text: {exc.reason}", position=exc.start) from exc
     if p.suffix == ".json" or text.lstrip().startswith("{"):
-        return obj_to_any(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON in {path}: {exc.msg}", position=exc.pos) from exc
+        return obj_to_any(obj)
     parser = _PARSERS.get(p.suffix)
     if parser is None:
         raise ParseError(f"unknown file extension {p.suffix!r} for {path}")

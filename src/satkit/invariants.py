@@ -352,16 +352,17 @@ def determinant(d) -> int:
     return abs(int(val))
 
 
-def satellite_formula_report(pattern, companion):
+def satellite_formula_report(pattern, companion, declared=None):
     """Check the cabling formula for the Alexander polynomial.
 
-    Computes the polynomial of the assembled satellite diagram and,
-    independently, the product of the pattern's polynomial with the
-    companion's polynomial evaluated at t^n, n the winding number.
+    Computes the polynomial of the satellite diagram (``declared`` when
+    given, else the one assembled here) and, independently, the product of
+    the pattern's polynomial with the companion's polynomial evaluated at
+    t^n, n the winding number.
     """
     from .patterns import satellite, winding_number
 
-    lhs = alexander_poly(satellite(pattern, companion))
+    lhs = alexander_poly(declared if declared is not None else satellite(pattern, companion))
     n = winding_number(pattern)
     rhs = (alexander_poly(pattern.base) * alexander_poly(companion).compose_power(n)).normalized()
     return {"lhs": lhs, "rhs": rhs, "equal_up_to_units": equal_up_to_units(lhs, rhs)}

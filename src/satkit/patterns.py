@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, canonical, crossing_signs, mirror, reverse, total_writhe, _orient
+from .diagram import Diagram, crossing_signs, mirror, reverse, total_writhe, _occurrences, _orient
 from .errors import DomainError, ValidationError
-from .wires import Builder, build_cable, cut_for_passage, encircle, twist_chain
+from .wires import Builder, build_cable, encircle, twist_chain
 
 
 @dataclass(frozen=True)
@@ -141,18 +141,9 @@ def _tie_companion(b: Builder, pieces, signs, companion: Diagram, extra_twists: 
             # the whole strand collapsed to one wire: close the circle
             survivor = b.fuse((lsrc, 1), (lsrc, 0))
         else:
-            survivor = b.fuse(_single_dangle(b, lsrc), _single_dangle(b, tgt))
+            survivor = b.fuse(b.single_dangle(lsrc), b.single_dangle(tgt))
         marked.append(survivor if sign < 0 else b.live(tail_piece))
     return marked
-
-
-def _single_dangle(b: Builder, w):
-    lw = b.live(w)
-    ends = b.wires[lw]
-    free = [i for i in (0, 1) if ends[i] is None]
-    if len(free) != 1:
-        raise DomainError("expected exactly one dangling end")
-    return (lw, free[0])
 
 
 def _satellite_parts(p: Pattern, k: Diagram, extra_twists: int = 0):
@@ -240,13 +231,11 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     a round curve: no self-crossings, all its crossings consecutive along
     it, over on one arc and under on the other, each strand it encircles
     crossing straight through.  Inputs not in this position are rejected."""
-    from .diagram import _orient as orient_fn
-
     if not 0 <= circle < len(d.components):
         raise DomainError("circle component out of range")
     if len(d.components) != 2:
         raise DomainError("pattern import needs exactly two components")
-    orient = orient_fn(d)
+    orient = _orient(d)
     comp_of = orient.edge_component
     circle_edges = set(d.components[circle])
 
@@ -283,6 +272,7 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     under_run = [ci for ci, _ in order[m:]]
 
     signs = crossing_signs(d)
+    occ = _occurrences(d.crossings)
     b, wmap = Builder.from_diagram(d)
     cut_info = []
     for i, ci in enumerate(over_run):
@@ -291,8 +281,7 @@ def from_link(d: Diagram, circle: int) -> Pattern:
         mids = {e for e in mids if comp_of[e] != circle}
         shared = None
         for e in mids:
-            occs = [occ for occ in _occ_pairs(d, e)]
-            if {o[0] for o in occs} == {ci, cj}:
+            if {o[0] for o in occ[e]} == {ci, cj}:
                 shared = e
         if shared is None:
             raise DomainError("circle passages do not pair up across the disk")
@@ -313,7 +302,3 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     # against the transverse cut order; flip back
     cut = tuple((labels[b.live(wmap[e])], s) for e, s in reversed(cut_info))
     return Pattern(base, cut)
-
-
-def _occ_pairs(d: Diagram, e: int):
-    return [(ci, s) for ci, x in enumerate(d.crossings) for s, ee in enumerate(x) if ee == e]

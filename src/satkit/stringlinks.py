@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .diagram import Diagram
+from .diagram import Diagram, _occurrences
 from .errors import DomainError, ValidationError
 from .patterns import Pattern, _tie_companion
 from .wires import Builder, braid_step, build_cable, twist_chain
@@ -61,22 +62,8 @@ class _TangleOrientation:
     edge_strand: dict
 
 
-_tangle_cache = {}
-
-
-def _occurrences(crossings):
-    occ = {}
-    for ci, x in enumerate(crossings):
-        for s, e in enumerate(x):
-            occ.setdefault(e, []).append((ci, s))
-    return occ
-
-
+@lru_cache(maxsize=4096)
 def _orient_tangle(sl: StringLink) -> _TangleOrientation:
-    key = (sl.crossings, sl.strands)
-    hit = _tangle_cache.get(key)
-    if hit is not None:
-        return hit
     occ = _occurrences(sl.crossings)
     declared = [e for path in sl.strands for e in path]
     if len(set(declared)) != len(declared):
@@ -120,11 +107,9 @@ def _orient_tangle(sl: StringLink) -> _TangleOrientation:
     for ci, (u, o) in enumerate(entry_pairs):
         if u is None or o is None:
             raise ValidationError(f"crossing {ci} not fully traversed")
-    out = _TangleOrientation(
+    return _TangleOrientation(
         tuple((u, o) for u, o in entry_pairs), edge_head, edge_tail, edge_strand
     )
-    _tangle_cache[key] = out
-    return out
 
 
 def tangle_crossing_signs(sl: StringLink) -> tuple[int, ...]:

@@ -9,12 +9,10 @@ from __future__ import annotations
 import random
 
 from .catalog import random_framed_links
-from .diagram import Diagram, diagrams_equal, embedding_genus, simplify
-from .errors import DomainError, SatkitError
-from .groups import quotient, strong_winding_check, todd_coxeter, wirtinger
-from .invariants import alexander_poly, equal_up_to_units
-from .patterns import Pattern, satellite, winding_number
-from .surgery import BandArc, FramedLink, build_pipeline, h1, handle_slide, zero_surgery
+from .errors import SatkitError
+from .groups import quotient, todd_coxeter, wirtinger
+from .invariants import satellite_formula_report
+from .surgery import BandArc, build_pipeline, h1, handle_slide
 
 
 def _case(name, ok, detail=""):
@@ -26,11 +24,9 @@ def satellite_formula_suite(pairs):
     (name, pattern, companion) triple."""
     out = []
     for name, p, k in pairs:
-        lhs = alexander_poly(satellite(p, k))
-        n = winding_number(p)
-        rhs = (alexander_poly(p.base) * alexander_poly(k).compose_power(n)).normalized()
-        ok = equal_up_to_units(lhs, rhs)
-        detail = f"lhs={lhs!r} rhs={rhs!r}" if not ok else f"poly={lhs!r}"
+        rep = satellite_formula_report(p, k)
+        ok = rep["equal_up_to_units"]
+        detail = f"poly={rep['lhs']!r}" if ok else f"lhs={rep['lhs']!r} rhs={rep['rhs']!r}"
         out.append(_case(name, ok, detail))
     return out
 
@@ -40,12 +36,9 @@ def declared_satellite_suite(fixtures):
     (name, pattern, companion, declared diagram)."""
     out = []
     for name, p, k, declared in fixtures:
-        lhs = alexander_poly(declared)
-        n = winding_number(p)
-        rhs = (alexander_poly(p.base) * alexander_poly(k).compose_power(n)).normalized()
-        ok = equal_up_to_units(lhs, rhs)
-        detail = f"declared={lhs!r} expected={rhs!r}"
-        out.append(_case(name, ok, detail))
+        rep = satellite_formula_report(p, k, declared)
+        detail = f"declared={rep['lhs']!r} expected={rep['rhs']!r}"
+        out.append(_case(name, rep["equal_up_to_units"], detail))
     return out
 
 
@@ -61,17 +54,6 @@ def meridian_suite(diagrams, limit=10**4):
         res = todd_coxeter(q, limit)
         ok = res.outcome == "trivial"
         out.append(_case(name, ok, f"{res.outcome}, cosets {res.cosets_used}"))
-    return out
-
-
-def strong_winding_suite(patterns, limit=10**6):
-    out = []
-    for name, p, expect_verified in patterns:
-        res = strong_winding_check(p, limit)
-        ok = res.verified == expect_verified
-        out.append(
-            _case(name, ok, f"{res.outcome}, cosets {res.enumeration.cosets_used}")
-        )
     return out
 
 

@@ -13,23 +13,21 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import AbelianGroup, cokernel
 from .diagram import (
     Diagram,
-    canonical,
     crossing_signs,
     diagrams_equal,
     linking_number,
     simplify,
-    unknot,
     writhe,
     _orient,
 )
 from .errors import DomainError, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
-from .patterns import Pattern, _satellite_parts, _tie_companion, satellite, winding_number
+from .patterns import Pattern, _tie_companion, satellite, winding_number
 from .wires import Builder, build_cable, cut_for_passage, encircle, lasso, twist_chain
 
 
@@ -118,9 +116,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
             tails.append((t, h))
         stubs = twist_chain(gb, [t for t, _ in reversed(tails)], fix)
         for stub, (_, h) in zip(stubs, reversed(tails)):
-            lw = gb.live(stub)
-            free = [k for k in (0, 1) if gb.wires[lw][k] is None]
-            gb.fuse((lw, free[0]), (gb.live(h), 0))
+            gb.fuse(gb.single_dangle(stub), (gb.live(h), 0))
     su = gb.live(copies[slide_edge][0])
     sv = gb.live(copies[handle_edge][copy_index])
     tu, hu = gb.cut(su)
@@ -135,15 +131,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
         # copy against its nominal flow, so dangles pair head-to-head and
         # tail-to-tail; the final walk re-orients the copy
         gb.fuse((tu, 1), (tv, 1))
-
-        def single_dangle(w):
-            lw = gb.live(w)
-            free = [k for k in (0, 1) if gb.wires[lw][k] is None]
-            if len(free) != 1:
-                raise DomainError("ambiguous band attachment")
-            return (lw, free[0])
-
-        gb.fuse(single_dangle(hv), single_dangle(hu))
+        gb.fuse(gb.single_dangle(hv), gb.single_dangle(hu))
 
     seeds = []
     new_framings = []

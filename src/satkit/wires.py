@@ -59,6 +59,14 @@ class Builder:
     def is_loop(self, w):
         return self.wires[self.live(w)][0] == LOOP
 
+    def single_dangle(self, w):
+        """The one dangling end of wire ``w``, as (live wire, end index)."""
+        lw = self.live(w)
+        free = [i for i in (0, 1) if self.wires[lw][i] is None]
+        if len(free) != 1:
+            raise DomainError("expected exactly one dangling end")
+        return (lw, free[0])
+
     def _bind(self, w, end, binding):
         w = self.live(w)
         if self.wires[w][end] is not None:

@@ -14,7 +14,7 @@ from satkit.catalog import (
 )
 from satkit.cli import run
 from satkit.diagram import unknot
-from satkit.patterns import misframed_satellite
+from satkit.patterns import Pattern, misframed_satellite
 
 
 @pytest.fixture
@@ -39,14 +39,33 @@ def files(tmp_path):
 
 
 def test_round_trip_formats():
-    for obj, ser, par in [
-        (trefoil(), formats.serialize_diagram, formats.parse_diagram),
-        (core_pattern(), formats.serialize_pattern, formats.parse_pattern),
-        (winding_two_three_operator(), formats.serialize_string_link, formats.parse_string_link),
-    ]:
-        text = ser(obj)
-        again = ser(par(text))
-        assert text == again
+    from satkit.catalog import hopf_link
+    from satkit.diagram import Diagram
+    from satkit.stringlinks import InfectionOperator, StringLink
+    from satkit.surgery import FramedLink, zero_surgery
+
+    h = hopf_link()
+    named = FramedLink(Diagram(h.crossings, h.components, ("first", "second")), (1, -2), ("a", "b"))
+    parsers = {
+        Diagram: formats.parse_diagram,
+        Pattern: formats.parse_pattern,
+        FramedLink: formats.parse_framed_link,
+        StringLink: formats.parse_string_link,
+        InfectionOperator: formats.parse_string_link,
+    }
+    op = winding_two_three_operator()
+    for obj in (trefoil(), core_pattern(), zero_surgery(trefoil()), named, op, op.link):
+        text = formats.serialize(obj)
+        from_text = parsers[type(obj)](text)
+        from_json = formats.obj_to_any(json.loads(json.dumps(formats.to_obj(obj))))
+        for back in (from_text, from_json):
+            assert type(back) is type(obj)
+            assert formats.serialize(back) == text
+            assert formats.to_obj(back) == formats.to_obj(obj)
+    for back in (formats.parse_framed_link(formats.serialize(named)),
+                 formats.obj_to_any(formats.to_obj(named))):
+        assert back.diagram.names == ("first", "second")
+        assert back.roles == ("a", "b")
 
 
 def test_named_components_round_trip():
@@ -281,7 +300,31 @@ def test_corpus_skips_unreadable(tmp_path, capsys):
     d = tmp_path / "corpus3"
     d.mkdir()
     (d / "broken.pd").write_text("X[1,1,1]")
-    code = run(["corpus", str(d)])
-    err = capsys.readouterr().err
+    (d / "empty.json").write_text('{"type": "diagram"}')
+    (d / "truncated.json").write_text('{"type": "satellite-fixture", "pattern": {')
+    k = formats.to_obj(trefoil())
+    (d / "bad-fixture.json").write_text(json.dumps(
+        {"type": "satellite-fixture", "pattern": k, "companion": k, "satellite": k}))
+    code = run(["--format", "structured", "corpus", str(d)])
+    captured = capsys.readouterr()
     assert code == 0
-    assert "skipped" in err
+    assert json.loads(captured.out)["stats"]["skipped"] == 4
+    for name in ("broken.pd", "empty.json", "truncated.json", "bad-fixture.json"):
+        assert f"skipped {name}" in captured.err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("missing-fields.json", '{"type": "diagram"}'),
+    ("truncated.json", '{"type": "diagram", "crossings": [[1, 4, 2'),
+    ("wrong-shape.json", '{"type": "diagram", "crossings": [[1, 2, 3]], "components": [[1, 2, 3]]}'),
+    ("empty-strand.json", '{"type": "string-link", "strand_count": 1, "crossings": [], "strands": [[]]}'),
+    ("not-an-object.json", "[1, 2]"),
+    ("empty-count.sl", "SL[] P[(1)]"),
+    ("binary.pd", "\udcff\udcfe"),
+])
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
+    command = ["slink", "winding"] if name.endswith(".sl") else ["invariants"]
+    assert run(command + [str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from satkit.catalog import (
     braid_closure,
+    corpus_knots,
     double_kink_unknot,
     figure_eight,
     hopf_link,
@@ -16,6 +17,7 @@ from satkit.diagram import (
     connected_sum,
     crossing_signs,
     diagrams_equal,
+    embedding_genus,
     linking_number,
     mirror,
     reverse,
@@ -235,3 +237,7 @@ def test_simplify_preserves_component_structure(sw, seed):
     s = simplify(inflated)
     assert s.component_count == d.component_count
     assert s.crossing_count <= inflated.crossing_count
+
+
+def test_corpus_knots_are_planar():
+    assert [name for name, d in corpus_knots() if embedding_genus(d) != 0] == []
