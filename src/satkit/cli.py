@@ -173,6 +173,8 @@ def cmd_strong_winding(args):
         "enumeration": res.enumeration.outcome,
         "generators": pres.generator_count,
         "relators": len(pres.relators),
+        "enumerated_generators": res.presentation.generator_count,
+        "enumerated_relators": len(res.presentation.relators),
     })
 
 

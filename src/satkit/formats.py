@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+from urllib.parse import unquote
 
 from .diagram import Diagram, canonical
 from .errors import DomainError, ParseError
@@ -77,8 +78,27 @@ def _tuples(body, position):
     return out
 
 
+# characters a name or role cannot carry raw inside N[...] or R[...]; they
+# are written as %XX escapes of their UTF-8 bytes
+_RESERVED = frozenset("%,[]()")
+
+
+def _escape(word):
+    return "".join("".join(f"%{b:02X}" for b in ch.encode()) if ch in _RESERVED or ch.isspace() else ch
+                   for ch in word)
+
+
+def _write_words(words):
+    return ",".join(map(_escape, words))
+
+
 def _words(body, position):
-    return tuple(t.strip() for t in body.split(",")) if body.strip() else ()
+    if not body.strip():
+        return ()
+    try:
+        return tuple(unquote(t.strip(), errors="strict") for t in body.split(","))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"malformed %-escape in {body!r}", position=position) from exc
 
 
 def _arrows(body, position):
@@ -129,11 +149,11 @@ _BLOCKS = {
     "X": ("crossings", _crossing, None, _rows(4)),  # written one block per crossing
     "P": ("strands", _tuples, _write_tuples, _rows()),
     "C": ("components", _tuples, _write_tuples, _rows()),
-    "N": ("names", _words, ",".join, _each(_str)),
+    "N": ("names", _words, _write_words, _each(_str)),
     "DIR": ("directions", _arrows, lambda v: ",".join("+" if d > 0 else "-" for d in v), _each(_int)),
     "CUT": ("cut", _tuples, lambda v: ",".join(f"({e},{_signed(s)})" for e, s in v), _rows(2)),
     "F": ("framings", _ints, lambda v: ",".join(map(str, v)), _each(_int)),
-    "R": ("roles", _words, ",".join, _each(_str)),
+    "R": ("roles", _words, _write_words, _each(_str)),
 }
 
 

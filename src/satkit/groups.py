@@ -437,6 +437,7 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
 class StrongWindingResult:
     verified: bool
     enumeration: EnumerationResult
+    presentation: GroupPresentation  # the quotient presentation enumerated
 
     @property
     def outcome(self) -> str:
@@ -460,4 +461,4 @@ def strong_winding_check(pattern, limit: int = 10**6, presimplify: bool = True) 
     verified = result.outcome == "trivial"
     if verified and not abelianization(q).is_trivial:
         raise AssertionError("enumeration claims trivial but abelianization is not")
-    return StrongWindingResult(verified, result)
+    return StrongWindingResult(verified, result, q)

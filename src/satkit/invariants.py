@@ -9,86 +9,211 @@ normalized determinant of one minor is the gcd the contract asks for.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
+from math import isqrt
 
 from .errors import DomainError
 
 # -- Laurent polynomials -----------------------------------------------------
 
+# Products of at most this many term pairs use the schoolbook loop; larger
+# ones go through one big-integer product, which costs more to set up but
+# far less per term pair.
+_SCHOOLBOOK_PAIRS = 100
+
+
+def _raw(lo, co):
+    """Laurent from a low exponent and a coefficient tuple whose first and
+    last entries are nonzero (or which is empty)."""
+    p = Laurent.__new__(Laurent)
+    p.lo = lo if co else 0
+    p.co = co
+    return p
+
+
+def _trimmed(lo, co):
+    """Laurent from a low exponent and any coefficient sequence."""
+    hi = len(co)
+    while hi and not co[hi - 1]:
+        hi -= 1
+    start = 0
+    while start < hi and not co[start]:
+        start += 1
+    return _raw(lo + start, tuple(co[start:hi]))
+
+
+def _max_abs(co):
+    return max(max(co), -min(co))
+
+
+def _digit_bytes(bound):
+    """Bytes per packed digit so that every |digit| <= bound lies below half
+    the digit's range: 8 kb - 1 >= bits(bound).  Widths up to 8 bytes are
+    rounded up to 1, 2, 4 or 8, which unpack as machine words."""
+    kb = bound.bit_length() // 8 + 1
+    return 1 << (kb - 1).bit_length() if kb <= 8 else kb
+
+
+# unsigned array type codes by item size
+_WORD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+@lru_cache(maxsize=1024)
+def _bias(n, kb):
+    """Half of each digit's range, in each of n digits of kb bytes."""
+    return int.from_bytes((b"\0" * (kb - 1) + b"\x80") * n, "little")
+
+
+def _word_array(code, data):
+    """An array of little-endian machine words."""
+    words = array(code, data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _pack(co, kb):
+    """The polynomial with coefficients co evaluated at t = 2^(8 kb)."""
+    half = 1 << (8 * kb - 1)
+    code = _WORD_CODES.get(kb)
+    if code is None:
+        packed = b"".join([(v + half).to_bytes(kb, "little") for v in co])
+    else:
+        packed = _word_array(code, [v + half for v in co]).tobytes()
+    return int.from_bytes(packed, "little") - _bias(len(co), kb)
+
+
+def _unpack(x, n, kb):
+    """The n balanced base-2^(8 kb) digits of x, lowest first.  Raises
+    OverflowError when x has no such n-digit expansion."""
+    half = 1 << (8 * kb - 1)
+    bs = (x + _bias(n, kb)).to_bytes(n * kb, "little")
+    code = _WORD_CODES.get(kb)
+    if code is None:
+        return [int.from_bytes(bs[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
+    return [v - half for v in _word_array(code, bs)]
+
 
 class Laurent:
-    """Integer Laurent polynomial in one variable, exponent -> coefficient."""
+    """Integer Laurent polynomial in one variable.
 
-    __slots__ = ("c",)
+    Stored as the lowest exponent ``lo`` and the coefficients ``co`` of
+    t^lo, t^(lo+1), ..., with no zero at either end; zero is ``(0, ())``.
+    Products and exact quotients of longer polynomials go through single
+    big-integer operations at t = 2^k (Kronecker substitution), with k
+    taken from a bound that makes the unpacked digits the coefficients.
+    """
+
+    __slots__ = ("lo", "co")
 
     def __init__(self, coeffs=None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
+        """From a dict exponent -> coefficient (zero coefficients allowed)."""
+        items = [(e, v) for e, v in (coeffs or {}).items() if v]
+        if not items:
+            self.lo, self.co = 0, ()
+            return
+        lo = min(e for e, _ in items)
+        co = [0] * (max(e for e, _ in items) - lo + 1)
+        for e, v in items:
+            co[e - lo] = v
+        self.lo, self.co = lo, tuple(co)
+
+    @property
+    def c(self):
+        """The nonzero coefficients as a dict exponent -> coefficient."""
+        return {self.lo + i: v for i, v in enumerate(self.co) if v}
 
     @staticmethod
     def zero():
-        return Laurent()
+        return _raw(0, ())
 
     @staticmethod
     def one():
-        return Laurent({0: 1})
+        return _raw(0, (1,))
 
     @staticmethod
     def t(exp=1, coef=1):
-        return Laurent({exp: coef})
+        return _raw(exp, (coef,) if coef else ())
 
     @staticmethod
     def of(*coeffs):
         """Polynomial from coefficients of t^0, t^1, ..."""
-        return Laurent({i: v for i, v in enumerate(coeffs)})
+        return _trimmed(0, coeffs)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.co)
 
     def __eq__(self, other):
-        return isinstance(other, Laurent) and self.c == other.c
+        return isinstance(other, Laurent) and self.lo == other.lo and self.co == other.co
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return hash((self.lo, self.co))
+
+    def _combine(self, other, sign):
+        if not other.co:
+            return self
+        if not self.co:
+            return other if sign > 0 else -other
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(self.co), other.lo + len(other.co)) - lo)
+        i = self.lo - lo
+        out[i:i + len(self.co)] = self.co
+        for j, v in enumerate(other.co, other.lo - lo):
+            out[j] += sign * v
+        return _trimmed(lo, out)
 
     def __add__(self, other):
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return Laurent(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) - v
-        return Laurent(out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Laurent({e: -v for e, v in self.c.items()})
+        return _raw(self.lo, tuple([-v for v in self.co]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Laurent({e: v * other for e, v in self.c.items()})
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                k = e1 + e2
-                out[k] = out.get(k, 0) + v1 * v2
-        return Laurent(out)
+            if not other:
+                return Laurent.zero()
+            return _raw(self.lo, tuple([v * other for v in self.co]))
+        a, b = self.co, other.co
+        if not a or not b:
+            return Laurent.zero()
+        if len(a) > len(b):
+            a, b = b, a
+        lo = self.lo + other.lo
+        # the ends of a product of trimmed polynomials are nonzero
+        if len(a) == 1:
+            s = a[0]
+            return _raw(lo, b if s == 1 else tuple([s * v for v in b]))
+        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+            return _raw(lo, tuple(out))
+        # every product coefficient is a sum of len(a) terms |x y|
+        kb = _digit_bytes(_max_abs(a) * _max_abs(b) * len(a))
+        prod = _pack(a, kb) * _pack(b, kb)
+        return _raw(lo, tuple(_unpack(prod, len(a) + len(b) - 1, kb)))
 
     __rmul__ = __mul__
 
     def shift(self, k):
-        return Laurent({e + k: v for e, v in self.c.items()})
+        return _raw(self.lo + k, self.co)
 
     def min_exp(self):
-        return min(self.c) if self.c else 0
+        return self.lo
 
     def max_exp(self):
-        return max(self.c) if self.c else 0
+        return self.lo + len(self.co) - 1 if self.co else 0
 
     def is_unit(self):
-        return len(self.c) == 1 and abs(next(iter(self.c.values()))) == 1
+        return len(self.co) == 1 and (self.co[0] == 1 or self.co[0] == -1)
 
     def unit_parts(self):
         (e, v), = self.c.items()
@@ -96,11 +221,14 @@ class Laurent:
 
     def compose_power(self, n):
         """Substitute t -> t^n (n may be zero or negative)."""
-        out = {}
-        for e, v in self.c.items():
-            k = e * n
-            out[k] = out.get(k, 0) + v
-        return Laurent(out)
+        if not self.co:
+            return self
+        if n == 0:
+            return Laurent.t(0, sum(self.co))
+        co = self.co if n > 0 else self.co[::-1]
+        out = [0] * ((len(co) - 1) * abs(n) + 1)
+        out[::abs(n)] = co
+        return _raw(self.max_exp() * n if n < 0 else self.lo * n, tuple(out))
 
     def evaluate(self, x):
         """Exact value at a nonzero rational point."""
@@ -112,49 +240,60 @@ class Laurent:
 
     def normalized(self):
         """Unit normal form: lowest exponent 0, positive constant term."""
-        if not self.c:
-            return Laurent()
-        p = self.shift(-self.min_exp())
-        if p.c[0] < 0:
-            p = -p
-        return p
+        if self.co and self.co[0] < 0:
+            return _raw(0, tuple([-v for v in self.co]))
+        return _raw(0, self.co)
 
     def exact_div(self, other):
-        """Exact division; raises if the quotient is not a Laurent polynomial."""
-        if not other:
+        """Exact division; raises if the quotient is not a Laurent polynomial.
+
+        The quotient is read off one big-integer division at t = 2^k and is
+        returned only when the remainder is zero and the quotient times the
+        divisor gives back the dividend.
+        """
+        b = other.co
+        if not b:
             raise ZeroDivisionError("Laurent division by zero")
-        if not self:
-            return Laurent()
-        num = self.shift(-self.min_exp())
-        den = other.shift(-other.min_exp())
-        shift_back = self.min_exp() - other.min_exp()
-        nd = dict(num.c)
-        dmax = max(den.c)
-        dlead = den.c[dmax]
-        out = {}
-        while nd:
-            nmax = max(nd)
-            if nmax < dmax:
+        a = self.co
+        if not a:
+            return Laurent.zero()
+        lo = self.lo - other.lo
+        if len(b) == 1:
+            d = b[0]
+            if d == 1:
+                return _raw(lo, a)
+            if d == -1:
+                return _raw(lo, tuple([-v for v in a]))
+            if any(v % d for v in a):
                 raise DomainError("inexact Laurent division")
-            lead = nd[nmax]
-            if lead % dlead:
-                raise DomainError("inexact Laurent division")
-            q = lead // dlead
-            qe = nmax - dmax
-            out[qe] = q
-            for e, v in den.c.items():
-                k = e + qe
-                nd[k] = nd.get(k, 0) - q * v
-                if nd[k] == 0:
-                    del nd[k]
-        return Laurent(out).shift(shift_back)
+            return _raw(lo, tuple([v // d for v in a]))
+        n = len(a) - len(b) + 1
+        if n < 1 or a[0] % b[0] or a[-1] % b[-1]:
+            raise DomainError("inexact Laurent division")
+        # Mignotte: a factor Q of A has sum |q_i| <= 2^deg(Q) ||A||_2, and
+        # ||A||_2 <= (isqrt(len A) + 1) max|a_i|; the divisor's digits must
+        # fit too, so that B(2^k) is nonzero.
+        bound = max((_max_abs(a) * (isqrt(len(a)) + 1)) << (n - 1), _max_abs(b))
+        kb = _digit_bytes(bound)
+        q, r = divmod(_pack(a, kb), _pack(b, kb))
+        if r:
+            raise DomainError("inexact Laurent division")
+        try:
+            quo = _trimmed(lo, _unpack(q, n, kb))
+        except OverflowError:
+            raise DomainError("inexact Laurent division") from None
+        if quo * other != self:
+            raise DomainError("inexact Laurent division")
+        return quo
 
     def __repr__(self):
-        if not self.c:
+        if not self.co:
             return "0"
         parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for i, v in enumerate(self.co):
+            if not v:
+                continue
+            e = self.lo + i
             if e == 0:
                 parts.append(f"{v}")
             elif e == 1:
@@ -260,11 +399,15 @@ def laurent_det_up_to_units(rows):
     ``rows`` is a list of {column: Laurent}.  Unit entries are eliminated
     first, which keeps Wirtinger-style matrices sparse; whatever dense core
     remains goes through fraction-free elimination.
+
+    Each step pivots on the unit entry of least Markowitz score
+    (row entries - 1) * (column entries - 1), the first such entry in
+    row order and then in the row's own column order.
     """
     rows = [dict(r) for r in rows]
     live = set(range(len(rows)))
     live_cols = {c for r in rows for c in r}
-    if len(live) != len(live_cols):
+    if len(live) != len(live_cols) or not all(rows):
         return Laurent.zero()
 
     col_rows = {}
@@ -272,23 +415,37 @@ def laurent_det_up_to_units(rows):
         for c in rows[i]:
             col_rows.setdefault(c, set()).add(i)
 
-    while live:
-        best = None
-        for i in live:
-            for c, v in rows[i].items():
-                if v.is_unit():
-                    score = (len(rows[i]) - 1) * (len(col_rows[c]) - 1)
-                    if best is None or score < best[0]:
-                        best = (score, i, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pc = best
+    def unit_cols(row):
+        return [c for c, v in row.items() if v.is_unit()]
+
+    def score(i, c):
+        return (len(rows[i]) - 1) * (len(col_rows[c]) - 1)
+
+    # units: the unit columns of every live row that has one.  queue: a heap
+    # of (score, row, position in units[row], column) holding every such
+    # entry at its current score, beside outdated ones skipped when popped.
+    # A step changes only the rows it modifies and the counts of the pivot
+    # row's columns, so only their entries are queued again.
+    units, queue = {}, []
+
+    def enqueue(i):
+        for pos, c in enumerate(units[i]):
+            heappush(queue, (score(i, c), i, pos, c))
+
+    for i in live:
+        cols = unit_cols(rows[i])
+        if cols:
+            units[i] = cols
+            enqueue(i)
+
+    while queue:
+        s, pi, pos, pc = heappop(queue)
+        cols = units.get(pi)
+        if cols is None or pos >= len(cols) or cols[pos] != pc or s != score(pi, pc):
+            continue
         pivot = rows[pi][pc]
-        for i in list(col_rows[pc]):
-            if i == pi or i not in live:
-                continue
+        modified = col_rows[pc] - {pi}
+        for i in modified:
             factor = rows[i][pc].exact_div(pivot)
             for c, v in rows[pi].items():
                 if c == pc:
@@ -302,12 +459,24 @@ def laurent_det_up_to_units(rows):
                     col_rows[c].discard(i)
             del rows[i][pc]
             col_rows[pc].discard(i)
+            if not rows[i]:
+                return Laurent.zero()
+            units.pop(i, None)
+            cols = unit_cols(rows[i])
+            if cols:
+                units[i] = cols
         live.discard(pi)
         live_cols.discard(pc)
+        del units[pi]
         for c in rows[pi]:
             col_rows[c].discard(pi)
-        if any(not rows[i] for i in live):
-            return Laurent.zero()
+        for i in modified:
+            if i in units:
+                enqueue(i)
+        for c in rows[pi]:
+            for i in col_rows[c] - modified:
+                if c in units.get(i, ()):
+                    heappush(queue, (score(i, c), i, units[i].index(c), c))
 
     if not live:
         return Laurent.one()
@@ -346,10 +515,9 @@ def alexander_poly(d) -> Laurent:
 
 
 def determinant(d) -> int:
-    """|Alexander polynomial at -1|."""
-    val = alexander_poly(d).evaluate(-1)
-    assert val.denominator == 1
-    return abs(int(val))
+    """|Alexander polynomial at -1|, summed in integers."""
+    p = alexander_poly(d)
+    return abs(sum(-v if (p.lo + i) % 2 else v for i, v in enumerate(p.co)))
 
 
 def satellite_formula_report(pattern, companion, declared=None):

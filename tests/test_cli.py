@@ -46,6 +46,10 @@ def test_round_trip_formats():
 
     h = hopf_link()
     named = FramedLink(Diagram(h.crossings, h.components, ("first", "second")), (1, -2), ("a", "b"))
+    # names and roles holding the text blocks' separators, brackets, % and spaces
+    odd_names = ("a,b", " c]%(x) ")
+    odd = Diagram(h.crossings, h.components, odd_names)
+    odd_framed = FramedLink(odd, (0, 3), ("r[1]", "x\ty,z"))
     parsers = {
         Diagram: formats.parse_diagram,
         Pattern: formats.parse_pattern,
@@ -54,7 +58,7 @@ def test_round_trip_formats():
         InfectionOperator: formats.parse_string_link,
     }
     op = winding_two_three_operator()
-    for obj in (trefoil(), core_pattern(), zero_surgery(trefoil()), named, op, op.link):
+    for obj in (trefoil(), core_pattern(), zero_surgery(trefoil()), named, op, op.link, odd, odd_framed):
         text = formats.serialize(obj)
         from_text = parsers[type(obj)](text)
         from_json = formats.obj_to_any(json.loads(json.dumps(formats.to_obj(obj))))
@@ -66,6 +70,9 @@ def test_round_trip_formats():
                  formats.obj_to_any(formats.to_obj(named))):
         assert back.diagram.names == ("first", "second")
         assert back.roles == ("a", "b")
+    assert formats.parse_diagram(formats.serialize(odd)).names == odd_names
+    back = formats.parse_framed_link(formats.serialize(odd_framed))
+    assert (back.diagram.names, back.roles) == (odd_names, ("r[1]", "x\ty,z"))
 
 
 def test_named_components_round_trip():
@@ -199,6 +206,19 @@ def test_winding_and_strong_winding(files, capsys):
     assert "verified" in out
     assert run(["--limit", "300", "strong-winding", files["clasp.pat"]]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_strong_winding_reports_enumerated_presentation(files, capsys):
+    from satkit.groups import cut_loop_word, quotient, simplify_presentation, wirtinger
+
+    p = clasp_pattern()
+    q = simplify_presentation(quotient(wirtinger(p.base), [cut_loop_word(p)]))
+    assert run(["--format", "structured", "--limit", "300", "strong-winding", files["clasp.pat"]]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["enumerated_generators"] == q.generator_count
+    assert stats["enumerated_relators"] == len(q.relators)
+    # the quotient enumerated carries the cut word as one more relator
+    assert (stats["enumerated_generators"], stats["enumerated_relators"]) != (stats["generators"], stats["relators"])
 
 
 def test_check_formula_command(files, capsys):

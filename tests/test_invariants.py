@@ -1,16 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satkit.abelian import AbelianGroup, cokernel, smith_normal_form
 from satkit.catalog import (
     braid_closure,
+    cable_pattern,
     double_kink_unknot,
     figure_eight,
     positive_kink_unknot,
     torus_knot,
     trefoil,
 )
-from satkit.diagram import connected_sum, mirror, reverse, simplify, unknot
+from satkit.diagram import connected_sum, mirror, relabeled, reverse, simplify, unknot
+from satkit.errors import DomainError
+from satkit.groups import wirtinger
 from satkit.invariants import (
     Laurent,
     alexander_poly,
@@ -20,6 +25,7 @@ from satkit.invariants import (
     fox_row_abelian,
     laurent_det_up_to_units,
 )
+from satkit.patterns import satellite
 from satkit.wires import insert_kink, insert_poke
 
 
@@ -69,6 +75,90 @@ def test_laurent_mul_matches_evaluation(a, b, x):
     pa, pb = Laurent.of(*a), Laurent.of(*b)
     assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
     assert (pa + pb).evaluate(x) == pa.evaluate(x) + pb.evaluate(x)
+
+
+# Schoolbook references for the packed arithmetic, on dicts exponent -> coefficient.
+
+
+def school_mul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def school_exact_div(a, b):
+    """Long division from the top term; None when b does not divide a."""
+    rem = {e: v for e, v in a.items() if v}
+    top_b = max(b)
+    out = {}
+    while rem:
+        top = max(rem)
+        if top - top_b < min(rem) - min(b) or rem[top] % b[top_b]:
+            return None
+        q = rem[top] // b[top_b]
+        out[top - top_b] = q
+        for e, v in b.items():
+            k = e + top - top_b
+            rem[k] = rem.get(k, 0) - q * v
+            if not rem[k]:
+                del rem[k]
+    return out
+
+
+big_coeff = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=-2**80, max_value=2**80))
+laurent_dict = st.dictionaries(st.integers(min_value=-12, max_value=24), big_coeff, max_size=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_dict, laurent_dict)
+def test_laurent_mul_matches_schoolbook(a, b):
+    assert (Laurent(a) * Laurent(b)).c == school_mul(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_dict, laurent_dict.filter(lambda d: any(d.values())), st.integers(min_value=-12, max_value=24),
+       st.integers(min_value=-2, max_value=2))
+def test_laurent_exact_div_matches_schoolbook(a, b, e, nudge):
+    pa, pb = Laurent(a), Laurent(b)
+    assert (pa * pb).exact_div(pb) == pa
+    # the product, knocked off exactness at one exponent (or not, for nudge 0)
+    num = pa * pb + Laurent.t(e, nudge)
+    expect = school_exact_div(num.c, pb.c)
+    if expect is None:
+        with pytest.raises(DomainError):
+            num.exact_div(pb)
+    else:
+        assert num.exact_div(pb) == Laurent(expect)
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_laurent_mul_at_the_coefficient_bound(n):
+    # equal coefficients make the middle coefficient of a product reach the
+    # digit bound max|a| max|b| min(len a, len b) exactly
+    for e in range(1, 90):
+        for m in (2**e - 1, 2**e, -(2**e)):
+            a = Laurent.of(*[m] * n)
+            for b in (a, -a, Laurent.of(*[m] * (n + 5)).shift(-3)):
+                assert (a * b).c == school_mul(a.c, b.c)
+                assert (a * b).exact_div(b) == a
+
+
+def test_exact_div_when_packed_integers_divide():
+    # A = (t+1)(2t^2+t+2) and B = 2(t+1): A(x) / B(x) = x^2 + x/2 + 1, an integer
+    # at every x = 2^k, yet B does not divide A over the integers
+    a, b = lp(2, 3, 3, 2), lp(2, 2)
+    for k in range(1, 200):
+        x = 2**k
+        assert (2 * x**3 + 3 * x**2 + 3 * x + 2) % (2 * x + 2) == 0
+    assert school_exact_div(a.c, b.c) is None
+    for shift in (0, -7, 5):
+        with pytest.raises(DomainError):
+            a.shift(shift).exact_div(b.shift(-shift))
+    with pytest.raises(DomainError):
+        (a * lp(3, 0, 1)).exact_div(b * lp(3, 0, 1))
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -223,3 +313,55 @@ def test_laurent_det_small():
     assert equal_up_to_units(laurent_det_up_to_units(rows), one)
     rows = [{0: t + one}, ]
     assert equal_up_to_units(laurent_det_up_to_units(rows), t + one)
+
+
+small_entry = st.sampled_from([
+    Laurent.zero(), Laurent.zero(), Laurent.zero(), Laurent.one(), -Laurent.one(), Laurent.t(-1),
+    -Laurent.t(2), lp(1, -1), lp(-3, 0, 1), Laurent({-1: 2, 1: 1}), lp(0, 1, 1), lp(2),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_laurent_det_against_sympy(mat):
+    import sympy
+
+    t = sympy.Symbol("t")
+    n = len(mat)
+    sym = sympy.Matrix([[sum(v * t**e for e, v in x.c.items()) for x in row] for row in mat])
+    det = sympy.Poly(sympy.expand(sym.det(method="berkowitz") * t ** (2 * n)), t)
+    theirs = Laurent({e: int(v) for (e,), v in det.as_dict().items()})
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    ours = laurent_det_up_to_units(rows)
+    assert ours.normalized() == theirs.normalized()
+
+
+def test_alexander_independent_of_companion_labels():
+    # the sparse elimination's pivot order follows edge labels; the
+    # polynomial of the 211-crossing cable(4,5) satellite of T(2,7) must not
+    pattern, companion = cable_pattern(4, 5), torus_knot(2, 7)
+    sat = satellite(pattern, companion)
+    expect = repr(alexander_poly.__wrapped__(sat))
+    rng = random.Random(0)
+    for _ in range(3):
+        edges = sorted(companion.edges())
+        image = edges[:]
+        rng.shuffle(image)
+        relabelled = satellite(pattern, relabeled(companion, dict(zip(edges, image))))
+        assert relabelled.crossing_count == sat.crossing_count == 211
+        assert wirtinger(relabelled).relators != wirtinger(sat).relators
+        assert repr(alexander_poly.__wrapped__(relabelled)) == expect
+
+
+def test_unit_pivoting_leaves_the_same_dense_core(monkeypatch):
+    # the pivot rule (least Markowitz score, then row, then column order)
+    # decides how much is left for fraction-free elimination
+    from satkit import invariants
+
+    sizes = []
+    bareiss = invariants._bareiss
+    monkeypatch.setattr(invariants, "_bareiss", lambda m: sizes.append(len(m)) or bareiss(m))
+    for (p, q), k in (((4, 5), 5), ((3, 4), 7)):
+        alexander_poly.__wrapped__(satellite(cable_pattern(p, q), torus_knot(2, k)))
+    assert sizes == [11, 8]
