@@ -92,13 +92,19 @@ def _write_words(words):
     return ",".join(map(_escape, words))
 
 
+# a "%" that does not begin a two-hex-digit escape
+_BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+
+
 def _words(body, position):
     if not body.strip():
         return ()
-    try:
-        return tuple(unquote(t.strip(), errors="strict") for t in body.split(","))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"malformed %-escape in {body!r}", position=position) from exc
+    if not _BAD_ESCAPE.search(body):
+        try:
+            return tuple(unquote(t.strip(), errors="strict") for t in body.split(","))
+        except UnicodeDecodeError:
+            pass
+    raise ParseError(f"malformed %-escape in {body!r}", position=position)
 
 
 def _arrows(body, position):

@@ -341,6 +341,9 @@ def test_corpus_skips_unreadable(tmp_path, capsys):
     ("not-an-object.json", "[1, 2]"),
     ("empty-count.sl", "SL[] P[(1)]"),
     ("binary.pd", "\udcff\udcfe"),
+    ("bad-escape.pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] C[(1,2,3,4,5,6)] N[a%zz]"),
+    ("short-escape.pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] C[(1,2,3,4,5,6)] N[a%4]"),
+    ("non-utf8-escape.pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] C[(1,2,3,4,5,6)] N[a%FF]"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, name, text):
     path = tmp_path / name
