@@ -17,7 +17,7 @@ from .diagram import (
     unknot,
     writhe,
 )
-from .errors import DomainError, ParseError, SatkitError, ValidationError
+from .errors import DomainError, InternalError, ParseError, SatkitError, ValidationError
 from .groups import (
     EnumerationResult,
     GroupPresentation,

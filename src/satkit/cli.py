@@ -2,9 +2,10 @@
 
 Every subcommand prints a schema-versioned report on standard output
 (plain text by default, JSON with ``--format structured``) and uses exit
-code 0 for success, 1 for domain errors, 2 for parse errors.  Reports are
-deterministic for fixed inputs and flags; the timing field is excluded
-from the report digest.
+code 0 for success, 1 for domain errors, 2 for parse errors and 3 for
+internal errors (a broken invariant inside satkit, not a fault of the
+input).  Reports are deterministic for fixed inputs and flags; the timing
+field is excluded from the report digest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 from . import formats
 from .diagram import Diagram
-from .errors import DomainError, ParseError, SatkitError
+from .errors import DomainError, InternalError, ParseError, SatkitError
 from .groups import strong_winding_check
 from .invariants import alexander_poly, determinant, satellite_formula_report
 from .patterns import (
@@ -424,6 +425,9 @@ def run(argv) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, SatkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ usual planar-diagram code convention in which ``X[i,j,k,l]`` with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -298,8 +299,93 @@ def relabeled(d: Diagram, mapping) -> Diagram:
     return Diagram(cr, comps, d.names)
 
 
-def _encode(crossings, components):
-    return (tuple(sorted(crossings)), components)
+def _least_labelling(d: Diagram, held=()):
+    """The least sorted crossing list over all cycle rotations.
+
+    Returns (crossings, components, rotations): the relabelled crossings in
+    sorted order, the consecutive component cycles, and every rotation
+    vector (start index per component) that yields that list, up to
+    rotations of components no later block reads and ``held`` does not
+    name.  See ``canonical`` for the search.
+    """
+    orient = _orient(d)
+    comps = d.components
+    sizes = [len(cyc) for cyc in comps]
+    offsets = [sum(sizes[:i]) for i in range(len(comps))]
+    where = {e: (i, p) for i, cyc in enumerate(comps) for p, e in enumerate(cyc)}
+    # per component, in walk order: (position, crossing) of each edge that
+    # enters a crossing as the under-strand; these make up its block
+    unders = [[] for _ in comps]
+    for i, cyc in enumerate(comps):
+        for p, e in enumerate(cyc):
+            head = orient.edge_head.get(e)
+            if head is not None and head[1] == 0:
+                unders[i].append((p, d.crossings[head[0]]))
+    # components whose rotation some block after j still reads
+    read_after = [()] * len(comps)
+    read = set(held)
+    for j in reversed(range(len(comps))):
+        read_after[j] = tuple(sorted(read))
+        if unders[j]:
+            read.add(j)
+            read.update(where[x[1]][0] for _, x in unders[j])
+
+    def block(rot, j, start, best):
+        # block j under ``rot`` (filled in as edges are met), or None once
+        # it exceeds ``best``; second value: strictly below ``best``
+        out = []
+        below = best is None
+        u = unders[j]
+        for t in range(len(u)):
+            x = u[(start + t) % len(u)][1]
+            row = []
+            for e in x:
+                i, p = where[e]
+                if rot[i] is None:
+                    # first sighting of component i: only starting its
+                    # cycle here gives the least label, off_i + 1
+                    rot[i] = p
+                row.append(offsets[i] + 1 + (p - rot[i]) % sizes[i])
+            row = tuple(row)
+            if not below:
+                if row > best[t]:
+                    return None, False
+                below = row < best[t]
+            out.append(row)
+        return out, below
+
+    crossings = []
+    cands = [[None] * len(comps)]
+    for j, u in enumerate(unders):
+        if not u:
+            continue
+        best, kept = None, []
+        for rot in cands:
+            if rot[j] is None:
+                # the block opens with label off_j + 1 only if the cycle
+                # starts at an under-entering edge: branch over those
+                starts = range(len(u))
+            else:
+                starts = (bisect_left(u, (rot[j],)) % len(u),)
+            for s in starts:
+                r = list(rot)
+                if r[j] is None:
+                    r[j] = u[s][0]
+                out, below = block(r, j, s, best)
+                if out is None:
+                    continue
+                if below:
+                    best, kept = out, []
+                kept.append(r)
+        crossings.extend(best)
+        # candidates that agree on every rotation still read go on alike
+        merged = {}
+        for r in kept:
+            merged.setdefault(tuple(r[i] for i in read_after[j]), r)
+        cands = list(merged.values())
+    rotations = [[0 if r is None else r for r in rot] for rot in cands]
+    components = tuple(tuple(range(o + 1, o + n + 1)) for o, n in zip(offsets, sizes))
+    return tuple(crossings), components, rotations
 
 
 @lru_cache(maxsize=2048)
@@ -307,51 +393,23 @@ def canonical(d: Diagram) -> Diagram:
     """Canonical representative under edge renumbering and cycle rotation.
 
     Component order is preserved: diagrams are ordered links.  The start
-    edge of every cycle is chosen to minimise the sorted crossing list plus
-    cycle encoding lexicographically; edges are then numbered 1..E in walk
-    order.  Exhaustive over the product of rotation choices, which stays
-    small for the diagrams this package produces.
+    edge of every cycle is chosen to minimise the sorted crossing list
+    lexicographically; edges are then numbered 1..E in walk order, so
+    component i is always ``off_i+1 .. off_i+n_i``.
+
+    The minimum is found by refinement, not by trying every product of
+    rotations.  Slot-0 labels are distinct, so the sorted list is block 0,
+    block 1, ...: block j holds the crossings whose under-strand runs on
+    component j, in walk order from its start.  Scanning left to right,
+    the first label on a component with no start yet is least only as
+    ``off_i+1``, which fixes that start without branching.  A block whose
+    own component has no start yet branches over its under-entering
+    edges; candidates with a larger block are dropped, and candidates
+    that agree on every start a later block still reads are merged.  The
+    result is the exact lexicographic minimum, with no size limit.
     """
-    rotation_counts = [max(1, len(c)) for c in d.components]
-    total = 1
-    for n in rotation_counts:
-        total *= n
-    if total > 500_000:
-        raise DomainError("diagram too large to canonicalise exhaustively")
-
-    best = None
-    choice = [0] * len(d.components)
-
-    def relabel_for(choice):
-        mapping = {}
-        nxt = 1
-        for idx, cyc in enumerate(d.components):
-            r = choice[idx]
-            for e in cyc[r:] + cyc[:r]:
-                mapping[e] = nxt
-                nxt += 1
-        cr = tuple(tuple(mapping[e] for e in x) for x in d.crossings)
-        comps = []
-        for idx, cyc in enumerate(d.components):
-            r = choice[idx]
-            comps.append(tuple(mapping[e] for e in cyc[r:] + cyc[:r]))
-        return cr, tuple(comps)
-
-    def rec(idx):
-        nonlocal best
-        if idx == len(d.components):
-            cr, comps = relabel_for(choice)
-            key = _encode(cr, comps)
-            if best is None or key < best[0]:
-                best = (key, cr, comps)
-            return
-        for r in range(rotation_counts[idx]):
-            choice[idx] = r
-            rec(idx + 1)
-
-    rec(0)
-    _, cr, comps = best
-    return Diagram(tuple(sorted(cr)), comps, d.names)
+    crossings, components, _ = _least_labelling(d)
+    return Diagram(crossings, components, d.names)
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:

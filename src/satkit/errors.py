@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the whole package.
 
 ParseError (and its ValidationError subclass) map to CLI exit code 2,
-DomainError to exit code 1.
+DomainError to exit code 1, and InternalError (a broken invariant inside
+satkit's own construction code, never a fault of the input) to exit code 3.
 """
 
 
@@ -25,3 +26,8 @@ class ValidationError(ParseError):
 
 class DomainError(SatkitError):
     """Operation precondition violated (bad component, wrong winding, ...)."""
+
+
+class InternalError(SatkitError):
+    """An internal invariant failed: a construction produced an inconsistent
+    wiring.  This is a bug in satkit, not malformed input."""

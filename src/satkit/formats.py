@@ -97,8 +97,8 @@ _BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 
 
 def _words(body, position):
-    if not body.strip():
-        return ()
+    # an empty body is one empty word: N[...] and R[...] are written only
+    # when there are names or roles, so a lone "" reads back as ("",)
     if not _BAD_ESCAPE.search(body):
         try:
             return tuple(unquote(t.strip(), errors="strict") for t in body.split(","))
@@ -199,7 +199,7 @@ def diagram_to_obj(d: Diagram):
 
 
 def pattern_to_obj(p: Pattern):
-    # the cut rides through the canonical relabelling via a marked walk
+    # the cut breaks ties between the base's least relabellings
     cr, comps, cut = _pattern_key(p)
     return {
         "type": "pattern",

@@ -15,7 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, crossing_signs, mirror, reverse, total_writhe, _occurrences, _orient
+from .diagram import (
+    Diagram,
+    _least_labelling,
+    _occurrences,
+    _orient,
+    crossing_signs,
+    mirror,
+    reverse,
+    total_writhe,
+)
 from .errors import DomainError, ValidationError
 from .wires import Builder, build_cable, encircle, twist_chain
 
@@ -61,32 +70,20 @@ def patterns_equal(p1: Pattern, p2: Pattern) -> bool:
 
 def _pattern_key(p: Pattern):
     # joint canonicalisation of the diagram and its cut marking: base
-    # symmetries may permute edges, so the cut participates in the key
-    best = None
-    for starts in _rotation_choices(p.base):
-        mapping = {}
-        nxt = 1
-        for cyc, r in zip(p.base.components, starts):
-            for e in cyc[r:] + cyc[:r]:
-                mapping[e] = nxt
-                nxt += 1
-        cr = tuple(sorted(tuple(mapping[e] for e in x) for x in p.base.crossings))
-        comps = tuple(
-            tuple(mapping[e] for e in cyc[r:] + cyc[:r])
-            for cyc, r in zip(p.base.components, starts)
-        )
-        cut = tuple((mapping[e], s) for e, s in p.cut)
-        key = (cr, comps, cut)
-        if best is None or key < best:
-            best = key
-    return best
+    # symmetries may permute edges, so among the rotations that give the
+    # least crossing list the cut breaks the tie; its components stay held
+    # so no candidate that moves it is merged away
+    base = p.base
+    where = {e: (i, q) for i, cyc in enumerate(base.components) for q, e in enumerate(cyc)}
+    held = {where[e][0] for e, _ in p.cut}
+    crossings, components, rotations = _least_labelling(base, held)
 
+    def label(rot, e):
+        i, q = where[e]
+        return components[i][(q - rot[i]) % len(components[i])]
 
-def _rotation_choices(d: Diagram):
-    import itertools
-
-    ranges = [range(max(1, len(c))) for c in d.components]
-    return itertools.product(*ranges)
+    cut = min(tuple((label(rot, e), s) for e, s in p.cut) for rot in rotations)
+    return crossings, components, cut
 
 
 # -- the satellite construction ---------------------------------------------

@@ -23,7 +23,7 @@ orientation stay correct when spliced into strands that run the other way.
 
 from __future__ import annotations
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, InternalError
 
 LOOP = ("loop",)
 
@@ -204,7 +204,7 @@ class Builder:
         if end is None:
             if allow_open:
                 return None
-            raise ValidationError("walk reached a dangling end")
+            raise InternalError("walk reached a dangling end")
         if end[0] == "t":
             return None
         _, ci, s = end
@@ -213,7 +213,7 @@ class Builder:
         w2 = self.crossings[ci][s2]
         ends2 = self.wires[w2]
         if ends2[0] == ("x", ci, s2) and ends2[1] == ("x", ci, s2):
-            raise ValidationError("wire bound twice to one slot")
+            raise InternalError("wire bound twice to one slot")
         k = 0 if ends2[0] == ("x", ci, s2) else 1
         return w2, 1 - k
 
@@ -240,14 +240,14 @@ class Builder:
         visited = {w for seq in comp_wires for w in seq}
         all_live = {self.live(w) for w in self.wires}
         if visited != all_live:
-            raise ValidationError("walk did not cover every wire; missing seeds?")
+            raise InternalError("walk did not cover every wire; missing seeds?")
         rotate = {}
         for ci in live_crossings:
             entries = sorted(self._entries.get(ci, []))
             under = [s for s in entries if s in (0, 2)]
             over = [s for s in entries if s in (1, 3)]
             if len(under) != 1 or len(over) != 1:
-                raise ValidationError(f"crossing {ci} traversed {entries}, expected one strand per pair")
+                raise InternalError(f"crossing {ci} traversed {entries}, expected one strand per pair")
             rotate[ci] = under[0] == 2
 
         label = {}
@@ -282,7 +282,7 @@ class Builder:
                 continue
             seq, closed = self._walk_from(w, 1 if forward else 0)
             if not closed:
-                raise ValidationError("component seed reached a terminal; not a closed diagram")
+                raise InternalError("component seed reached a terminal; not a closed diagram")
             comp_wires.append(seq)
         crossings, comps, label = self._finish(comp_wires)
         return Diagram(crossings, comps), label
@@ -297,7 +297,7 @@ class Builder:
             w = self.live(w)
             seq, closed = self._walk_from(w, 1 if forward else 0, allow_open=True)
             if closed:
-                raise ValidationError("strand seed walked a closed loop")
+                raise InternalError("strand seed walked a closed loop")
             comp_wires.append(seq)
         crossings, comps, label = self._finish(comp_wires)
         return crossings, comps, label
@@ -644,7 +644,7 @@ def _component_seeds(d, b, wmap):
                 seeds.append((w, True))
                 break
         else:
-            raise ValidationError("component lost all wires")
+            raise InternalError("component lost all wires")
     return seeds
 
 

@@ -50,6 +50,10 @@ def test_round_trip_formats():
     odd_names = ("a,b", " c]%(x) ")
     odd = Diagram(h.crossings, h.components, odd_names)
     odd_framed = FramedLink(odd, (0, 3), ("r[1]", "x\ty,z"))
+    # a lone empty name or role is written as N[] or R[] and must come back
+    t = trefoil()
+    empty_name = Diagram(t.crossings, t.components, ("",))
+    empty_role = FramedLink(t, (0,), ("",))
     parsers = {
         Diagram: formats.parse_diagram,
         Pattern: formats.parse_pattern,
@@ -58,7 +62,8 @@ def test_round_trip_formats():
         InfectionOperator: formats.parse_string_link,
     }
     op = winding_two_three_operator()
-    for obj in (trefoil(), core_pattern(), zero_surgery(trefoil()), named, op, op.link, odd, odd_framed):
+    for obj in (trefoil(), core_pattern(), zero_surgery(trefoil()), named, op, op.link, odd, odd_framed,
+                empty_name, empty_role):
         text = formats.serialize(obj)
         from_text = parsers[type(obj)](text)
         from_json = formats.obj_to_any(json.loads(json.dumps(formats.to_obj(obj))))
@@ -73,6 +78,8 @@ def test_round_trip_formats():
     assert formats.parse_diagram(formats.serialize(odd)).names == odd_names
     back = formats.parse_framed_link(formats.serialize(odd_framed))
     assert (back.diagram.names, back.roles) == (odd_names, ("r[1]", "x\ty,z"))
+    assert formats.parse_diagram(formats.serialize(empty_name)).names == ("",)
+    assert formats.parse_framed_link(formats.serialize(empty_role)).roles == ("",)
 
 
 def test_named_components_round_trip():
@@ -351,3 +358,29 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, name, text):
     command = ["slink", "winding"] if name.endswith(".sl") else ["invariants"]
     assert run(command + [str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def _walk_out_one_hopf_component():
+    # a builder walked out from one seed while the Hopf link has two
+    # components: the walk misses wires, a construction bug
+    from satkit.catalog import hopf_link
+    from satkit.wires import Builder
+
+    b, wmap = Builder.from_diagram(hopf_link())
+    first = hopf_link().components[0][0]
+    return b.to_diagram([(b.live(wmap[first]), True)])
+
+
+def test_builder_invariant_failure_is_internal(files, capsys, monkeypatch):
+    import satkit.cli as cli
+    from satkit.errors import InternalError, ParseError
+
+    with pytest.raises(InternalError) as err:
+        _walk_out_one_hopf_component()
+    assert not isinstance(err.value, ParseError)
+    assert "missing seeds" in str(err.value)
+
+    monkeypatch.setattr(cli, "alexander_poly", lambda d: _walk_out_one_hopf_component())
+    code = run(["invariants", files["trefoil.pd"]])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("internal error: ")

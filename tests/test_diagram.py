@@ -1,9 +1,14 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satkit.catalog import (
     braid_closure,
+    both_strands_operator,
     corpus_knots,
+    corpus_patterns,
     double_kink_unknot,
     figure_eight,
     hopf_link,
@@ -14,6 +19,7 @@ from satkit.catalog import (
 from satkit.diagram import (
     Diagram,
     canonical,
+    component_subdiagram,
     connected_sum,
     crossing_signs,
     diagrams_equal,
@@ -21,11 +27,14 @@ from satkit.diagram import (
     linking_number,
     mirror,
     reverse,
+    relabeled,
     simplify,
     unknot,
     writhe,
 )
 from satkit.errors import DomainError, ValidationError
+from satkit.patterns import Pattern, _pattern_key
+from satkit.stringlinks import closure, infect, parallel
 from satkit.wires import insert_kink, insert_poke
 
 
@@ -111,8 +120,6 @@ def test_canonical_is_stable():
 
 def test_equality_ignores_relabeling():
     t = trefoil()
-    from satkit.diagram import relabeled
-
     shuffled = relabeled(t, {e: e + 10 for e in t.edges()})
     assert diagrams_equal(t, shuffled)
     assert not diagrams_equal(t, mirror(t))
@@ -204,8 +211,6 @@ def test_simplify_preserves_invariants_on_corpus():
     from satkit.catalog import corpus_knots
     from satkit.invariants import alexander_poly, determinant
 
-    import random
-
     rng = random.Random(11)
     knots = [d for _, d in corpus_knots() if d.is_knot() and d.crossing_count <= 8][:8]
     for d in knots:
@@ -227,8 +232,6 @@ def test_simplify_preserves_invariants_on_corpus():
 @settings(max_examples=25, deadline=None)
 @given(braid_words(), st.integers(min_value=0, max_value=2**31))
 def test_simplify_preserves_component_structure(sw, seed):
-    import random
-
     strands, word = sw
     d = braid_closure(strands, word)
     rng = random.Random(seed)
@@ -241,3 +244,129 @@ def test_simplify_preserves_component_structure(sw, seed):
 
 def test_corpus_knots_are_planar():
     assert [name for name, d in corpus_knots() if embedding_genus(d) != 0] == []
+
+
+# -- canonical labelling against the exhaustive search ---------------------------
+
+# the reference tries every product of cycle rotations; above this many it
+# is not run
+_REFERENCE_LIMIT = 20_000
+
+
+def _reference_key(d, cut=None):
+    """Least (sorted crossings, components[, cut]) over all rotation products."""
+    total = 1
+    for cyc in d.components:
+        total *= len(cyc)
+    if total > _REFERENCE_LIMIT:
+        return None
+    best = None
+    for starts in itertools.product(*(range(len(cyc)) for cyc in d.components)):
+        mapping = {}
+        for cyc, r in zip(d.components, starts):
+            for e in cyc[r:] + cyc[:r]:
+                mapping[e] = len(mapping) + 1
+        cr = tuple(sorted(tuple(mapping[e] for e in x) for x in d.crossings))
+        comps = tuple(tuple(mapping[e] for e in cyc[r:] + cyc[:r]) for cyc, r in zip(d.components, starts))
+        key = (cr, comps) if cut is None else (cr, comps, tuple((mapping[e], s) for e, s in cut))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _shuffled(d, rng):
+    """``d`` with every cycle rotated and the edges renumbered at random;
+    returns the copy and the old -> new label map."""
+    cycles = []
+    for cyc in d.components:
+        k = rng.randrange(len(cyc))
+        cycles.append(cyc[k:] + cyc[:k])
+    rotated = Diagram(d.crossings, cycles, d.names)
+    labels = rng.sample(range(1, 4 * len(d.edges()) + 1), len(d.edges()))
+    mapping = dict(zip(d.edges(), labels))
+    return relabeled(rotated, mapping), mapping
+
+
+def _key(d):
+    c = canonical(d)
+    return c.crossings, c.components
+
+
+@st.composite
+def _presentations(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    if draw(st.booleans()):
+        knots = corpus_knots()
+        d = knots[draw(st.integers(min_value=0, max_value=len(knots) - 1))][1]
+    else:
+        strands = draw(st.integers(min_value=2, max_value=5))
+        length = draw(st.integers(min_value=1, max_value=12))
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
+        d = braid_closure(strands, word)
+    return _shuffled(d, rng)[0], rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations())
+def test_canonical_matches_exhaustive_search(drawn):
+    d, rng = drawn
+    reference = _reference_key(d)
+    if reference is not None:
+        assert _key(d) == reference
+    assert _key(_shuffled(d, rng)[0]) == _key(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_presentations())
+def test_pattern_key_matches_exhaustive_search(drawn):
+    d, rng = drawn
+    if not d.is_knot():
+        d = component_subdiagram(d, [0])
+    edges = list(d.edges())
+    cut = [(e, rng.choice([1, -1])) for e in rng.sample(edges, rng.randint(1, min(4, len(edges))))]
+    p = Pattern(d, cut)
+    reference = _reference_key(d, p.cut)
+    if reference is not None:
+        assert _pattern_key(p) == reference
+    copy, mapping = _shuffled(d, rng)
+    assert _pattern_key(Pattern(copy, [(mapping[e], s) for e, s in cut])) == _pattern_key(p)
+
+
+def test_pattern_keys_of_corpus_patterns_match_exhaustive_search():
+    rng = random.Random(5)
+    for _, p in corpus_patterns():
+        copy, mapping = _shuffled(p.base, rng)
+        moved = Pattern(copy, [(mapping[e], s) for e, s in p.cut])
+        assert _pattern_key(moved) == _pattern_key(p) == _reference_key(p.base, p.cut)
+
+
+def _split_union(knot, copies):
+    """``copies`` unlinked copies of one knot, side by side."""
+    crossings, components, shift = [], [], 0
+    for _ in range(copies):
+        crossings += [tuple(e + shift for e in x) for x in knot.crossings]
+        components += [tuple(e + shift for e in cyc) for cyc in knot.components]
+        shift += max(knot.edges())
+    return Diagram(crossings, components)
+
+
+def test_large_links_canonicalise_and_round_trip():
+    from satkit import formats
+
+    cases = [
+        torus_link(5, 10),  # 16^5 rotation products
+        closure(parallel(infect(both_strands_operator(), trefoil()), (2, 2)).link),
+        _split_union(torus_link(2, 7), 6),  # 14^6 rotation products
+    ]
+    assert [(d.crossing_count, d.component_count) for d in cases] == [(40, 5), (84, 4), (42, 6)]
+    # each has more than 500k rotation products, beyond what the exhaustive
+    # search ever tried
+    rng = random.Random(7)
+    for d in cases:
+        text = formats.serialize_diagram(d)
+        back = formats.parse_diagram(text)
+        assert back == canonical(d)
+        assert formats.serialize_diagram(back) == text
+        assert diagrams_equal(back, d)
+        for _ in range(3):
+            assert _key(_shuffled(d, rng)[0]) == _key(d)
