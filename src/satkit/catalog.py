@@ -12,7 +12,7 @@ import random
 from .diagram import Diagram, connected_sum, mirror, unknot
 from .errors import DomainError
 from .patterns import Pattern
-from .wires import Builder, braid_step, insert_kink, insert_poke
+from .wires import Builder, braid, insert_kink, insert_poke
 
 
 def braid_permutation(strands, word):
@@ -25,17 +25,10 @@ def braid_permutation(strands, word):
 
 def braid_closure(strands, word) -> Diagram:
     """Trace closure of a braid word (letters +-1..+-(strands-1))."""
-    for x in word:
-        if x == 0 or abs(x) >= strands:
-            raise DomainError(f"braid letter {x} out of range for {strands} strands")
     b = Builder()
-    start = [b.fresh() for _ in range(strands)]
-    cur = list(start)
-    for x in word:
-        braid_step(b, cur, abs(x) - 1, positive=x > 0)
-    closed = []
-    for i in range(strands):
-        closed.append(b.fuse((b.live(cur[i]), 1), (b.live(start[i]), 0)))
+    bottom, top = braid(b, strands, word)
+    for t, s in zip(top, bottom):
+        b.join(t, s)
     perm = braid_permutation(strands, word)
     seeds = []
     seen = set()
@@ -46,7 +39,7 @@ def braid_closure(strands, word) -> Diagram:
         while j not in seen:
             seen.add(j)
             j = perm[j]
-        seeds.append((b.live(start[i]), True))
+        seeds.append((b.live(bottom[i]), True))
     d, _ = b.to_diagram(seeds)
     return d
 
@@ -98,6 +91,8 @@ def pattern_from_braid(strands, word) -> Pattern:
     All strands run coherently through the disk, so the winding number is
     the strand count; the closure permutation must be a single cycle.
     """
+    b = Builder()
+    bottom, top = braid(b, strands, word)
     perm = braid_permutation(strands, word)
     seen = set()
     cycle = 0
@@ -108,15 +103,8 @@ def pattern_from_braid(strands, word) -> Pattern:
         cycle += 1
     if cycle != strands:
         raise DomainError("closure is a link; pattern base must be a knot")
-    b = Builder()
-    start = [b.fresh() for _ in range(strands)]
-    cur = list(start)
-    for x in word:
-        braid_step(b, cur, abs(x) - 1, positive=x > 0)
-    closure_wires = []
-    for i in range(strands):
-        closure_wires.append(b.fuse((b.live(cur[i]), 1), (b.live(start[i]), 0)))
-    d, labels = b.to_diagram([(b.live(start[0]), True)])
+    closure_wires = [b.join(t, s) for t, s in zip(top, bottom)]
+    d, labels = b.to_diagram([(b.live(bottom[0]), True)])
     cut = tuple((labels[b.live(w)], 1) for w in closure_wires)
     return Pattern(d, cut)
 

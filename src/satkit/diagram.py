@@ -462,19 +462,7 @@ def component_subdiagram(d: Diagram, keep) -> Diagram:
     orient = _orient(d)
     drop_edges = {e for e, c in orient.edge_component.items() if c not in keep}
     b.remove_edges({wmap[e] for e in drop_edges})
-    seeds = []
-    for c in sorted(keep):
-        for e in d.components[c]:
-            w = b.live(wmap[e])
-            if w is not None:
-                seeds.append((w, True))
-                break
-        else:
-            # component became crossing-free; its wires were merged into one loop
-            w = b.live(wmap[d.components[c][0]])
-            if w is not None:
-                seeds.append((w, True))
-    out, _ = b.to_diagram(seeds)
+    out, _ = b.to_diagram(b.seeds(wmap, [d.components[c] for c in sorted(keep)]))
     return out
 
 

@@ -327,7 +327,10 @@ class _CosetTable:
                     table[a][l] = c
                     table[c][li] = a
 
-    def scan_and_fill(self, a, rel):
+    def scan_and_fill(self, a, rel, fill=True):
+        """Scan relator ``rel`` from coset ``a`` in both directions, merging
+        on a coincidence and deducing a one-gap completion; with ``fill``
+        define new cosets until the scan completes, else stop at the gap."""
         table = self.table
         f, i = a, 0
         b, j = a, len(rel) - 1
@@ -351,6 +354,8 @@ class _CosetTable:
                 table[f][rel[i]] = b
                 table[b][self.inv(rel[i])] = f
                 return
+            if not fill:
+                return
             f = self.define(f, rel[i])
             i += 1
 
@@ -359,31 +364,9 @@ class _CosetTable:
             if self.p[a] != a:
                 continue
             for rel in rels:
-                self.scan_and_fill_scan_only(a, rel)
+                self.scan_and_fill(a, rel, fill=False)
                 if self.p[a] != a:
                     break
-
-    def scan_and_fill_scan_only(self, a, rel):
-        table = self.table
-        f, i = a, 0
-        b, j = a, len(rel) - 1
-        while i <= j and table[f][rel[i]] is not None:
-            f = table[f][rel[i]]
-            i += 1
-        if i > j:
-            if f != b:
-                self.merge(f, b)
-                self.process_coincidences()
-            return
-        while j >= i and table[b][self.inv(rel[j])] is not None:
-            b = table[b][self.inv(rel[j])]
-            j -= 1
-        if j < i:
-            self.merge(f, b)
-            self.process_coincidences()
-        elif j == i:
-            table[f][rel[i]] = b
-            table[b][self.inv(rel[i])] = f
 
 
 class _Overflow(Exception):
@@ -444,7 +427,7 @@ class StrongWindingResult:
         return "verified" if self.verified else "inconclusive"
 
 
-def strong_winding_check(pattern, limit: int = 10**6, presimplify: bool = True) -> StrongWindingResult:
+def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
     """Semi-decide whether the marked curve around the cut normally
     generates the fundamental group of the complement of the pattern's
     underlying knot.
@@ -454,9 +437,7 @@ def strong_winding_check(pattern, limit: int = 10**6, presimplify: bool = True) 
     """
     pres = wirtinger(pattern.base)
     word = cut_loop_word(pattern)
-    q = quotient(pres, [word])
-    if presimplify:
-        q = simplify_presentation(q)
+    q = simplify_presentation(quotient(pres, [word]))
     result = todd_coxeter(q, limit)
     verified = result.outcome == "trivial"
     if verified and not abelianization(q).is_trivial:

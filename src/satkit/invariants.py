@@ -187,18 +187,11 @@ class Laurent:
     def shift(self, k):
         return _raw(self.lo + k, self.co)
 
-    def min_exp(self):
-        return self.lo
-
     def max_exp(self):
         return self.lo + len(self.co) - 1 if self.co else 0
 
     def is_unit(self):
         return len(self.co) == 1 and (self.co[0] == 1 or self.co[0] == -1)
-
-    def unit_parts(self):
-        (e, v), = self.c.items()
-        return e, v
 
     def compose_power(self, n):
         """Substitute t -> t^n (n may be zero or negative)."""

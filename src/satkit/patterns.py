@@ -89,22 +89,24 @@ def _pattern_key(p: Pattern):
 # -- the satellite construction ---------------------------------------------
 
 
-def _tie_companion(b: Builder, pieces, signs, companion: Diagram, extra_twists: int = 0):
-    """Tie the cut strands into the companion knot.
+def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int = 0):
+    """Cut the marked edges and tie the cut strands into the companion knot.
 
-    ``pieces`` are the (tail_piece, head_piece) pairs from cutting the cut
-    edges, in transverse order; ``signs`` the matching passage signs.  The
-    companion is cut open at its lowest-labelled edge, cabled into
-    ``len(pieces)`` parallel copies, given ``-writhe`` correction twists,
-    and spliced in.  Returns the marked wires crossing the new disk
-    position (entry side of the gadget), in order.
+    ``cut`` lists (edge, passage sign) in transverse order; ``wmap`` maps
+    its edges to wires of ``b``.  Each wire is cut where it crosses the
+    disk (the old wire id then names its tail piece).  The companion is
+    cut open at its lowest-labelled edge, cabled into ``len(cut)``
+    parallel copies, given ``-writhe`` correction twists, and spliced in.
+    Returns the marked wires crossing the new disk position (entry side
+    of the gadget), in order.
 
     ``extra_twists`` deliberately mis-frames the insertion; it exists so
     negative controls can exercise the formula checks.
     """
     if not companion.is_knot():
         raise DomainError("companion must be a knot diagram")
-    m = len(pieces)
+    pieces = [b.cut(wmap[e]) for e, _ in cut]
+    m = len(cut)
     orient = _orient(companion)
     loops = [e for e in companion.edges() if e not in orient.edge_head]
     cut_edge = min(companion.edges())
@@ -125,12 +127,12 @@ def _tie_companion(b: Builder, pieces, signs, companion: Diagram, extra_twists: 
     exits = twist_chain(b, exits, -total_writhe(companion) + extra_twists)
 
     marked = []
-    for (tail_piece, head_piece), sign, s_port, e_port in zip(pieces, signs, entry, exits):
+    for (tail_piece, head_piece), (_, sign), s_port, e_port in zip(pieces, cut, entry, exits):
         if sign > 0:
-            b.fuse((b.live(tail_piece), 1), (b.live(s_port), 0))
+            b.join(tail_piece, s_port)
             rest = e_port
         else:
-            b.fuse((b.live(tail_piece), 1), (b.live(e_port), 1))
+            b.fuse((tail_piece, 1), (e_port, 1))
             rest = s_port
         lsrc = b.live(rest)
         tgt = b.live(head_piece)
@@ -145,14 +147,9 @@ def _tie_companion(b: Builder, pieces, signs, companion: Diagram, extra_twists: 
 
 def _satellite_parts(p: Pattern, k: Diagram, extra_twists: int = 0):
     b, wmap = Builder.from_diagram(p.base)
-    pieces = [b.cut(wmap[e]) for e, _ in p.cut]
-    signs = [s for _, s in p.cut]
-    marked = _tie_companion(b, pieces, signs, k, extra_twists)
-    seed = b.live(pieces[0][0])
-    d, labels = b.to_diagram([(seed, True)])
-    new_cut = tuple(
-        (labels[b.live(w)], s) for w, s in zip(marked, signs)
-    )
+    marked = _tie_companion(b, wmap, p.cut, k, extra_twists)
+    d, labels = b.to_diagram([(b.live(wmap[p.cut[0][0]]), True)])
+    new_cut = tuple((labels[b.live(w)], s) for w, (_, s) in zip(marked, p.cut))
     return d, new_cut
 
 
@@ -287,14 +284,7 @@ def from_link(d: Diagram, circle: int) -> Pattern:
         cut_info.append((shared, signs[ci]))
 
     b.remove_edges({wmap[e] for e in circle_edges})
-    base_comp = 1 - circle
-    seed = None
-    for e in d.components[base_comp]:
-        lw = b.live(wmap[e])
-        if lw is not None:
-            seed = lw
-            break
-    base, labels = b.to_diagram([(seed, True)])
+    base, labels = b.to_diagram(b.seeds(wmap, [d.components[1 - circle]]))
     # the circle is oriented to link positively, which walks the over-run
     # against the transverse cut order; flip back
     cut = tuple((labels[b.live(wmap[e])], s) for e, s in reversed(cut_info))

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .diagram import Diagram, _occurrences
 from .errors import DomainError, ValidationError
 from .patterns import Pattern, _tie_companion
-from .wires import Builder, braid_step, build_cable, twist_chain
+from .wires import Builder, braid, build_cable, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
@@ -143,20 +143,15 @@ def string_link_from_braid(strands, word) -> StringLink:
     link is rejected unless each strand returns to its own slot."""
     from .catalog import braid_permutation
 
-    if braid_permutation(strands, list(word)) != list(range(strands)):
-        raise DomainError("braid must induce the identity permutation")
     b = Builder()
-    start = [b.fresh() for _ in range(strands)]
-    cur = list(start)
-    for x in word:
-        if x == 0 or abs(x) >= strands:
-            raise DomainError("braid letter out of range")
-        braid_step(b, cur, abs(x) - 1, positive=x > 0)
-    for i, w in enumerate(start):
-        b._bind(b.live(w), 0, ("t", ("bot", i)))
-    for i, w in enumerate(cur):
-        b._bind(b.live(w), 1, ("t", ("top", i)))
-    sl, _ = _walk_out(b, [(b.live(start[i]), True) for i in range(strands)], (1,) * strands)
+    bottom, top = braid(b, strands, word)
+    if braid_permutation(strands, word) != list(range(strands)):
+        raise DomainError("braid must induce the identity permutation")
+    for i, w in enumerate(bottom):
+        b._bind(w, 0, ("t", ("bot", i)))
+    for i, w in enumerate(top):
+        b._bind(w, 1, ("t", ("top", i)))
+    sl, _ = _walk_out(b, [(b.live(w), True) for w in bottom], (1,) * strands)
     return sl
 
 
@@ -182,15 +177,7 @@ class InfectionOperator:
 
 
 def _to_builder(sl: StringLink):
-    b = Builder()
-    wmap = {e: b.fresh() for e in sl.edges()}
-    orient = _orient_tangle(sl)
-    for x in sl.crossings:
-        b.crossings.append([wmap[e] for e in x])
-    for e, (ci, s) in orient.edge_head.items():
-        b.wires[wmap[e]][1] = ("x", ci, s)
-    for e, (ci, s) in orient.edge_tail.items():
-        b.wires[wmap[e]][0] = ("x", ci, s)
+    b, wmap = Builder.from_code(sl.crossings, sl.edges(), _orient_tangle(sl))
     for si, path in enumerate(sl.strands):
         first, last = wmap[path[0]], wmap[path[-1]]
         start_key = ("bot", si) if sl.directions[si] > 0 else ("top", si)
@@ -205,20 +192,26 @@ def _walk_out(b: Builder, seeds, directions):
     return StringLink(len(paths), crossings, paths, tuple(directions)), labels
 
 
-def _terminal_end(b: Builder, key, among=None):
-    binding = ("t", key)
-    for w, ends in b.wires.items():
-        if among is not None and w not in among:
-            continue
-        for i in (0, 1):
-            if ends[i] == binding:
-                return (w, i)
-    raise DomainError(f"terminal {key} not found")
+def _splice_terminals(b: Builder, directions, lower=None, upper=None):
+    """Join each strand's top terminal to its bottom terminal along the
+    strand's flow, freeing both through ``Builder._unbind``.  When two
+    string links share the builder, the top terminal is taken from the
+    wires in ``lower`` and the bottom one from the wires in ``upper``."""
 
+    def free(key, among):
+        binding = ("t", key)
+        for w, ends in b.wires.items():
+            if (among is None or w in among) and binding in ends:
+                return b._unbind(w, binding)
+        raise DomainError(f"terminal {key} not found")
 
-def _unbind(b: Builder, end):
-    w, i = end
-    b.wires[w][i] = None
+    for i, direction in enumerate(directions):
+        top = free(("top", i), lower)
+        bot = free(("bot", i), upper)
+        if direction > 0:
+            b.fuse(top, bot)  # the top is the flow end: it feeds the bottom
+        else:
+            b.fuse(bot, top)
 
 
 # -- operations ---------------------------------------------------------------
@@ -235,15 +228,7 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
     shift = b.absorb(b2)
     upper = {b.live(shift[w]) for w in w2.values()}
     lower = {b.live(w) for w in w1.values()}
-    for i in range(s1.strand_count):
-        top = _terminal_end(b, ("top", i), among=lower)
-        bot = _terminal_end(b, ("bot", i), among=upper)
-        _unbind(b, top)
-        _unbind(b, bot)
-        if s1.directions[i] > 0:
-            b.fuse(top, bot)  # lower flow-end feeds the upper flow-start
-        else:
-            b.fuse(bot, top)
+    _splice_terminals(b, s1.directions, lower, upper)
     seeds = []
     for i in range(s1.strand_count):
         if s1.directions[i] > 0:
@@ -258,17 +243,8 @@ def closure(sl: StringLink) -> Diagram:
     """Close top to bottom with a trivial string link; component order is
     the strand order, orientations those of the strands."""
     b, wmap = _to_builder(sl)
-    for i in range(sl.strand_count):
-        top = _terminal_end(b, ("top", i))
-        bot = _terminal_end(b, ("bot", i))
-        _unbind(b, top)
-        _unbind(b, bot)
-        if sl.directions[i] > 0:
-            b.fuse(top, bot)
-        else:
-            b.fuse(bot, top)
-    seeds = [(b.live(wmap[sl.strands[i][0]]), True) for i in range(sl.strand_count)]
-    d, _ = b.to_diagram(seeds)
+    _splice_terminals(b, sl.directions)
+    d, _ = b.to_diagram(b.seeds(wmap, sl.strands))
     return d
 
 
@@ -278,15 +254,10 @@ def infect(op: InfectionOperator, k: Diagram) -> InfectionOperator:
     The marking survives; the winding vector is unchanged.
     """
     b, wmap = _to_builder(op.link)
-    pieces = [b.cut(wmap[e]) for e, _ in op.cut]
-    signs = [s for _, s in op.cut]
-    marked = _tie_companion(b, pieces, signs, k)
-    seeds = []
-    for i in range(op.link.strand_count):
-        w = b.live(wmap[op.link.strands[i][0]])
-        seeds.append((w, True))
+    marked = _tie_companion(b, wmap, op.cut, k)
+    seeds = [(b.live(wmap[path[0]]), True) for path in op.link.strands]
     out, labels = _walk_out(b, seeds, op.link.directions)
-    new_cut = tuple((labels[b.live(w)], s) for w, s in zip(marked, signs))
+    new_cut = tuple((labels[b.live(w)], s) for w, (_, s) in zip(marked, op.cut))
     return InfectionOperator(out, new_cut)
 
 
@@ -433,15 +404,7 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
             # antiparallel strands: the band is a plain turn-around
             b.join(tu, hv)
             b.join(tv, hu)
-    for i in range(sl.strand_count):
-        top = _terminal_end(b, ("top", i))
-        bot = _terminal_end(b, ("bot", i))
-        _unbind(b, top)
-        _unbind(b, bot)
-        if sl.directions[i] > 0:
-            b.fuse(top, bot)
-        else:
-            b.fuse(bot, top)
+    _splice_terminals(b, sl.directions)
     seed_wire = b.live(cut_wires[0][0])
     d, labels = b.to_diagram([(seed_wire, True)])
     cut = tuple((labels[b.live(w)], s) for w, s in cut_wires)

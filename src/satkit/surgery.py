@@ -245,22 +245,10 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
     b, wmap = Builder.from_diagram(d)
     drop = {wmap[e] for e in d.components[small]} | {wmap[e] for e in d.components[other]}
     b.remove_edges(drop)
-    seeds = []
-    new_framings = []
-    new_roles = [] if fl.roles else None
-    for c in range(n):
-        if c in (small, other):
-            continue
-        lw = None
-        for e in d.components[c]:
-            lw = b.live(wmap[e])
-            if lw is not None:
-                break
-        seeds.append((lw, True))
-        new_framings.append(fl.framings[c])
-        if new_roles is not None:
-            new_roles.append(fl.roles[c])
-    out, _ = b.to_diagram(seeds)
+    kept = [c for c in range(n) if c not in (small, other)]
+    new_framings = [fl.framings[c] for c in kept]
+    new_roles = [fl.roles[c] for c in kept] if fl.roles else None
+    out, _ = b.to_diagram(b.seeds(wmap, [d.components[c] for c in kept]))
     return FramedLink(out, tuple(new_framings), tuple(new_roles) if new_roles else None)
 
 
@@ -296,8 +284,8 @@ def _split_assembly(p: Pattern, k: Diagram) -> FramedLink:
     first, last = lasso(b, passages, over_first=True)
     westk, midk, eastk = cut_for_passage(b, b.live(k_seed_src))
     firstk, lastk = lasso(b, [(westk, midk, eastk, 1)], over_first=False)
-    b.fuse((last, 1), (firstk, 0))
-    b.fuse((lastk, 1), (first, 0))
+    b.join(last, firstk)
+    b.join(lastk, first)
 
     seeds = [
         (b.live(base_seed_src), True),
@@ -312,15 +300,13 @@ def _tied_with_pair(p: Pattern, k: Diagram) -> tuple[FramedLink, int, int]:
     """The satellite picture with the residual zero-framed meridional pair:
     a circle around the tied bundle and its small meridian."""
     b, wmap = Builder.from_diagram(p.base)
-    pieces = [b.cut(wmap[e]) for e, _ in p.cut]
-    signs = [s for _, s in p.cut]
-    marked = _tie_companion(b, pieces, signs, k)
+    marked = _tie_companion(b, wmap, p.cut, k)
 
-    targets = [(b.live(w), s) for w, s in zip(marked, signs)]
+    targets = [(w, s) for w, (_, s) in zip(marked, p.cut)]
     circle_seed, _ = encircle(b, targets, over_first=True)
-    mer_seed, _ = encircle(b, [(b.live(circle_seed), 1)], over_first=True)
+    mer_seed, _ = encircle(b, [(circle_seed, 1)], over_first=True)
 
-    sat_seed = b.live(pieces[0][0])
+    sat_seed = b.live(wmap[p.cut[0][0]])
     d, _ = b.to_diagram([(sat_seed, True), (b.live(circle_seed), False), (b.live(mer_seed), False)])
     fl = FramedLink(d, (0, 0, 0), ("satellite", "bundle-circle", "meridian-pair-member"))
     return fl, 2, 1  # (framed link, small index, other index)

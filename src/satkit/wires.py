@@ -6,6 +6,13 @@ tangle, encircling a bundle with a round curve, deleting components, and
 Reidemeister I/II reduction.  ``Diagram`` stays immutable; operations pull
 a diagram into a ``Builder``, rewire, and walk the result back out.
 
+Call sites share one vocabulary of ``Builder`` methods: ``from_diagram``
+and ``from_code`` import a crossing code; ``cut``, ``join`` and ``fuse``
+split and splice wires; ``reconnect`` frees two ends bound at crossings
+and splices them flow-coherently; ``seeds`` picks the first surviving wire
+of each component to walk out from; ``to_diagram``/``to_tangle`` walk the
+result back out.  ``braid`` lays out a braid word on fresh strands.
+
 Conventions
 -----------
 A wire is a future edge.  Its two ends are positional: ``ends[0]`` is the
@@ -107,15 +114,20 @@ class Builder:
         from .diagram import _orient
 
         orient = _orient(d)
-        b = cls()
-        wmap = {}
-        for cyc in d.components:
-            for e in cyc:
-                wmap[e] = b.fresh()
+        b, wmap = cls.from_code(d.crossings, d.edges(), orient)
         for cyc in d.components:
             if len(cyc) == 1 and cyc[0] not in orient.edge_head:
                 b.wires[wmap[cyc[0]]] = [LOOP, LOOP]
-        for ci, x in enumerate(d.crossings):
+        return b, wmap
+
+    @classmethod
+    def from_code(cls, crossings, edges, orient):
+        """Import a crossing code: one wire per edge, in ``edges`` order,
+        bound at the (crossing, slot) occurrences in ``orient.edge_head``
+        and ``orient.edge_tail``.  Returns (builder, edge label -> wire id)."""
+        b = cls()
+        wmap = {e: b.fresh() for e in edges}
+        for x in crossings:
             b.crossings.append([wmap[e] for e in x])
         for e, (ci, s) in orient.edge_head.items():
             b.wires[wmap[e]][1] = ("x", ci, s)
@@ -194,6 +206,26 @@ class Builder:
     def join(self, tail_piece, head_piece):
         """Flow-coherent fuse: out of ``tail_piece`` into ``head_piece``."""
         return self.fuse((tail_piece, 1), (head_piece, 0))
+
+    def reconnect(self, wa, at_a, wb, at_b):
+        """Free the end of ``wa`` bound at ``at_a`` and the end of ``wb``
+        bound at ``at_b`` (each a (crossing, slot)), then fuse the two
+        flow-coherently: the freed head end comes first.  Returns the
+        merged wire (a free loop when ``wa`` and ``wb`` are one wire)."""
+        ea = self._unbind(wa, ("x",) + at_a)
+        eb = self._unbind(wb, ("x",) + at_b)
+        return self.fuse(ea, eb) if ea[1] == 1 else self.fuse(eb, ea)
+
+    def seeds(self, wmap, cycles):
+        """Walk seeds for ``to_diagram``: the first live wire of each cycle
+        of edge labels, mapped through ``wmap``, walked forward."""
+        out = []
+        for cyc in cycles:
+            w = next((lw for lw in (self.live(wmap[e]) for e in cyc) if lw is not None), None)
+            if w is None:
+                raise InternalError("component lost all wires")
+            out.append((w, True))
+        return out
 
     # -- walking back out ------------------------------------------------
 
@@ -313,20 +345,6 @@ class Builder:
         ends[hits[0]] = None
         return (w, hits[0])
 
-    def _heal_through(self, ci, s_in_pair):
-        """Delete crossing ``ci`` and reconnect the strand through slots
-        ``s_in_pair`` (a pair like (0, 2) or (1, 3))."""
-        sa, sb = s_in_pair
-        wa = self.live(self.crossings[ci][sa])
-        wb = self.live(self.crossings[ci][sb])
-        ea = self._unbind(wa, ("x", ci, sa))
-        eb = self._unbind(wb, ("x", ci, sb))
-        # fuse flow-coherently: the end with index 1 was flowing in
-        if ea[1] == 1:
-            self.fuse(ea, eb)
-        else:
-            self.fuse(eb, ea)
-
     def remove_edges(self, drop):
         """Delete all wires in ``drop`` (whole components), healing the
         surviving strands through any crossings they shared."""
@@ -341,26 +359,10 @@ class Builder:
             if under_in and over_in:
                 self.crossings[ci] = None
                 continue
-            keep_pair = (1, 3) if under_in else (0, 2)
-            gone_pair = (0, 2) if under_in else (1, 3)
-            x_saved = list(x)
+            # the dropped strand's ends stay bound: its wires are deleted below
+            sa, sb = (1, 3) if under_in else (0, 2)
             self.crossings[ci] = None
-            for s in gone_pair:
-                w = self.live(x_saved[s])
-                if w in self.wires:
-                    ends = self.wires[w]
-                    for i in (0, 1):
-                        if ends[i] == ("x", ci, s):
-                            ends[i] = None
-            keep_wires = [x_saved[s] for s in keep_pair]
-            ea = self._unbind(keep_wires[0], ("x", ci, keep_pair[0]))
-            eb = self._unbind(keep_wires[1], ("x", ci, keep_pair[1]))
-            if self.live(ea[0]) == self.live(eb[0]) and ea[0] == eb[0]:
-                self.fuse(ea, eb)
-            elif ea[1] == 1:
-                self.fuse(ea, eb)
-            else:
-                self.fuse(eb, ea)
+            self.reconnect(x[sa], (ci, sa), x[sb], (ci, sb))
         for w in drop:
             w = self.live(w)
             if w is not None and w in self.wires:
@@ -386,6 +388,23 @@ def braid_step(b: Builder, cur, pos, positive):
         # under-strand: bottom-right -> top-left
         b.add_crossing(br, tr, tl, bl, over_entry=3)
     cur[pos], cur[pos + 1] = tl, tr
+
+
+def braid(b: Builder, strands, word):
+    """Lay out a braid word (letters +-1..+-(strands-1)) on fresh strands.
+
+    Every letter is range-checked before any crossing is built.  Returns
+    (bottom, top): the strands' dangling bottom tails and top heads, left
+    to right.
+    """
+    for x in word:
+        if x == 0 or abs(x) >= strands:
+            raise DomainError(f"braid letter {x} out of range for {strands} strands")
+    bottom = [b.fresh() for _ in range(strands)]
+    top = list(bottom)
+    for x in word:
+        braid_step(b, top, abs(x) - 1, positive=x > 0)
+    return bottom, top
 
 
 def twist_chain(b: Builder, stubs, count):
@@ -463,11 +482,11 @@ def build_cable(crossings, signs, widths, cut_edges=(), loops=(), open_edges=())
         if p == 0:
             # under strand deleted: over copies pass straight through
             for win, wout in zip(incoming(over_in), outgoing(over_out)):
-                b.fuse((b.live(win), 1), (b.live(wout), 0))
+                b.join(win, wout)
             continue
         if q == 0:
             for win, wout in zip(incoming(ea), outgoing(ec)):
-                b.fuse((b.live(win), 1), (b.live(wout), 0))
+                b.join(win, wout)
             continue
         us = [[None] * (q + 1) for _ in range(p)]
         os_ = [[None] * (p + 1) for _ in range(q)]
@@ -585,7 +604,7 @@ def encircle(b: Builder, targets, over_first=True):
         passages.append((west_in, mid, east_out, sign))
         mids.append(mid)
     first, last = lasso(b, passages, over_first=over_first)
-    b.fuse((last, 1), (first, 0))
+    b.join(last, first)
     return b.live(first), mids
 
 
@@ -594,8 +613,6 @@ def encircle(b: Builder, targets, over_first=True):
 
 def insert_kink(d, edge, sign):
     """Reidemeister I insertion on the given edge."""
-    from .diagram import _orient
-
     b, wmap = Builder.from_diagram(d)
     w_in, w_out = b.cut(wmap[edge])
     loop = b.fresh()
@@ -603,8 +620,7 @@ def insert_kink(d, edge, sign):
         b.add_crossing(w_in, loop, loop, w_out, over_entry=1)
     else:
         b.add_crossing(w_in, w_out, loop, loop, over_entry=3)
-    seeds = _component_seeds(d, b, wmap)
-    out, _ = b.to_diagram(seeds)
+    out, _ = b.to_diagram(b.seeds(wmap, d.components))
     return out
 
 
@@ -630,22 +646,8 @@ def insert_poke(d, edge_under, edge_over):
     # two cancelling crossings: under-strand passes beneath the over edge
     b.add_crossing(ua, om, um, oa, over_entry=3)
     b.add_crossing(um, om, ub, ob, over_entry=1)
-    seeds = _component_seeds(d, b, wmap)
-    out, _ = b.to_diagram(seeds)
+    out, _ = b.to_diagram(b.seeds(wmap, d.components))
     return out
-
-
-def _component_seeds(d, b, wmap):
-    seeds = []
-    for cyc in d.components:
-        for e in cyc:
-            w = b.live(wmap[e])
-            if w is not None:
-                seeds.append((w, True))
-                break
-        else:
-            raise InternalError("component lost all wires")
-    return seeds
 
 
 def _find_r1(b: Builder):
@@ -710,8 +712,6 @@ def _find_r2(b: Builder):
 
 
 def r1_r2_reduce(d, budget):
-    from .diagram import Diagram
-
     b, wmap = Builder.from_diagram(d)
     tags = {}
     for comp_index, cyc in enumerate(d.components):
@@ -726,62 +726,34 @@ def r1_r2_reduce(d, budget):
         hit = _find_r1(b)
         if hit is not None:
             ci, s = hit
-            x = list(b.crossings[ci])
-            comp = tags.get(b.live(x[s]))
-            b.crossings[ci] = None
+            x = b.crossings[ci]
+            # the kink's loop wire is bound only at slots s and s+1
             loop_wire = b.live(x[s])
-            ea = b._unbind(x[(s + 2) % 4], ("x", ci, (s + 2) % 4))
-            eb = b._unbind(x[(s + 3) % 4], ("x", ci, (s + 3) % 4))
-            for i in (0, 1):
-                if b.wires[loop_wire][i] is not None:
-                    b.wires[loop_wire][i] = None
-            if b.live(ea[0]) != loop_wire:
-                del b.wires[loop_wire]
-            if ea[1] == 1:
-                merged = b.fuse(ea, eb)
-            else:
-                merged = b.fuse(eb, ea)
-            retag(merged, comp)
+            comp = tags.get(loop_wire)
+            b.crossings[ci] = None
+            del b.wires[loop_wire]
+            sa, sb = (s + 2) % 4, (s + 3) % 4
+            retag(b.reconnect(x[sa], (ci, sa), x[sb], (ci, sb)), comp)
             moves += 1
             continue
         hit = _find_r2(b)
         if hit is not None:
             ci, si, cj, sj = hit
-            xi = list(b.crossings[ci])
-            xj = list(b.crossings[cj])
+            xi, xj = b.crossings[ci], b.crossings[cj]
             comp_e = tags.get(b.live(xi[si]))
             comp_f = tags.get(b.live(xi[(si + 1) % 4]))
             b.crossings[ci] = None
             b.crossings[cj] = None
-            # drop the two bigon edges entirely
-            for w, binding in (
-                (xi[si], ("x", ci, si)),
-                (xi[(si + 1) % 4], ("x", ci, (si + 1) % 4)),
-                (xj[sj], ("x", cj, sj)),
-                (xj[(sj - 1) % 4], ("x", cj, (sj - 1) % 4)),
-            ):
-                lw = b.live(w)
-                ends = b.wires[lw]
-                for i in (0, 1):
-                    if ends[i] == binding:
-                        ends[i] = None
-            for lw in {b.live(xi[si]), b.live(xi[(si + 1) % 4])}:
-                if b.wires[lw][0] is None and b.wires[lw][1] is None:
-                    del b.wires[lw]
+            # drop the two bigon edges entirely: each is bound only at the
+            # pair's slots
+            del b.wires[b.live(xi[si])]
+            del b.wires[b.live(xi[(si + 1) % 4])]
             # reconnect each strand through its pair of outer stubs
             for slot_i, slot_j, comp in (
                 ((si + 2) % 4, (sj + 2) % 4, comp_e),
                 ((si + 3) % 4, (sj + 1) % 4, comp_f),
             ):
-                wa = b.live(xi[slot_i])
-                wb = b.live(xj[slot_j])
-                ea = b._unbind(wa, ("x", ci, slot_i))
-                eb = b._unbind(wb, ("x", cj, slot_j))
-                if ea[1] == 1:
-                    merged = b.fuse(ea, eb)
-                else:
-                    merged = b.fuse(eb, ea)
-                retag(merged, comp)
+                retag(b.reconnect(xi[slot_i], (ci, slot_i), xj[slot_j], (cj, slot_j)), comp)
             moves += 1
             continue
         break

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
-through scripts/run_acceptance.py).  All tolerances are exact: polynomial
+Each test prints a single PASS/FAIL line, visible with
+``pytest tests/test_acceptance.py -s``.  All tolerances are exact: polynomial
 identities hold on the nose up to units in exact integer arithmetic, and
 enumeration limits are the stated coset caps.
 """

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from satkit.catalog import (
     braid_closure,
     both_strands_operator,
+    pattern_from_braid,
     corpus_knots,
     corpus_patterns,
     double_kink_unknot,
@@ -34,8 +35,17 @@ from satkit.diagram import (
 )
 from satkit.errors import DomainError, ValidationError
 from satkit.patterns import Pattern, _pattern_key
-from satkit.stringlinks import closure, infect, parallel
+from satkit.stringlinks import closure, infect, parallel, string_link_from_braid
 from satkit.wires import insert_kink, insert_poke
+
+
+@pytest.mark.parametrize("build", [braid_closure, pattern_from_braid, string_link_from_braid])
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_braid_letter_out_of_range(build, letter):
+    # letter 0 would otherwise read as a crossing of the last and first
+    # strands, and +-strands index past the strand list
+    with pytest.raises(DomainError, match=f"braid letter {letter} out of range for 3 strands"):
+        build(3, [1, letter])
 
 
 def test_unknot_shape():

@@ -1,10 +1,13 @@
 """Every import in ``src/satkit`` is used; ``__init__.py`` re-exports are
-exempt.  Standard library only: the check walks each module's syntax tree."""
+exempt.  Every private function, method or class defined in ``src/satkit``
+is referenced in ``src`` or ``tests``.  Standard library only: the checks
+walk each module's syntax tree."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(tree):
@@ -33,3 +36,49 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text())
         found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _unreferenced_private(tree, referenced):
+    """(line, name) for every private (``_name``, not dunder) function,
+    method or class defined in ``tree`` whose name is not in ``referenced``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    )
+
+
+def _referenced_names(tree):
+    """Every name read or attribute accessed in ``tree``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    src = (
+        "def _used():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "class _Gone:\n"
+        "    def __init__(self):\n        self._kept()\n"
+        "    def _kept(self):\n        pass\n"
+        "    def _unused(self):\n        pass\n"
+        "_used()\n"
+    )
+    tree = ast.parse(src)
+    assert _unreferenced_private(tree, _referenced_names(tree)) == [(3, "_dead"), (5, "_Gone"), (10, "_unused")]
+
+
+def test_no_unreferenced_private_names():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    found = []
+    for path, tree in trees.items():
+        if path.parent == SRC:
+            found += [f"{path.name}:{line} {name}" for line, name in _unreferenced_private(tree, referenced)]
+    assert not found, "unreferenced private names:\n" + "\n".join(found)
