@@ -160,11 +160,11 @@ def cmd_from_link(args):
 
 
 def cmd_strong_winding(args):
-    from .groups import cut_loop_word, wirtinger, word_to_text
+    from .groups import cut_loop_word, word_to_text
 
     p = _load(args.pattern, Pattern)
     res = strong_winding_check(p, limit=args.limit)
-    pres = wirtinger(p.base)
+    pres = res.wirtinger_presentation
     return _report(args, [args.pattern], {
         "outcome": res.outcome,
         "cut_word": word_to_text(cut_loop_word(p)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup, cokernel
 from .diagram import Diagram, _orient, crossing_signs
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .invariants import free_reduce
 
 
@@ -138,10 +138,6 @@ def cut_loop_word(pattern) -> tuple[int, ...]:
 
 def quotient(g: GroupPresentation, extra_words) -> GroupPresentation:
     extra = tuple(free_reduce(tuple(w)) for w in extra_words)
-    for w in extra:
-        for x in w:
-            if x == 0 or abs(x) > g.generator_count:
-                raise DomainError(f"letter {x} out of range")
     return GroupPresentation(
         g.generator_count, g.relators + tuple(w for w in extra if w), g.marked_words
     )
@@ -172,19 +168,25 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
     """Tietze elimination: repeatedly solve a relator for a generator that
     occurs in it exactly once and substitute it away.
 
-    Stops at ``target_generators`` or when every elimination would blow the
-    total relator length past ``length_cap``.  Marked words are rewritten
-    alongside the relators, so quotients taken afterwards stay meaningful.
+    Each step eliminates the pair (relator r, generator g) of least score
+    ``(len(r) - 1) * (occurrences of +-g in every relator and marked word,
+    less one)``; ties go to the first relator, then to the generator that
+    appears first in it.  Stops at ``target_generators``, or when the chosen
+    elimination would take the total relator length past ``length_cap``.
+    Marked words are rewritten alongside the relators, so quotients taken
+    afterwards stay meaningful.
     """
     relators = [_cyc_reduce(r) for r in g.relators]
     relators = [r for r in relators if r]
     marked = {n: free_reduce(w) for n, w in g.marked_words}
     ngens = g.generator_count
 
-    def occurrences(rel, gen):
-        return sum(1 for x in rel if abs(x) == gen)
-
     while ngens > target_generators:
+        # occ[g]: letters +-g over every relator and marked word
+        occ = [0] * (ngens + 1)
+        for w in relators + list(marked.values()):
+            for x in w:
+                occ[abs(x)] += 1
         best = None
         for ri, rel in enumerate(relators):
             counts = {}
@@ -193,9 +195,7 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
             for gen, cnt in counts.items():
                 if cnt != 1:
                     continue
-                elsewhere = sum(occurrences(r, gen) for r in relators) - 1
-                elsewhere += sum(occurrences(w, gen) for w in marked.values())
-                score = (len(rel) - 1) * elsewhere
+                score = (len(rel) - 1) * (occ[gen] - 1)
                 if best is None or score < best[0]:
                     best = (score, ri, gen)
         if best is None:
@@ -262,21 +262,21 @@ class EnumerationResult:
 
 
 class _CosetTable:
+    """Coset table stored by column: ``table[l][a]`` is coset ``a`` times
+    letter ``l`` (``2(g-1)`` for generator g, ``2(g-1)+1`` for its inverse,
+    so ``l ^ 1`` inverts), or None while undefined.  Coset ``a`` is live when
+    ``p[a] == a``; ``len(p)`` counts the cosets defined so far."""
+
     def __init__(self, ngens, limit):
-        self.ngens = ngens
         self.width = 2 * ngens
         self.limit = limit
-        self.table = [[None] * self.width]
+        self.table = [[None] for _ in range(self.width)]
         self.p = [0]
         self.queue = []
 
     @staticmethod
     def letter(x):
         return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-
-    @staticmethod
-    def inv(l):
-        return l ^ 1
 
     def rep(self, k):
         p = self.p
@@ -288,13 +288,14 @@ class _CosetTable:
         return root
 
     def define(self, a, l):
-        if len(self.table) >= self.limit:
+        b = len(self.p)
+        if b >= self.limit:
             raise _Overflow
-        b = len(self.table)
-        self.table.append([None] * self.width)
+        for col in self.table:
+            col.append(None)
         self.p.append(b)
-        self.table[a][l] = b
-        self.table[b][self.inv(l)] = a
+        self.table[l][a] = b
+        self.table[l ^ 1][b] = a
         return b
 
     def merge(self, a, b):
@@ -308,24 +309,24 @@ class _CosetTable:
         table = self.table
         while self.queue:
             b = self.queue.pop()
-            row = table[b]
             for l in range(self.width):
-                c = row[l]
+                col = table[l]
+                c = col[b]
                 if c is None:
                     continue
-                row[l] = None
-                li = self.inv(l)
-                if table[c][li] == b:
-                    table[c][li] = None
+                col[b] = None
+                icol = table[l ^ 1]
+                if icol[c] == b:
+                    icol[c] = None
                 a = self.rep(b)
                 c = self.rep(c)
-                if table[a][l] is not None:
-                    self.merge(c, table[a][l])
-                elif table[c][li] is not None:
-                    self.merge(a, table[c][li])
+                if col[a] is not None:
+                    self.merge(c, col[a])
+                elif icol[c] is not None:
+                    self.merge(a, icol[c])
                 else:
-                    table[a][l] = c
-                    table[c][li] = a
+                    col[a] = c
+                    icol[c] = a
 
     def scan_and_fill(self, a, rel, fill=True):
         """Scan relator ``rel`` from coset ``a`` in both directions, merging
@@ -335,24 +336,24 @@ class _CosetTable:
         f, i = a, 0
         b, j = a, len(rel) - 1
         while True:
-            while i <= j and table[f][rel[i]] is not None:
-                f = table[f][rel[i]]
+            while i <= j and table[rel[i]][f] is not None:
+                f = table[rel[i]][f]
                 i += 1
             if i > j:
                 if f != b:
                     self.merge(f, b)
                     self.process_coincidences()
                 return
-            while j >= i and table[b][self.inv(rel[j])] is not None:
-                b = table[b][self.inv(rel[j])]
+            while j >= i and table[rel[j] ^ 1][b] is not None:
+                b = table[rel[j] ^ 1][b]
                 j -= 1
             if j < i:
                 self.merge(f, b)
                 self.process_coincidences()
                 return
             if j == i:
-                table[f][rel[i]] = b
-                table[b][self.inv(rel[i])] = f
+                table[rel[i]][f] = b
+                table[rel[i] ^ 1][b] = f
                 return
             if not fill:
                 return
@@ -360,7 +361,7 @@ class _CosetTable:
             i += 1
 
     def lookahead(self, rels):
-        for a in range(len(self.table)):
+        for a in range(len(self.p)):
             if self.p[a] != a:
                 continue
             for rel in rels:
@@ -392,7 +393,7 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
     next_lookahead = 4096
     try:
         a = 0
-        while a < len(ct.table):
+        while a < len(ct.p):
             if ct.p[a] == a:
                 for rel in rels:
                     ct.scan_and_fill(a, rel)
@@ -400,17 +401,17 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
                         break
                 if ct.p[a] == a:
                     for l in range(ct.width):
-                        if ct.table[a][l] is None:
+                        if ct.table[l][a] is None:
                             ct.define(a, l)
-            if len(ct.table) >= next_lookahead:
+            if len(ct.p) >= next_lookahead:
                 ct.lookahead(rels)
                 next_lookahead *= 2
             a += 1
     except _Overflow:
-        return EnumerationResult("exceeded", None, len(ct.table), limit)
-    live = sum(1 for i in range(len(ct.table)) if ct.p[i] == i)
+        return EnumerationResult("exceeded", None, len(ct.p), limit)
+    live = sum(1 for i, r in enumerate(ct.p) if r == i)
     outcome = "trivial" if live == 1 else "finite"
-    return EnumerationResult(outcome, live, len(ct.table), limit)
+    return EnumerationResult(outcome, live, len(ct.p), limit)
 
 
 # -- the semi-decision procedure -------------------------------------------------
@@ -421,6 +422,7 @@ class StrongWindingResult:
     verified: bool
     enumeration: EnumerationResult
     presentation: GroupPresentation  # the quotient presentation enumerated
+    wirtinger_presentation: GroupPresentation  # of the pattern's base, before the quotient
 
     @property
     def outcome(self) -> str:
@@ -441,5 +443,5 @@ def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
     result = todd_coxeter(q, limit)
     verified = result.outcome == "trivial"
     if verified and not abelianization(q).is_trivial:
-        raise AssertionError("enumeration claims trivial but abelianization is not")
-    return StrongWindingResult(verified, result, q)
+        raise InternalError("enumeration claims trivial but abelianization is not")
+    return StrongWindingResult(verified, result, q, pres)

@@ -228,6 +228,17 @@ def test_strong_winding_reports_enumerated_presentation(files, capsys):
     assert (stats["enumerated_generators"], stats["enumerated_relators"]) != (stats["generators"], stats["relators"])
 
 
+def test_strong_winding_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    from satkit import groups
+
+    path = tmp_path / "cable21.pat"
+    path.write_text(formats.serialize_pattern(cable_pattern(2, 1)) + "\n")
+    # cable(2,1)'s quotient has abelianization Z/2; a "trivial" enumeration is a bug
+    monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: groups.EnumerationResult("trivial", 1, 1, limit))
+    assert run(["strong-winding", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
 def test_check_formula_command(files, capsys):
     assert run(["check-satellite-formula", files["cable23.pat"], files["fig8.pd"]]) == 0
     capsys.readouterr()

@@ -13,10 +13,14 @@ from satkit.catalog import (
     zigzag_pattern,
     cable_pattern,
 )
+from satkit import groups
 from satkit.diagram import unknot
-from satkit.errors import DomainError
+from satkit.errors import DomainError, InternalError
 from satkit.groups import (
+    EnumerationResult,
     GroupPresentation,
+    _cyc_reduce,
+    _invert,
     abelianization,
     cut_loop_word,
     quotient,
@@ -26,6 +30,7 @@ from satkit.groups import (
     wirtinger,
     word_to_text,
 )
+from satkit.invariants import free_reduce
 from satkit.patterns import winding_number
 
 
@@ -72,6 +77,14 @@ def test_quotient_knot_group_by_meridian_is_trivial():
         res = todd_coxeter(q, 10**4)
         assert res.outcome == "trivial"
         assert res.cosets_used <= 10**4
+
+
+def test_quotient_rejects_out_of_range_letters():
+    g = GroupPresentation(2, ((1, 2, -1, -2),))
+    with pytest.raises(DomainError):
+        quotient(g, [(1, 3)])
+    with pytest.raises(DomainError):
+        quotient(g, [(-3,)])
 
 
 def test_quotient_hopf_by_meridian():
@@ -167,6 +180,20 @@ def test_strong_winding_trivial_base_patterns():
         assert res.verified
 
 
+def test_strong_winding_carries_the_wirtinger_presentation():
+    p = cable_pattern(2, 3)
+    res = strong_winding_check(p, limit=100)
+    assert res.wirtinger_presentation == wirtinger(p.base)
+    assert res.presentation == simplify_presentation(quotient(wirtinger(p.base), [cut_loop_word(p)]))
+
+
+def test_strong_winding_trivial_claim_with_nontrivial_abelianization_is_internal(monkeypatch):
+    # cable(2,1)'s quotient has abelianization Z/2, so "trivial" is a bug
+    monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: EnumerationResult("trivial", 1, 1, limit))
+    with pytest.raises(InternalError, match="abelianization"):
+        strong_winding_check(cable_pattern(2, 1), limit=100)
+
+
 def test_strong_winding_inconclusive_for_winding_zero():
     res = strong_winding_check(clasp_pattern(), limit=500)
     assert not res.verified
@@ -235,3 +262,258 @@ def test_todd_coxeter_against_sympy(p, q):
     if 1 / p + 1 / q > 0.5:
         assert ours.outcome in ("finite", "trivial")
         assert ours.order == G.order()
+
+
+# -- Tietze selection and coset enumeration against the earlier kernels --------
+#
+# _rescan_simplify and _row_todd_coxeter are the earlier implementations: the
+# Tietze step recounted every relator for each candidate generator, and the
+# coset table held one row list per coset.  The kernels in ``groups`` must
+# give the same presentations and the same enumeration results.
+
+
+def _rescan_simplify(g, target_generators=8, length_cap=6000):
+    relators = [_cyc_reduce(r) for r in g.relators]
+    relators = [r for r in relators if r]
+    marked = {n: free_reduce(w) for n, w in g.marked_words}
+    ngens = g.generator_count
+
+    def occurrences(rel, gen):
+        return sum(1 for x in rel if abs(x) == gen)
+
+    while ngens > target_generators:
+        best = None
+        for ri, rel in enumerate(relators):
+            counts = {}
+            for x in rel:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for gen, cnt in counts.items():
+                if cnt != 1:
+                    continue
+                elsewhere = sum(occurrences(r, gen) for r in relators) - 1
+                elsewhere += sum(occurrences(w, gen) for w in marked.values())
+                score = (len(rel) - 1) * elsewhere
+                if best is None or score < best[0]:
+                    best = (score, ri, gen)
+        if best is None:
+            break
+        _, ri, gen = best
+        rel = relators[ri]
+        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        u, v = rel[:pos], rel[pos + 1:]
+        if rel[pos] > 0:
+            replacement = free_reduce(_invert(u) + _invert(v))
+        else:
+            replacement = free_reduce(v + u)
+
+        def substitute(word):
+            out = []
+            for x in word:
+                if x == gen:
+                    out.extend(replacement)
+                elif x == -gen:
+                    out.extend(_invert(replacement))
+                else:
+                    out.append(x)
+            return free_reduce(tuple(out))
+
+        new_relators = [_cyc_reduce(substitute(r)) for i, r in enumerate(relators) if i != ri]
+        new_relators = [r for r in new_relators if r]
+        if sum(len(r) for r in new_relators) > length_cap:
+            break
+        remap = {}
+        for old in range(1, ngens + 1):
+            if old != gen:
+                remap[old] = len(remap) + 1
+
+        def renumber(word):
+            return tuple((1 if x > 0 else -1) * remap[abs(x)] for x in word)
+
+        relators = [renumber(r) for r in new_relators]
+        marked = {n: renumber(substitute(w)) for n, w in marked.items()}
+        ngens -= 1
+    return GroupPresentation(ngens, tuple(relators), tuple(sorted(marked.items())))
+
+
+class _RowOverflow(Exception):
+    pass
+
+
+class _RowCosetTable:
+    def __init__(self, ngens, limit):
+        self.width = 2 * ngens
+        self.limit = limit
+        self.table = [[None] * self.width]
+        self.p = [0]
+        self.queue = []
+
+    def rep(self, k):
+        p = self.p
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def define(self, a, l):
+        if len(self.table) >= self.limit:
+            raise _RowOverflow
+        b = len(self.table)
+        self.table.append([None] * self.width)
+        self.p.append(b)
+        self.table[a][l] = b
+        self.table[b][l ^ 1] = a
+        return b
+
+    def merge(self, a, b):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            self.p[b] = a
+            self.queue.append(b)
+
+    def process_coincidences(self):
+        table = self.table
+        while self.queue:
+            b = self.queue.pop()
+            row = table[b]
+            for l in range(self.width):
+                c = row[l]
+                if c is None:
+                    continue
+                row[l] = None
+                li = l ^ 1
+                if table[c][li] == b:
+                    table[c][li] = None
+                a = self.rep(b)
+                c = self.rep(c)
+                if table[a][l] is not None:
+                    self.merge(c, table[a][l])
+                elif table[c][li] is not None:
+                    self.merge(a, table[c][li])
+                else:
+                    table[a][l] = c
+                    table[c][li] = a
+
+    def scan_and_fill(self, a, rel, fill=True):
+        table = self.table
+        f, i = a, 0
+        b, j = a, len(rel) - 1
+        while True:
+            while i <= j and table[f][rel[i]] is not None:
+                f = table[f][rel[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.merge(f, b)
+                    self.process_coincidences()
+                return
+            while j >= i and table[b][rel[j] ^ 1] is not None:
+                b = table[b][rel[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.merge(f, b)
+                self.process_coincidences()
+                return
+            if j == i:
+                table[f][rel[i]] = b
+                table[b][rel[i] ^ 1] = f
+                return
+            if not fill:
+                return
+            f = self.define(f, rel[i])
+            i += 1
+
+    def lookahead(self, rels):
+        for a in range(len(self.table)):
+            if self.p[a] != a:
+                continue
+            for rel in rels:
+                self.scan_and_fill(a, rel, fill=False)
+                if self.p[a] != a:
+                    break
+
+
+def _row_todd_coxeter(g, limit):
+    if g.generator_count == 0:
+        return EnumerationResult("trivial", 1, 1, limit)
+    rels = [tuple(2 * (abs(x) - 1) + (x < 0) for x in _cyc_reduce(r)) for r in g.relators]
+    rels = [r for r in rels if r]
+    ct = _RowCosetTable(g.generator_count, limit)
+    next_lookahead = 4096
+    try:
+        a = 0
+        while a < len(ct.table):
+            if ct.p[a] == a:
+                for rel in rels:
+                    ct.scan_and_fill(a, rel)
+                    if ct.p[a] != a:
+                        break
+                if ct.p[a] == a:
+                    for l in range(ct.width):
+                        if ct.table[a][l] is None:
+                            ct.define(a, l)
+            if len(ct.table) >= next_lookahead:
+                ct.lookahead(rels)
+                next_lookahead *= 2
+            a += 1
+    except _RowOverflow:
+        return EnumerationResult("exceeded", None, len(ct.table), limit)
+    live = sum(1 for i in range(len(ct.table)) if ct.p[i] == i)
+    return EnumerationResult("trivial" if live == 1 else "finite", live, len(ct.table), limit)
+
+
+def _random_presentation(rng):
+    """2-6 generators, up to n + 2 relators of length 1-8 and up to three
+    marked words; about half the words carry a cancelling pair."""
+    n = rng.randint(2, 6)
+
+    def word(max_len):
+        w = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, max_len))]
+        if rng.random() < 0.5:
+            x = rng.choice((1, -1)) * rng.randint(1, n)
+            i = rng.randint(0, len(w))
+            w[i:i] = [x, -x]
+        return tuple(w)
+
+    relators = tuple(word(8) for _ in range(rng.randint(1, n + 2)))
+    marked = tuple((f"m{k}", word(4)) for k in range(rng.randint(0, 3)))
+    return GroupPresentation(n, relators, marked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=4), st.sampled_from((6000, 12)))
+def test_simplify_presentation_matches_rescan(rng, target, cap):
+    g = _random_presentation(rng)
+    assert simplify_presentation(g, target, cap) == _rescan_simplify(g, target, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_todd_coxeter_matches_row_table(rng):
+    # limits below the first lookahead (4096 cosets) and past it
+    g = _random_presentation(rng)
+    s = simplify_presentation(g, 2)
+    for limit in (7, 60, 4100, 9000):
+        assert todd_coxeter(g, limit) == _row_todd_coxeter(g, limit)
+        assert todd_coxeter(s, limit) == _row_todd_coxeter(s, limit)
+
+
+def test_todd_coxeter_matches_row_table_on_knot_quotients_and_large_groups():
+    for p in (cable_pattern(2, 3), cable_pattern(3, 2), zigzag_pattern(), clasp_pattern()):
+        q = quotient(wirtinger(p.base), [cut_loop_word(p)])
+        s = simplify_presentation(q)
+        assert s == _rescan_simplify(q)
+        assert todd_coxeter(s, 5000) == _row_todd_coxeter(s, 5000)
+    # Z/70 x Z/80 closes only after lookahead passes
+    g = GroupPresentation(2, ((1,) * 70, (2,) * 80, (1, 2, -1, -2)))
+    for limit in (4100, 10**4):
+        assert todd_coxeter(g, limit) == _row_todd_coxeter(g, limit)
+    assert todd_coxeter(g, 10**4).order == 5600
+
+
+def test_todd_coxeter_exceeded_at_limit_after_lookahead():
+    # <a, b | a b^-1> is Z: every coset up to the limit gets defined
+    res = todd_coxeter(GroupPresentation(2, ((1, -2),)), 5000)
+    assert (res.outcome, res.order, res.cosets_used) == ("exceeded", None, 5000)
