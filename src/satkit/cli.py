@@ -2,9 +2,9 @@
 
 Every subcommand prints a schema-versioned report on standard output
 (plain text by default, JSON with ``--format structured``) and uses exit
-code 0 for success, 1 for domain errors, 2 for parse errors and 3 for
-internal errors (a broken invariant inside satkit, not a fault of the
-input).  Reports are deterministic for fixed inputs and flags; the timing
+code 0 for success, 1 for domain errors, 2 for parse and usage errors
+and 3 for internal errors (a broken invariant inside satkit, not a fault
+of the input).  Reports are deterministic for fixed inputs and flags; the timing
 field is excluded from the report digest.
 """
 
@@ -238,8 +238,25 @@ def cmd_surgery_pipeline(args):
     return rep
 
 
+class _UsageError(Exception):
+    """A subcommand given too few inputs or a malformed option (exit 2)."""
+
+
+def _copy_vector(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        return None
+
+
 def cmd_slink(args):
     sub = args.slink_command
+    takes_copies = sub in ("parallel", "reduce")
+    need = 2 if sub in ("stack", "infect") else 1
+    kvec = _copy_vector(args.copies) if takes_copies else ()
+    if len(args.inputs) < need or kvec is None:
+        copies = " --copies K1,K2,..." if takes_copies else ""
+        raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * need)}{copies}")
     if sub == "stack":
         s1 = _load(args.inputs[0], (StringLink, InfectionOperator))
         s2 = _load(args.inputs[1], (StringLink, InfectionOperator))
@@ -268,7 +285,6 @@ def cmd_slink(args):
         })
     if sub == "parallel":
         op = _load(args.inputs[0], InfectionOperator)
-        kvec = tuple(int(x) for x in args.copies.split(","))
         out = parallel(op, kvec)
         _write_out(out, args.output)
         return _report(args, args.inputs, {
@@ -285,7 +301,6 @@ def cmd_slink(args):
         })
     if sub == "reduce":
         op = _load(args.inputs[0], InfectionOperator)
-        kvec = tuple(int(x) for x in args.copies.split(","))
         out = reduce_to_pattern(op, kvec)
         _write_out(out, args.output)
         return _report(args, args.inputs, {
@@ -297,7 +312,10 @@ def cmd_slink(args):
 
 def _corpus_load(directory):
     knots, patterns, fixtures, skipped = [], [], [], []
-    for path in sorted(pathlib.Path(directory).iterdir()):
+    root = pathlib.Path(directory)
+    if root.exists() and not root.is_dir():
+        raise DomainError(f"{directory} is not a directory")
+    for path in sorted(root.iterdir()):
         if path.is_dir() or path.suffix not in (".json", ".pd", ".pat", ".fl", ".sl"):
             continue
         try:
@@ -422,6 +440,9 @@ def run(argv) -> int:
     args._t0 = time.perf_counter()
     try:
         rep = args.handler(args)
+    except _UsageError as exc:
+        print(f"usage: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ the component cycles dictate.
 
 A crossing-free circle (the 0-crossing unknot, split unknot components) is
 recorded as a component whose cycle is a single edge label that occurs in
-no crossing tuple.
+no crossing tuple.  String links are read by the same validating walk
+(``_orient_paths``), with open strands in place of cycles.
 
 Sign convention: a crossing is positive exactly when the over-strand
 enters at position 1 and leaves at position 3.  This agrees with the
@@ -21,6 +22,7 @@ usual planar-diagram code convention in which ``X[i,j,k,l]`` with
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,18 +68,20 @@ class Diagram:
 class _Orientation:
     """Derived orientation data, produced by the validating walk.
 
-    entry_slots: per crossing, the pair (under_entry, over_entry) where
-        under_entry is always 0 (kept for symmetry with builder output)
-        and over_entry is 1 or 3.
+    signs: per crossing, +1 when the over-strand enters at position 1 and
+        -1 when it enters at position 3 (the under-strand always enters
+        at position 0).
     edge_head: edge -> (crossing, slot) occurrence where the edge ends.
     edge_tail: edge -> (crossing, slot) occurrence where the edge starts.
-    edge_component: edge -> component index.
+    edge_component: edge -> index of the path (component or strand) on it.
+    free: the edges that meet no crossing (free loops, bare strands).
     """
 
-    entry_slots: tuple[tuple[int, int], ...]
+    signs: tuple[int, ...]
     edge_head: dict
     edge_tail: dict
     edge_component: dict
+    free: frozenset
 
 
 def _occurrences(crossings):
@@ -88,132 +92,105 @@ def _occurrences(crossings):
     return occ
 
 
-def _walk(crossings, occ, start_occ, limit):
-    """Follow the strand from the entering occurrence ``start_occ``.
-
-    Returns (edge_sequence, entry_occurrences) or None if the walk revisits
-    inconsistently or does not close after ``limit`` steps.
-    """
-    seq = []
-    entries = []
-    cur = start_occ
-    for _ in range(limit):
+def _trace(crossings, occ, path, start, steps):
+    """The heads of the first ``steps`` edges of ``path``, walking from
+    ``start`` as the head of ``path[0]``, or None where the crossings
+    lead off the path or into an under-strand at position 2."""
+    heads, cur = [], start
+    for i in range(steps):
         ci, s = cur
-        entries.append(cur)
-        exit_slot = (s + 2) % 4
-        edge = crossings[ci][exit_slot]
-        seq.append(edge)
-        pair = occ[edge]
-        if len(pair) != 2:
+        e = crossings[ci][s ^ 2]
+        if s == 2 or e != path[(i + 1) % len(path)]:
             return None
-        nxt = pair[0] if pair[1] == (ci, exit_slot) else pair[1]
-        if nxt == (ci, exit_slot):
-            # edge occupies the same slot twice: impossible
-            return None
-        cur = nxt
-        if cur == start_occ:
-            return seq, entries
-    return None
+        heads.append(cur)
+        where = occ[e]
+        cur = where[0] if where[-1] == (ci, s ^ 2) else where[-1]
+    return heads
 
 
-def _orient_uncached(d: Diagram) -> _Orientation:
-    occ = _occurrences(d.crossings)
-    for e, pairs in occ.items():
+def _orient_paths(crossings, paths, closed):
+    """Validate a crossing code and derive its orientation.
+
+    ``paths`` lists each component's edges in flow order: cycles when
+    ``closed``, strands from their start otherwise.  A one-edge path that
+    meets no crossing is free.  Every other path is walked taking its first
+    edge's head at each occurrence of that edge in sorted order, and the
+    first walk that follows the whole path wins.  A walk leaves each
+    crossing at the slot opposite the one it entered, onto the next edge of
+    the path, and never enters an under-strand at position 2.  The
+    occurrence counts are checked first (two per edge, one for each end of
+    an open strand), so a closed walk that follows its cycle comes back to
+    its start, and the walks together use every slot once, giving each
+    crossing one under and one over entry.
+    """
+    occ = _occurrences(crossings)
+    declared = [e for path in paths for e in path]
+    if not all(paths):
+        raise ValidationError("a component path is empty")
+    if len(set(declared)) != len(declared):
+        raise ValidationError("an edge label appears twice in the component paths")
+    for e in declared:
         if e <= 0:
             raise ValidationError(f"edge labels must be positive, got {e}")
-        if len(pairs) != 2:
-            raise ValidationError(f"edge label {e} occurs {len(pairs)} times, expected 2")
+    free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in occ)
+    if set(declared) - free != set(occ):
+        raise ValidationError("component paths do not partition the crossing edges")
+    # an open path's first edge has no tail and its last edge no head
+    ends = Counter() if closed else Counter(e for p in paths for e in (p[0], p[-1]))
+    for e, where in occ.items():
+        expected = 2 - ends[e]
+        if len(where) != expected:
+            raise ValidationError(f"edge label {e} occurs {len(where)} times, expected {expected}")
 
-    declared = [e for cyc in d.components for e in cyc]
-    if len(set(declared)) != len(declared):
-        raise ValidationError("an edge label appears in two component positions")
-    loops = set()
-    for cyc in d.components:
-        if len(cyc) == 1 and cyc[0] not in occ:
-            loops.add(cyc[0])
-    if set(declared) - loops != set(occ):
-        raise ValidationError("component cycles do not partition the crossing edges")
-
-    entry_pairs = [[None, None] for _ in d.crossings]  # [under_entry, over_entry]
-    edge_head, edge_tail, edge_comp = {}, {}, {}
-
-    for comp_index, cyc in enumerate(d.components):
-        if len(cyc) == 1 and cyc[0] in loops:
-            edge_comp[cyc[0]] = comp_index
+    signs = [0] * len(crossings)
+    edge_head, edge_tail, edge_component = {}, {}, {}
+    for index, path in enumerate(paths):
+        for e in path:
+            edge_component[e] = index
+        if path[0] in free:
             continue
-        e0 = cyc[0]
-        # Candidate entering occurrences for the first edge.  Entering the
-        # under pair at slot 2 would contradict the position-0 convention,
-        # so only slot 0 and the two over slots qualify.
-        candidates = [p for p in sorted(occ[e0]) if p[1] != 2]
-        result = None
-        for cand in candidates:
-            # The walk records the edge *after* each entry, so to see the
-            # declared cycle starting at e0 we must start from the entry
-            # occurrence of the edge preceding e0, i.e. begin the walk at
-            # the entry of e0 itself and compare against the rotation
-            # starting at cyc[1].
-            walked = _walk(d.crossings, occ, cand, len(cyc))
-            if walked is None:
-                continue
-            seq, entries = walked
-            if any(s == 2 for _, s in entries):
-                # entered an under-strand against the position-0 convention:
-                # this is the reversed traversal, not the declared one
-                continue
-            expected = list(cyc[1:]) + [cyc[0]]
-            if seq == expected:
-                result = (seq, entries)
+        steps = len(path) if closed else len(path) - 1
+        for start in sorted(occ[path[0]]):
+            heads = _trace(crossings, occ, path, start, steps)
+            if heads is not None:
                 break
-        if result is None:
-            raise ValidationError(
-                f"component {comp_index} cycle is inconsistent with the crossings"
-            )
-        seq, entries = result
-        # entries[i] is where edge cyc[i] terminates; seq[i] = cyc[i+1 mod].
-        for i, e in enumerate(cyc):
-            head = entries[i]
-            edge_head[e] = head
-            edge_comp[e] = comp_index
-        for i, e in enumerate(seq):
-            ci, s = entries[i]
-            edge_tail[e] = (ci, (s + 2) % 4)
-        for ci, s in entries:
-            kind = 0 if s in (0, 2) else 1
-            if entry_pairs[ci][kind] is not None:
-                raise ValidationError(f"crossing {ci} is traversed twice on one strand pair")
-            if kind == 0 and s != 0:
-                raise ValidationError(f"crossing {ci} under-strand entered at position 2")
-            entry_pairs[ci][kind] = s
-
-    for ci, (u, o) in enumerate(entry_pairs):
-        if u is None or o is None:
-            raise ValidationError(f"crossing {ci} is not fully traversed by the components")
-
-    return _Orientation(
-        entry_slots=tuple((u, o) for u, o in entry_pairs),
-        edge_head=edge_head,
-        edge_tail=edge_tail,
-        edge_component=edge_comp,
-    )
+        else:
+            raise ValidationError(f"component {index} is inconsistent with the crossings")
+        for i, (ci, s) in enumerate(heads):
+            edge_head[path[i]] = (ci, s)
+            edge_tail[path[(i + 1) % len(path)]] = (ci, s ^ 2)
+            if s != 0:
+                signs[ci] = 1 if s == 1 else -1
+    return _Orientation(tuple(signs), edge_head, edge_tail, edge_component, free)
 
 
 @lru_cache(maxsize=4096)
 def _orient(d: Diagram) -> _Orientation:
-    return _orient_uncached(d)
+    return _orient_paths(d.crossings, d.components, closed=True)
 
 
 def crossing_signs(d: Diagram) -> tuple[int, ...]:
     """Sign of every crossing: +1 when the over-strand enters at position 1."""
-    orient = _orient(d)
-    return tuple(1 if o == 1 else -1 for _, o in orient.entry_slots)
+    return _orient(d).signs
 
 
-def edge_component(d: Diagram, edge: int) -> int:
-    orient = _orient(d)
+def _component_of(orient: _Orientation, edge: int) -> int:
     if edge not in orient.edge_component:
         raise DomainError(f"no edge labelled {edge}")
     return orient.edge_component[edge]
+
+
+def edge_component(d: Diagram, edge: int) -> int:
+    return _component_of(_orient(d), edge)
+
+
+def _writhe(crossings, orient: _Orientation, c: int) -> int:
+    comp = orient.edge_component
+    return sum(
+        sign
+        for x, sign in zip(crossings, orient.signs)
+        if comp[x[0]] == c and comp[x[1]] == c
+    )
 
 
 def _check_component(d: Diagram, c: int):
@@ -224,15 +201,7 @@ def _check_component(d: Diagram, c: int):
 def writhe(d: Diagram, c: int) -> int:
     """Signed count of the self-crossings of component ``c``."""
     _check_component(d, c)
-    orient = _orient(d)
-    signs = crossing_signs(d)
-    total = 0
-    for ci, x in enumerate(d.crossings):
-        cu = orient.edge_component[x[0]]
-        co = orient.edge_component[x[1]]
-        if cu == c and co == c:
-            total += signs[ci]
-    return total
+    return _writhe(d.crossings, _orient(d), c)
 
 
 def total_writhe(d: Diagram) -> int:
@@ -246,13 +215,12 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
     if a == b:
         raise DomainError("linking number needs two distinct components; use writhe")
     orient = _orient(d)
-    signs = crossing_signs(d)
     total = 0
-    for ci, x in enumerate(d.crossings):
+    for x, sign in zip(d.crossings, orient.signs):
         cu = orient.edge_component[x[0]]
         co = orient.edge_component[x[1]]
         if {cu, co} == {a, b}:
-            total += signs[ci]
+            total += sign
     if total % 2:
         raise ValidationError("odd inter-component crossing sum; diagram is corrupt")
     return total // 2
@@ -260,11 +228,9 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
 
 def mirror(d: Diagram) -> Diagram:
     """Switch every crossing's over/under roles.  All signs negate."""
-    orient = _orient(d)
     new = []
-    for ci, (a, b, c, e) in enumerate(d.crossings):
-        _, over_entry = orient.entry_slots[ci]
-        if over_entry == 1:
+    for (a, b, c, e), sign in zip(d.crossings, crossing_signs(d)):
+        if sign > 0:
             new.append((b, c, e, a))
         else:
             new.append((e, a, b, c))

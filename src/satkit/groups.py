@@ -69,7 +69,7 @@ def arc_data(d: Diagram):
     first_arc = []
     for cyc in d.components:
         first_arc.append(arc_count)
-        if len(cyc) == 1 and cyc[0] not in orient.edge_head:
+        if cyc[0] in orient.free:
             arc_of_edge[cyc[0]] = arc_count
             arc_count += 1
             continue
@@ -96,7 +96,6 @@ def arc_data(d: Diagram):
 def wirtinger(d: Diagram) -> GroupPresentation:
     """One generator per arc, one conjugation relator per crossing, and a
     marked meridian (the first arc's generator) per component."""
-    orient = _orient(d)
     signs = crossing_signs(d)
     arc_of_edge, arc_count, first_arc = arc_data(d)
     relators = []

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from .diagram import (
     Diagram,
     _least_labelling,
-    _occurrences,
     _orient,
-    crossing_signs,
     mirror,
     reverse,
     total_writhe,
@@ -40,15 +38,7 @@ class Pattern:
             raise ValidationError("pattern base must be a knot diagram")
         if len(self.cut) < 1:
             raise ValidationError("pattern must cross the disk at least once")
-        edges = [e for e, _ in self.cut]
-        if len(set(edges)) != len(edges):
-            raise ValidationError("cut strands must be pairwise distinct edges")
-        base_edges = set(self.base.edges())
-        for e, s in self.cut:
-            if e not in base_edges:
-                raise ValidationError(f"cut references missing edge {e}")
-            if s not in (1, -1):
-                raise ValidationError("cut signs must be +1 or -1")
+        _check_cut(self.cut, self.base.edges())
 
     @property
     def strand_count(self) -> int:
@@ -56,6 +46,20 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern({self.base!r}, cut={self.cut})"
+
+
+def _check_cut(cut, edges):
+    """A marked cut names distinct edges among ``edges``, each with a
+    passage sign of +1 or -1."""
+    cut_edges = [e for e, _ in cut]
+    if len(set(cut_edges)) != len(cut_edges):
+        raise ValidationError("cut strands must be pairwise distinct edges")
+    edges = set(edges)
+    for e, s in cut:
+        if e not in edges:
+            raise ValidationError(f"cut references missing edge {e}")
+        if s not in (1, -1):
+            raise ValidationError("cut signs must be +1 or -1")
 
 
 def winding_number(p: Pattern) -> int:
@@ -108,15 +112,10 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     pieces = [b.cut(wmap[e]) for e, _ in cut]
     m = len(cut)
     orient = _orient(companion)
-    loops = [e for e in companion.edges() if e not in orient.edge_head]
     cut_edge = min(companion.edges())
     widths = {e: m for e in companion.edges()}
     gb, _, ports = build_cable(
-        companion.crossings,
-        crossing_signs(companion),
-        widths,
-        cut_edges=(cut_edge,),
-        loops=loops,
+        companion.crossings, orient.signs, widths, cut_edges=(cut_edge,), loops=orient.free
     )
     shift = b.absorb(gb)
     # cut order and copy offsets run through the disk in opposite transverse
@@ -214,7 +213,7 @@ def to_link(p: Pattern) -> Diagram:
     so its linking number with the knot equals the winding number."""
     b, wmap = Builder.from_diagram(p.base)
     targets = [(wmap[e], s) for e, s in p.cut]
-    circle_seed, _ = encircle(b, targets, over_first=True)
+    circle_seed = encircle(b, targets, over_first=True)
     base_seed = b.live(wmap[p.cut[0][0]])
     d, _ = b.to_diagram([(base_seed, True), (circle_seed, False)])
     return d
@@ -265,8 +264,7 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     over_run = [ci for ci, _ in order[:m]]
     under_run = [ci for ci, _ in order[m:]]
 
-    signs = crossing_signs(d)
-    occ = _occurrences(d.crossings)
+    signs = orient.signs
     b, wmap = Builder.from_diagram(d)
     cut_info = []
     for i, ci in enumerate(over_run):
@@ -275,7 +273,7 @@ def from_link(d: Diagram, circle: int) -> Pattern:
         mids = {e for e in mids if comp_of[e] != circle}
         shared = None
         for e in mids:
-            if {o[0] for o in occ[e]} == {ci, cj}:
+            if {orient.edge_head[e][0], orient.edge_tail[e][0]} == {ci, cj}:
                 shared = e
         if shared is None:
             raise DomainError("circle passages do not pair up across the disk")

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Diagram, _occurrences
+from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe
 from .errors import DomainError, ValidationError
-from .patterns import Pattern, _tie_companion
+from .patterns import Pattern, _check_cut, _tie_companion
 from .wires import Builder, braid, build_cable, twist_chain
 
 Crossing = tuple[int, int, int, int]
@@ -54,84 +54,21 @@ class StringLink:
         return f"StringLink({self.strand_count} strands, {len(self.crossings)} crossings)"
 
 
-@dataclass(frozen=True)
-class _TangleOrientation:
-    entry_slots: tuple[tuple[int, int], ...]
-    edge_head: dict
-    edge_tail: dict
-    edge_strand: dict
-
-
 @lru_cache(maxsize=4096)
-def _orient_tangle(sl: StringLink) -> _TangleOrientation:
-    occ = _occurrences(sl.crossings)
-    declared = [e for path in sl.strands for e in path]
-    if len(set(declared)) != len(declared):
-        raise ValidationError("edge repeats across strand paths")
-    for e in occ:
-        if e not in set(declared):
-            raise ValidationError(f"edge {e} in crossings but on no strand")
-
-    entry_pairs = [[None, None] for _ in sl.crossings]
-    edge_head, edge_tail, edge_strand = {}, {}, {}
-
-    for si, path in enumerate(sl.strands):
-        for e in path:
-            edge_strand[e] = si
-        first_occ = occ.get(path[0], [])
-        if len(path) == 1 and not first_occ:
-            continue
-        if len(first_occ) != 1 or len(occ.get(path[-1], ())) != 1:
-            raise ValidationError(f"strand {si} endpoints lie inside crossings")
-        cur = first_occ[0]
-        for i, e in enumerate(path):
-            ci, s = cur
-            if s == 2:
-                raise ValidationError(f"crossing {ci} under-strand entered at position 2")
-            kind = 0 if s in (0, 2) else 1
-            if entry_pairs[ci][kind] is not None:
-                raise ValidationError(f"crossing {ci} traversed twice on one strand pair")
-            entry_pairs[ci][kind] = s
-            edge_head[e] = cur
-            exit_slot = (s + 2) % 4
-            nxt_edge = sl.crossings[ci][exit_slot]
-            if i + 1 >= len(path) or nxt_edge != path[i + 1]:
-                raise ValidationError(f"strand {si} path breaks after edge {e}")
-            edge_tail[nxt_edge] = (ci, exit_slot)
-            rest = [p for p in occ[nxt_edge] if p != (ci, exit_slot)]
-            if not rest:
-                if i + 1 != len(path) - 1:
-                    raise ValidationError(f"strand {si} ends early")
-                break
-            cur = rest[0]
-    for ci, (u, o) in enumerate(entry_pairs):
-        if u is None or o is None:
-            raise ValidationError(f"crossing {ci} not fully traversed")
-    return _TangleOrientation(
-        tuple((u, o) for u, o in entry_pairs), edge_head, edge_tail, edge_strand
-    )
+def _orient_tangle(sl: StringLink) -> _Orientation:
+    return _orient_paths(sl.crossings, sl.strands, closed=False)
 
 
 def tangle_crossing_signs(sl: StringLink) -> tuple[int, ...]:
-    orient = _orient_tangle(sl)
-    return tuple(1 if o == 1 else -1 for _, o in orient.entry_slots)
+    return _orient_tangle(sl).signs
 
 
 def strand_of_edge(sl: StringLink, edge: int) -> int:
-    orient = _orient_tangle(sl)
-    if edge not in orient.edge_strand:
-        raise DomainError(f"no edge labelled {edge}")
-    return orient.edge_strand[edge]
+    return _component_of(_orient_tangle(sl), edge)
 
 
 def self_writhe(sl: StringLink, strand: int) -> int:
-    orient = _orient_tangle(sl)
-    signs = tangle_crossing_signs(sl)
-    total = 0
-    for ci, x in enumerate(sl.crossings):
-        if orient.edge_strand[x[0]] == strand and orient.edge_strand[x[1]] == strand:
-            total += signs[ci]
-    return total
+    return _writhe(sl.crossings, _orient_tangle(sl), strand)
 
 
 def trivial_string_link(m: int) -> StringLink:
@@ -162,15 +99,7 @@ class InfectionOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "cut", tuple((int(e), int(s)) for e, s in self.cut))
-        edges = [e for e, _ in self.cut]
-        if len(set(edges)) != len(edges):
-            raise ValidationError("cut strands must be pairwise distinct edges")
-        link_edges = set(self.link.edges())
-        for e, s in self.cut:
-            if e not in link_edges:
-                raise ValidationError(f"cut references missing edge {e}")
-            if s not in (1, -1):
-                raise ValidationError("cut signs must be +1 or -1")
+        _check_cut(self.cut, self.link.edges())
 
 
 # -- builder conversions -----------------------------------------------------
@@ -286,12 +215,9 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     if all(k == 0 for k in kvec):
         raise DomainError("at least one strand must survive")
     orient = _orient_tangle(sl)
-    occ = _occurrences(sl.crossings)
-    widths = {e: abs(kvec[orient.edge_strand[e]]) for e in sl.edges()}
-    bare = [path[0] for path in sl.strands if not occ.get(path[0])]
-    b, copies, _ = build_cable(
-        sl.crossings, tangle_crossing_signs(sl), widths, open_edges=bare
-    )
+    widths = {e: abs(kvec[orient.edge_component[e]]) for e in sl.edges()}
+    bare = [path[0] for path in sl.strands if path[0] in orient.free]
+    b, copies, _ = build_cable(sl.crossings, orient.signs, widths, open_edges=bare)
     # untwisted copies: correct each copied strand by its self-writhe; the
     # twist region threads the bundle against the copy-offset direction,
     # matching the reading the companion gadget uses
@@ -328,7 +254,7 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     out, labels = _walk_out(b, seeds, directions)
     new_cut = []
     for e, s in op.cut:
-        si = orient.edge_strand[e]
+        si = orient.edge_component[e]
         k = kvec[si]
         if k == 0:
             continue
@@ -384,8 +310,8 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
         if spec.edge_low in cut_edges or spec.edge_high in cut_edges:
             raise DomainError("band crosses the marked disk")
         if (
-            orient.edge_strand[spec.edge_low] != i
-            or orient.edge_strand[spec.edge_high] != i + 1
+            orient.edge_component[spec.edge_low] != i
+            or orient.edge_component[spec.edge_high] != i + 1
         ):
             raise DomainError(f"band {i} must join strand {i} to strand {i + 1}")
     b, wmap = _to_builder(sl)

@@ -98,15 +98,12 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
     widths = {}
-    loops = []
     for c in range(n):
         w = 2 if c == j else 1
         for e in d.components[c]:
             widths[e] = w
-    for cyc in d.components:
-        if len(cyc) == 1 and cyc[0] not in orient.edge_head:
-            loops.append(cyc[0])
-    gb, copies, _ = build_cable(d.crossings, crossing_signs(d), widths, loops=loops)
+    loops = [e for e in d.edges() if e in orient.free]
+    gb, copies, _ = build_cable(d.crossings, orient.signs, widths, loops=loops)
     fix = fl.framings[j] - writhe(d, j)
     if fix:
         pair = copies[handle_edge]
@@ -303,8 +300,8 @@ def _tied_with_pair(p: Pattern, k: Diagram) -> tuple[FramedLink, int, int]:
     marked = _tie_companion(b, wmap, p.cut, k)
 
     targets = [(w, s) for w, (_, s) in zip(marked, p.cut)]
-    circle_seed, _ = encircle(b, targets, over_first=True)
-    mer_seed, _ = encircle(b, [(circle_seed, 1)], over_first=True)
+    circle_seed = encircle(b, targets, over_first=True)
+    mer_seed = encircle(b, [(circle_seed, 1)], over_first=True)
 
     sat_seed = b.live(wmap[p.cut[0][0]])
     d, _ = b.to_diagram([(sat_seed, True), (b.live(circle_seed), False), (b.live(mer_seed), False)])

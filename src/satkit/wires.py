@@ -115,9 +115,8 @@ class Builder:
 
         orient = _orient(d)
         b, wmap = cls.from_code(d.crossings, d.edges(), orient)
-        for cyc in d.components:
-            if len(cyc) == 1 and cyc[0] not in orient.edge_head:
-                b.wires[wmap[cyc[0]]] = [LOOP, LOOP]
+        for e in orient.free:
+            b.wires[wmap[e]] = [LOOP, LOOP]
         return b, wmap
 
     @classmethod
@@ -289,13 +288,11 @@ class Builder:
                 label[w] = nxt
                 nxt += 1
 
-        new_index = {}
         crossings = []
         for ci in live_crossings:
             x = [label[self.live(w)] for w in self.crossings[ci]]
             if rotate[ci]:
                 x = x[2:] + x[:2]
-            new_index[ci] = len(crossings)
             crossings.append(tuple(x))
         comps = tuple(tuple(label[w] for w in seq) for seq in comp_wires)
         return tuple(crossings), comps, label
@@ -594,18 +591,16 @@ def lasso(b: Builder, passages, over_first=True):
 
 def encircle(b: Builder, targets, over_first=True):
     """Close a lasso around the target wires.  ``targets`` is a list of
-    (wire, sign).  Returns (circle_seed_wire, mids) where the seed wire with
-    forward=False orients the circle so its linking with the encircled
+    (wire, sign).  Returns the circle's seed wire: walked with
+    forward=False it orients the circle so its linking with the encircled
     strands is the sum of the signs."""
     passages = []
-    mids = []
     for w, sign in targets:
         west_in, mid, east_out = cut_for_passage(b, w)
         passages.append((west_in, mid, east_out, sign))
-        mids.append(mid)
     first, last = lasso(b, passages, over_first=over_first)
     b.join(last, first)
-    return b.live(first), mids
+    return b.live(first)
 
 
 # -- local moves ------------------------------------------------------------

@@ -303,6 +303,21 @@ def test_exit_codes(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_misuse_exits_with_one_line_message(files, capsys):
+    sl = files["w23.sl"]
+    for argv in (
+        ["slink", "stack", sl],
+        ["slink", "infect", sl],
+        ["slink", "parallel", sl],
+        ["slink", "reduce", sl, "--copies", "2,x"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: satkit slink {argv[1]} INPUT") and err.count("\n") == 1
+    assert run(["corpus", sl]) == 1
+    assert capsys.readouterr().err == f"error: {sl} is not a directory\n"
+
+
 def test_corpus_empty(tmp_path, capsys):
     assert run(["corpus", str(tmp_path)]) == 0
     capsys.readouterr()

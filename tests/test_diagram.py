@@ -230,8 +230,8 @@ def test_simplify_preserves_invariants_on_corpus():
             e1, e2 = rng.sample(list(edges), 2)
             try:
                 inflated = insert_poke(inflated, e1, e2)
-            except Exception:
-                pass
+            except DomainError:
+                pass  # the two edges are one wire: "poke needs two distinct edges"
         s = simplify(inflated)
         assert alexander_poly(s) == alexander_poly(d)
         assert determinant(s) == determinant(d)

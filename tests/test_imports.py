@@ -1,7 +1,8 @@
 """Every import in ``src/satkit`` is used; ``__init__.py`` re-exports are
 exempt.  Every private function, method or class defined in ``src/satkit``
-is referenced in ``src`` or ``tests``.  Standard library only: the checks
-walk each module's syntax tree."""
+is referenced in ``src`` or ``tests``.  Every ``name = ...`` local in a
+``src/satkit`` function is read in that function.  Standard library only:
+the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
@@ -82,3 +83,53 @@ def test_no_unreferenced_private_names():
         if path.parent == SRC:
             found += [f"{path.name}:{line} {name}" for line, name in _unreferenced_private(tree, referenced)]
     assert not found, "unreferenced private names:\n" + "\n".join(found)
+
+
+def _unread_locals(tree):
+    """(line, function, name) for every ``name = ...`` assignment in a
+    function whose name is never read in that function (nested functions
+    included).  Names declared ``global`` or ``nonlocal`` are exempt."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        shared = {name for n in ast.walk(func) if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        own = list(func.body)
+        while own:
+            node = own.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            own.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if name not in read and name not in shared:
+                    found.append((node.lineno, func.name, name))
+    return sorted(found)
+
+
+def test_checker_flags_an_unread_local():
+    src = (
+        "def f(a):\n"
+        "    dead = a + 1\n"
+        "    used = a * 2\n"
+        "    x, y = a, a\n"
+        "    def inner():\n"
+        "        gone = used\n"
+        "        return used\n"
+        "    return inner\n"
+        "def g():\n"
+        "    global counter\n"
+        "    counter = 1\n"
+        "    seen = []\n"
+        "    seen.append(1)\n"
+    )
+    assert _unread_locals(ast.parse(src)) == [(2, "f", "dead"), (6, "inner", "gone")]
+
+
+def test_no_unread_locals():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line} {func}: {name}" for line, func, name in _unread_locals(tree)]
+    assert not found, "locals assigned and never read:\n" + "\n".join(found)
