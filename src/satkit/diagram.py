@@ -419,17 +419,31 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None, e2: int | Non
 
 def component_subdiagram(d: Diagram, keep) -> Diagram:
     """Delete all components not in ``keep``, healing crossings through."""
-    from .wires import Builder
-
-    keep = set(keep)
+    keep = sorted(set(keep))
     for c in keep:
         _check_component(d, c)
-    b, wmap = Builder.from_diagram(d)
-    orient = _orient(d)
-    drop_edges = {e for e, c in orient.edge_component.items() if c not in keep}
-    b.remove_edges({wmap[e] for e in drop_edges})
-    out, _ = b.to_diagram(b.seeds(wmap, [d.components[c] for c in sorted(keep)]))
-    return out
+    return _delete_components(d, keep)[0]
+
+
+def _delete_components(d: Diagram, keep):
+    """Delete every component not in ``keep`` (listed in output order):
+    each crossing a deleted component passes through goes, and a kept
+    strand through it is spliced.  Returns (diagram, old label -> new
+    label), as ``_Splice.diagram``."""
+    comp = _orient(d).edge_component
+    kept = set(keep)
+    sp = _Splice(d)
+    for ci, x in enumerate(d.crossings):
+        under, over = comp[x[0]] in kept, comp[x[1]] in kept
+        if not (under and over):
+            sp.live[ci] = False
+            if under or over:
+                s = 0 if under else 1
+                sp.join((ci, s), (ci, s + 2))
+    for e, c in comp.items():
+        if c not in kept:
+            sp.delete_edge(e)
+    return sp.diagram(keep)
 
 
 def embedding_genus(d: Diagram) -> int:
@@ -481,6 +495,101 @@ def embedding_genus(d: Diagram) -> int:
     return pieces - (v - e + faces) // 2
 
 
+class _Splice:
+    """Crossing deletion on a crossing code, shared by Reidemeister
+    reduction and component deletion.
+
+    Holds the crossings as label lists, the occurrence map (label -> its
+    (crossing, slot) occurrences; empty for a free loop) and the fixed
+    signs.  A crossing is deleted by clearing its ``live`` flag; it keeps
+    its labels until its slots are joined, so joins through two deleted
+    crossings may come in any order.
+    """
+
+    def __init__(self, d: Diagram):
+        orient = _orient(d)
+        self.components = d.components
+        self.crossings = [list(x) for x in d.crossings]
+        self.live = [True] * len(d.crossings)
+        self.occ = _occurrences(d.crossings)
+        self.occ.update((e, []) for e in orient.free)
+        self.signs = orient.signs
+
+    def delete_edge(self, e):
+        del self.occ[e]
+
+    def join(self, a, b):
+        """Splice the edges at the freed slots ``a`` and ``b``, one where an
+        edge enters its deleted crossing and one where an edge leaves.  The
+        entering edge keeps its label; the leaving edge's far occurrence
+        takes it over.  An edge joined to itself becomes a free loop."""
+        if a[1] not in (0, 2 - self.signs[a[0]]):
+            a, b = b, a
+        keep, gone = self.crossings[a[0]][a[1]], self.crossings[b[0]][b[1]]
+        self.occ[keep].remove(a)
+        self.occ[gone].remove(b)
+        if gone != keep:
+            for cj, t in self.occ.pop(gone):
+                self.crossings[cj][t] = keep
+                self.occ[keep].append((cj, t))
+
+    def diagram(self, keep):
+        """The spliced code: live crossings in their old order, the surviving
+        edges of each component in ``keep`` numbered consecutively in cycle
+        order.  Returns (diagram, old label -> new label): an edge joined
+        away or deleted maps to the surviving edge that now runs where it
+        ran, the nearest survivor before it along its cycle."""
+        new, comps, n = {}, [], 0
+        for c in keep:
+            cyc = self.components[c]
+            first = next(p for p, e in enumerate(cyc) if e in self.occ)
+            comp = []
+            for e in cyc[first:] + cyc[:first]:
+                if e in self.occ:
+                    n += 1
+                    comp.append(n)
+                new[e] = n
+            comps.append(comp)
+        crossings = [[new[e] for e in x] for x, live in zip(self.crossings, self.live) if live]
+        return Diagram(crossings, comps), new
+
+
+def _find_kink(sp: _Splice):
+    """The lowest kink, a crossing whose label at slot s also sits at slot
+    s + 1, as a move (crossings, edges, joins) for ``simplify``."""
+    for ci, x in enumerate(sp.crossings):
+        if sp.live[ci]:
+            for s in range(4):
+                if x[s] == x[(s + 1) % 4]:
+                    return [ci], [x[s]], [((ci, (s + 2) % 4), (ci, (s + 3) % 4))]
+    return None
+
+
+def _find_bigon(sp: _Splice):
+    """The lowest cancelling bigon, as a move for ``simplify``: the label at
+    slot si of crossing ci runs to slot sj of another crossing cj with the
+    same role (under or over) at both, and the label at slot si + 1 runs
+    to slot sj - 1.  Alternating roles make a clasp, which Reidemeister II
+    cannot remove."""
+    for ci, x in enumerate(sp.crossings):
+        if not sp.live[ci]:
+            continue
+        for si in range(4):
+            first, second = sp.occ[x[si]]
+            cj, sj = second if first == (ci, si) else first
+            if (
+                cj != ci
+                and si % 2 == sj % 2
+                and set(sp.occ[x[(si + 1) % 4]]) == {(ci, (si + 1) % 4), (cj, (sj - 1) % 4)}
+            ):
+                joins = [
+                    ((ci, (si + 2) % 4), (cj, (sj + 2) % 4)),
+                    ((ci, (si + 3) % 4), (cj, (sj + 1) % 4)),
+                ]
+                return [ci, cj], [x[si], x[(si + 1) % 4]], joins
+    return None
+
+
 def simplify(d: Diagram, effort: int | None = None) -> Diagram:
     """Greedy Reidemeister I/II reduction.
 
@@ -489,7 +598,18 @@ def simplify(d: Diagram, effort: int | None = None) -> Diagram:
     moves; None means run until no move applies.  The link type, hence every
     invariant, is unchanged.
     """
-    from .wires import r1_r2_reduce
-
-    budget = effort if effort is not None else 10**9
-    return r1_r2_reduce(d, budget)
+    sp = _Splice(d)
+    moves = 0
+    while effort is None or moves < effort:
+        move = _find_kink(sp) or _find_bigon(sp)
+        if move is None:
+            break
+        crossings, edges, joins = move
+        for ci in crossings:
+            sp.live[ci] = False
+        for e in edges:
+            sp.delete_edge(e)
+        for a, b in joins:
+            sp.join(a, b)
+        moves += 1
+    return sp.diagram(range(len(d.components)))[0]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .diagram import (
     Diagram,
+    _delete_components,
     _least_labelling,
     _orient,
     mirror,
@@ -230,7 +231,6 @@ def from_link(d: Diagram, circle: int) -> Pattern:
         raise DomainError("pattern import needs exactly two components")
     orient = _orient(d)
     comp_of = orient.edge_component
-    circle_edges = set(d.components[circle])
 
     passages = []  # (crossing index, circle is over)
     for ci, x in enumerate(d.crossings):
@@ -265,7 +265,6 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     under_run = [ci for ci, _ in order[m:]]
 
     signs = orient.signs
-    b, wmap = Builder.from_diagram(d)
     cut_info = []
     for i, ci in enumerate(over_run):
         cj = under_run[m - 1 - i]
@@ -281,9 +280,8 @@ def from_link(d: Diagram, circle: int) -> Pattern:
             raise DomainError("paired passages disagree in sign; strand does not cross straight through")
         cut_info.append((shared, signs[ci]))
 
-    b.remove_edges({wmap[e] for e in circle_edges})
-    base, labels = b.to_diagram(b.seeds(wmap, [d.components[1 - circle]]))
+    base, labels = _delete_components(d, [1 - circle])
     # the circle is oriented to link positively, which walks the over-run
     # against the transverse cut order; flip back
-    cut = tuple((labels[b.live(wmap[e])], s) for e, s in reversed(cut_info))
+    cut = tuple((labels[e], s) for e, s in reversed(cut_info))
     return Pattern(base, cut)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe
 from .errors import DomainError, ValidationError
 from .patterns import Pattern, _check_cut, _tie_companion
-from .wires import Builder, braid, build_cable, twist_chain
+from .wires import Builder, band, braid, build_cable, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
@@ -309,25 +309,18 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
     for i, spec in enumerate(band_plan):
         if spec.edge_low in cut_edges or spec.edge_high in cut_edges:
             raise DomainError("band crosses the marked disk")
-        if (
-            orient.edge_component[spec.edge_low] != i
-            or orient.edge_component[spec.edge_high] != i + 1
-        ):
+        if _component_of(orient, spec.edge_low) != i or _component_of(orient, spec.edge_high) != i + 1:
             raise DomainError(f"band {i} must join strand {i} to strand {i + 1}")
     b, wmap = _to_builder(sl)
     cut_wires = [(wmap[e], s) for e, s in op.cut]
     for i, spec in enumerate(band_plan):
-        tu, hu = b.cut(b.live(wmap[spec.edge_low]))
-        tv, hv = b.cut(b.live(wmap[spec.edge_high]))
+        u, v = wmap[spec.edge_low], wmap[spec.edge_high]
         if sl.directions[i] == sl.directions[i + 1]:
-            # coherent strands: the two band connectors swap ends across
-            # one new crossing
-            if spec.over_low:
-                b.add_crossing(tv, hv, hu, tu, over_entry=3)
-            else:
-                b.add_crossing(tu, tv, hv, hu, over_entry=1)
+            band(b, u, v, spec.over_low)
         else:
             # antiparallel strands: the band is a plain turn-around
+            tu, hu = b.cut(u)
+            tv, hv = b.cut(v)
             b.join(tu, hv)
             b.join(tv, hu)
     _splice_terminals(b, sl.directions)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .abelian import AbelianGroup, cokernel
 from .diagram import (
     Diagram,
+    component_subdiagram,
     crossing_signs,
     diagrams_equal,
     linking_number,
@@ -28,7 +29,7 @@ from .diagram import (
 from .errors import DomainError, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
 from .patterns import Pattern, _tie_companion, satellite, winding_number
-from .wires import Builder, build_cable, cut_for_passage, encircle, lasso, twist_chain
+from .wires import Builder, band, build_cable, cut_for_passage, encircle, lasso, twist_chain
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,16 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
         stubs = twist_chain(gb, [t for t, _ in reversed(tails)], fix)
         for stub, (_, h) in zip(stubs, reversed(tails)):
             gb.fuse(gb.single_dangle(stub), (gb.live(h), 0))
-    su = gb.live(copies[slide_edge][0])
-    sv = gb.live(copies[handle_edge][copy_index])
-    tu, hu = gb.cut(su)
-    tv, hv = gb.cut(sv)
+    su = copies[slide_edge][0]
+    sv = copies[handle_edge][copy_index]
     if orientation >= 0:
-        if over:
-            gb.add_crossing(tv, hv, hu, tu, over_entry=3)
-        else:
-            gb.add_crossing(tu, tv, hv, hu, over_entry=1)
+        band(gb, su, sv, over)
     else:
         # band meeting the reversed parallel: the slide strand enters the
         # copy against its nominal flow, so dangles pair head-to-head and
         # tail-to-tail; the final walk re-orients the copy
+        tu, hu = gb.cut(su)
+        tv, hv = gb.cut(sv)
         gb.fuse((tu, 1), (tv, 1))
         gb.fuse(gb.single_dangle(hv), gb.single_dangle(hu))
 
@@ -239,13 +237,10 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
     if not shared:
         raise DomainError("the two passages do not share an edge of the partner")
 
-    b, wmap = Builder.from_diagram(d)
-    drop = {wmap[e] for e in d.components[small]} | {wmap[e] for e in d.components[other]}
-    b.remove_edges(drop)
     kept = [c for c in range(n) if c not in (small, other)]
     new_framings = [fl.framings[c] for c in kept]
     new_roles = [fl.roles[c] for c in kept] if fl.roles else None
-    out, _ = b.to_diagram(b.seeds(wmap, [d.components[c] for c in kept]))
+    out = component_subdiagram(d, kept)
     return FramedLink(out, tuple(new_framings), tuple(new_roles) if new_roles else None)
 
 

@@ -1,17 +1,18 @@
-"""Mutable crossing/slot graph used to assemble and rewire diagrams.
+"""Mutable crossing/slot graph used to assemble diagrams.
 
-Every piece of diagram surgery lives here: connected sums, cabling a
-strand into parallel copies, twist regions, tying strands into a companion
-tangle, encircling a bundle with a round curve, deleting components, and
-Reidemeister I/II reduction.  ``Diagram`` stays immutable; operations pull
-a diagram into a ``Builder``, rewire, and walk the result back out.
+The Builder only assembles: connected sums, cabling a strand into parallel
+copies, twist regions, band connectors, tying strands into a companion
+tangle, and encircling a bundle with a round curve.  ``Diagram`` stays
+immutable; operations pull a diagram into a ``Builder``, append crossings
+and splice wires, and walk the result back out.  Deleting crossings
+(Reidemeister reduction, component deletion) splices the crossing code
+itself, in ``diagram._Splice``.
 
 Call sites share one vocabulary of ``Builder`` methods: ``from_diagram``
 and ``from_code`` import a crossing code; ``cut``, ``join`` and ``fuse``
-split and splice wires; ``reconnect`` frees two ends bound at crossings
-and splices them flow-coherently; ``seeds`` picks the first surviving wire
-of each component to walk out from; ``to_diagram``/``to_tangle`` walk the
-result back out.  ``braid`` lays out a braid word on fresh strands.
+split and splice wires; ``seeds`` picks the first surviving wire of each
+component to walk out from; ``to_diagram``/``to_tangle`` walk the result
+back out.  ``braid`` lays out a braid word on fresh strands.
 
 Conventions
 -----------
@@ -37,7 +38,7 @@ LOOP = ("loop",)
 
 class Builder:
     def __init__(self):
-        self.crossings = []  # list of [w0, w1, w2, w3] or None when deleted
+        self.crossings = []  # list of [w0, w1, w2, w3]
         self.wires = {}  # id -> [end0, end1] or [LOOP, LOOP]
         self._alias = {}
         self._next = 0
@@ -58,7 +59,7 @@ class Builder:
     def live(self, w):
         while w in self._alias:
             w = self._alias[w]
-        return w if w in self.wires else None
+        return w
 
     def any_wire(self):
         return next(iter(self.wires))
@@ -150,10 +151,7 @@ class Builder:
                     new_ends.append(e)
             self.wires[shift[w]] = new_ends
         for x in other.crossings:
-            if x is None:
-                self.crossings.append(None)
-            else:
-                self.crossings.append([shift[w] for w in x])
+            self.crossings.append([shift[w] for w in x])
         return shift
 
     def cut(self, w):
@@ -206,25 +204,10 @@ class Builder:
         """Flow-coherent fuse: out of ``tail_piece`` into ``head_piece``."""
         return self.fuse((tail_piece, 1), (head_piece, 0))
 
-    def reconnect(self, wa, at_a, wb, at_b):
-        """Free the end of ``wa`` bound at ``at_a`` and the end of ``wb``
-        bound at ``at_b`` (each a (crossing, slot)), then fuse the two
-        flow-coherently: the freed head end comes first.  Returns the
-        merged wire (a free loop when ``wa`` and ``wb`` are one wire)."""
-        ea = self._unbind(wa, ("x",) + at_a)
-        eb = self._unbind(wb, ("x",) + at_b)
-        return self.fuse(ea, eb) if ea[1] == 1 else self.fuse(eb, ea)
-
     def seeds(self, wmap, cycles):
-        """Walk seeds for ``to_diagram``: the first live wire of each cycle
-        of edge labels, mapped through ``wmap``, walked forward."""
-        out = []
-        for cyc in cycles:
-            w = next((lw for lw in (self.live(wmap[e]) for e in cyc) if lw is not None), None)
-            if w is None:
-                raise InternalError("component lost all wires")
-            out.append((w, True))
-        return out
+        """Walk seeds for ``to_diagram``: the live wire of each cycle's
+        first edge label, mapped through ``wmap``, walked forward."""
+        return [(self.live(wmap[cyc[0]]), True) for cyc in cycles]
 
     # -- walking back out ------------------------------------------------
 
@@ -267,19 +250,18 @@ class Builder:
             cur = nxt
 
     def _finish(self, comp_wires):
-        live_crossings = [i for i, x in enumerate(self.crossings) if x is not None]
         visited = {w for seq in comp_wires for w in seq}
         all_live = {self.live(w) for w in self.wires}
         if visited != all_live:
             raise InternalError("walk did not cover every wire; missing seeds?")
-        rotate = {}
-        for ci in live_crossings:
+        rotate = []
+        for ci in range(len(self.crossings)):
             entries = sorted(self._entries.get(ci, []))
             under = [s for s in entries if s in (0, 2)]
             over = [s for s in entries if s in (1, 3)]
             if len(under) != 1 or len(over) != 1:
                 raise InternalError(f"crossing {ci} traversed {entries}, expected one strand per pair")
-            rotate[ci] = under[0] == 2
+            rotate.append(under[0] == 2)
 
         label = {}
         nxt = 1
@@ -289,9 +271,9 @@ class Builder:
                 nxt += 1
 
         crossings = []
-        for ci in live_crossings:
-            x = [label[self.live(w)] for w in self.crossings[ci]]
-            if rotate[ci]:
+        for x, rot in zip(self.crossings, rotate):
+            x = [label[self.live(w)] for w in x]
+            if rot:
                 x = x[2:] + x[:2]
             crossings.append(tuple(x))
         comps = tuple(tuple(label[w] for w in seq) for seq in comp_wires)
@@ -341,30 +323,6 @@ class Builder:
             raise DomainError("end not bound as stated")
         ends[hits[0]] = None
         return (w, hits[0])
-
-    def remove_edges(self, drop):
-        """Delete all wires in ``drop`` (whole components), healing the
-        surviving strands through any crossings they shared."""
-        drop = {self.live(w) for w in drop}
-        for ci, x in enumerate(self.crossings):
-            if x is None:
-                continue
-            under_in = self.live(x[0]) in drop
-            over_in = self.live(x[1]) in drop
-            if not (under_in or over_in):
-                continue
-            if under_in and over_in:
-                self.crossings[ci] = None
-                continue
-            # the dropped strand's ends stay bound: its wires are deleted below
-            sa, sb = (1, 3) if under_in else (0, 2)
-            self.crossings[ci] = None
-            self.reconnect(x[sa], (ci, sa), x[sb], (ci, sb))
-        for w in drop:
-            w = self.live(w)
-            if w is not None and w in self.wires:
-                del self.wires[w]
-
 
 # -- gadget constructions --------------------------------------------------
 
@@ -514,6 +472,18 @@ def build_cable(crossings, signs, widths, cut_edges=(), loops=(), open_edges=())
     return b, copies, cut_ports
 
 
+def band(b: Builder, u, v, over):
+    """Band two wires running the same way: cut both and swap their ends
+    across one new crossing.  The connector out of ``u`` into ``v``
+    passes over the one out of ``v`` into ``u`` when ``over``."""
+    tu, hu = b.cut(u)
+    tv, hv = b.cut(v)
+    if over:
+        b.add_crossing(tv, hv, hu, tu, over_entry=3)
+    else:
+        b.add_crossing(tu, tv, hv, hu, over_entry=1)
+
+
 def cut_for_passage(b: Builder, w):
     """Cut a wire twice around a marked passage point.
 
@@ -642,128 +612,4 @@ def insert_poke(d, edge_under, edge_over):
     b.add_crossing(ua, om, um, oa, over_entry=3)
     b.add_crossing(um, om, ub, ob, over_entry=1)
     out, _ = b.to_diagram(b.seeds(wmap, d.components))
-    return out
-
-
-def _find_r1(b: Builder):
-    for ci, x in enumerate(b.crossings):
-        if x is None:
-            continue
-        for s in range(4):
-            w1 = b.live(x[s])
-            w2 = b.live(x[(s + 1) % 4])
-            if w1 == w2:
-                ends = b.wires[w1]
-                if (
-                    ends[0] is not None and ends[0] != LOOP and ends[0][0] == "x" and ends[0][1] == ci
-                    and ends[1] is not None and ends[1][0] == "x" and ends[1][1] == ci
-                    and {ends[0][2], ends[1][2]} == {s, (s + 1) % 4}
-                ):
-                    return ci, s
-    return None
-
-
-def _find_r2(b: Builder):
-    for ci, x in enumerate(b.crossings):
-        if x is None:
-            continue
-        for si in range(4):
-            w = b.live(x[si])
-            ends = b.wires[w]
-            if ends[0] == LOOP or ends[0] is None or ends[1] is None:
-                continue
-            if ends[0][0] != "x" or ends[1][0] != "x":
-                continue
-            (c1, s1), (c2, s2) = (ends[0][1:], ends[1][1:])
-            if c1 == c2:
-                continue
-            # orient the candidate pair so (ci, si) is on the c1 side
-            if c1 != ci or s1 != si:
-                c1, s1, c2, s2 = c2, s2, c1, s1
-            if c1 != ci or s1 != si:
-                continue
-            cj, sj = c2, s2
-            if b.crossings[cj] is None:
-                continue
-            # partner edge joining slot si+1 at ci to slot sj-1 at cj
-            w2 = b.live(b.crossings[ci][(si + 1) % 4])
-            ends2 = b.wires[w2]
-            if ends2[0] == LOOP or ends2[0] is None or ends2[1] is None:
-                continue
-            if ends2[0][0] != "x" or ends2[1][0] != "x":
-                continue
-            bindings = {ends2[0][1:], ends2[1][1:]}
-            if bindings != {(ci, (si + 1) % 4), (cj, (sj - 1) % 4)}:
-                continue
-            if w2 == w:
-                continue
-            # cancelling pair: one strand passes over at both crossings, so
-            # each bigon edge keeps a single role; alternating roles mean a
-            # clasp, which Reidemeister II cannot remove
-            if (s1 in (0, 2)) != (sj in (0, 2)):
-                continue
-            return ci, si, cj, sj
-    return None
-
-
-def r1_r2_reduce(d, budget):
-    b, wmap = Builder.from_diagram(d)
-    tags = {}
-    for comp_index, cyc in enumerate(d.components):
-        for e in cyc:
-            tags[b.live(wmap[e])] = comp_index
-
-    def retag(w, comp_index):
-        tags[b.live(w)] = comp_index
-
-    moves = 0
-    while moves < budget:
-        hit = _find_r1(b)
-        if hit is not None:
-            ci, s = hit
-            x = b.crossings[ci]
-            # the kink's loop wire is bound only at slots s and s+1
-            loop_wire = b.live(x[s])
-            comp = tags.get(loop_wire)
-            b.crossings[ci] = None
-            del b.wires[loop_wire]
-            sa, sb = (s + 2) % 4, (s + 3) % 4
-            retag(b.reconnect(x[sa], (ci, sa), x[sb], (ci, sb)), comp)
-            moves += 1
-            continue
-        hit = _find_r2(b)
-        if hit is not None:
-            ci, si, cj, sj = hit
-            xi, xj = b.crossings[ci], b.crossings[cj]
-            comp_e = tags.get(b.live(xi[si]))
-            comp_f = tags.get(b.live(xi[(si + 1) % 4]))
-            b.crossings[ci] = None
-            b.crossings[cj] = None
-            # drop the two bigon edges entirely: each is bound only at the
-            # pair's slots
-            del b.wires[b.live(xi[si])]
-            del b.wires[b.live(xi[(si + 1) % 4])]
-            # reconnect each strand through its pair of outer stubs
-            for slot_i, slot_j, comp in (
-                ((si + 2) % 4, (sj + 2) % 4, comp_e),
-                ((si + 3) % 4, (sj + 1) % 4, comp_f),
-            ):
-                retag(b.reconnect(xi[slot_i], (ci, slot_i), xj[slot_j], (cj, slot_j)), comp)
-            moves += 1
-            continue
-        break
-
-    seeds_by_comp = {}
-    for w in list(b.wires):
-        lw = b.live(w)
-        if lw is None:
-            continue
-        comp = tags.get(lw)
-        if comp is not None and comp not in seeds_by_comp:
-            seeds_by_comp[comp] = lw
-    # every original component must survive (R1/R2 never delete one)
-    seeds = []
-    for comp_index in range(len(d.components)):
-        seeds.append((seeds_by_comp[comp_index], True))
-    out, _ = b.to_diagram(seeds)
     return out

@@ -11,8 +11,9 @@ positive are now rejected everywhere.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from code_strategies import random_codes
 from satkit.catalog import (
     corpus_knots,
     hopf_link,
@@ -292,25 +293,8 @@ def test_shared_walk_matches_both_references_on_mutated_codes():
     assert accepted > 500
 
 
-@st.composite
-def _random_codes(draw):
-    """0-4 crossings over a small label pool, which sometimes starts at 0
-    or -1, and a random split of the labels into paths."""
-    n = draw(st.integers(min_value=0, max_value=4))
-    low = draw(st.sampled_from([1, 1, 1, 0, -1]))
-    pool = st.sampled_from(range(low, low + 2 * n + 2))
-    slots = draw(st.lists(pool, min_size=4 * n, max_size=4 * n))
-    crossings = tuple(tuple(slots[4 * i:4 * i + 4]) for i in range(n))
-    labels = {e for x in crossings for e in x} | set(draw(st.lists(pool, min_size=1, max_size=2)))
-    labels = draw(st.permutations(sorted(labels)))
-    cuts = draw(st.lists(st.integers(min_value=1, max_value=len(labels)), max_size=3))
-    bounds = sorted({0, len(labels), *cuts})
-    paths = tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return crossings, paths
-
-
 @settings(max_examples=400, deadline=None)
-@given(_random_codes())
+@given(random_codes())
 def test_shared_walk_matches_both_references_on_random_codes(code):
     _agree(*code)
 

@@ -21,6 +21,7 @@ from satkit.errors import DomainError
 from satkit.invariants import alexander_poly, determinant, equal_up_to_units
 from satkit.patterns import patterns_equal, satellite, winding_number
 from satkit.stringlinks import (
+    BandSpec,
     InfectionOperator,
     StringLink,
     as_pattern,
@@ -194,6 +195,14 @@ def test_fuse_w23_reduction():
     assert winding_number(p) == 1
     assert p.base.is_knot()
     assert embedding_genus(p.base) == 0
+
+
+def test_band_on_a_missing_edge_is_a_domain_error():
+    op = w23()
+    band = default_band_plan(op)[0]
+    for spec in (BandSpec(99, band.edge_high), BandSpec(band.edge_low, 99)):
+        with pytest.raises(DomainError, match="no edge labelled 99"):
+            fuse(op, [spec])
 
 
 def test_reduce_to_pattern_gcd_check():
