@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram, connected_sum, mirror, unknot
+from .diagram import Diagram, connected_sum, insert_kink, insert_poke, mirror, unknot
 from .errors import DomainError
 from .patterns import Pattern
-from .wires import Builder, braid, insert_kink, insert_poke
+from .wires import Builder, braid
 
 
 def braid_permutation(strands, word):

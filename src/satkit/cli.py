@@ -66,18 +66,17 @@ def _report(args, inputs, outputs, stats=None):
     return rep
 
 
-def _emit(rep, args, stream=None):
-    stream = stream or sys.stdout
+def _emit(rep, args):
     rep = dict(rep)
     rep["timing_ms"] = int((time.perf_counter() - args._t0) * 1000)
     if args.format == "structured":
-        print(json.dumps(rep, sort_keys=True, indent=2), file=stream)
+        print(json.dumps(rep, sort_keys=True, indent=2))
     else:
         for key, value in rep["outputs"].items():
-            print(f"{key}: {value}", file=stream)
+            print(f"{key}: {value}")
         if rep["stats"]:
             for key, value in sorted(rep["stats"].items()):
-                print(f"# {key}: {value}", file=stream)
+                print(f"# {key}: {value}")
 
 
 def _load(path, want=None):
@@ -219,7 +218,7 @@ def cmd_surgery_zero(args):
 def cmd_surgery_pipeline(args):
     p = _load(args.pattern, Pattern)
     k = _load(args.companion, Diagram)
-    trace = build_pipeline(p, k, simplify_effort=args.effort)
+    trace = build_pipeline(p, k)
     outputs = {
         "final": formats.serialize_framed_link(trace.final),
         "diagram_certificate": trace.diagram_certificate,
@@ -378,7 +377,6 @@ def cmd_corpus(args):
 def build_parser():
     top = argparse.ArgumentParser(prog="satkit", description=__doc__)
     top.add_argument("--limit", type=int, default=10**6, help="coset enumeration limit")
-    top.add_argument("--effort", type=int, default=None, help="simplification move budget")
     top.add_argument("--format", choices=("text", "structured"), default="text")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -380,6 +380,8 @@ def canonical(d: Diagram) -> Diagram:
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     """Equality up to edge renumbering and cycle rotation (not isotopy)."""
+    if (d1.crossings, d1.components) == (d2.crossings, d2.components):
+        return True
     if len(d1.crossings) != len(d2.crossings):
         return False
     if tuple(len(c) for c in d1.components) != tuple(len(c) for c in d2.components):
@@ -412,8 +414,7 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None, e2: int | Non
     tail_b, head_b = b1.cut(wb)
     b1.join(tail_a, head_b)
     b1.join(tail_b, head_a)
-    seed = b1.any_wire()
-    out, _ = b1.to_diagram([(seed, True)])
+    out, _ = b1.to_diagram([(next(iter(b1.wires)), True)])
     return out
 
 
@@ -496,24 +497,53 @@ def embedding_genus(d: Diagram) -> int:
 
 
 class _Splice:
-    """Crossing deletion on a crossing code, shared by Reidemeister
-    reduction and component deletion.
+    """The one editor for local moves on a crossing code: Reidemeister
+    reduction and insertion, and component deletion.
 
-    Holds the crossings as label lists, the occurrence map (label -> its
-    (crossing, slot) occurrences; empty for a free loop) and the fixed
-    signs.  A crossing is deleted by clearing its ``live`` flag; it keeps
-    its labels until its slots are joined, so joins through two deleted
-    crossings may come in any order.
+    Holds the crossings and component cycles as label lists, the
+    occurrence map (label -> its (crossing, slot) occurrences; empty for a
+    free loop) and the signs.  A crossing is deleted by clearing its
+    ``live`` flag; it keeps its labels until its slots are joined, so joins
+    through two deleted crossings may come in any order.
     """
 
     def __init__(self, d: Diagram):
         orient = _orient(d)
-        self.components = d.components
+        self.components = [list(c) for c in d.components]
         self.crossings = [list(x) for x in d.crossings]
         self.live = [True] * len(d.crossings)
         self.occ = _occurrences(d.crossings)
         self.occ.update((e, []) for e in orient.free)
-        self.signs = orient.signs
+        self.signs = list(orient.signs)
+
+    def _enters(self, slot):
+        return slot[1] in (0, 2 - self.signs[slot[0]])
+
+    def add(self, crossing, sign):
+        """A new crossing of the given sign, on labels freed by ``split``."""
+        for s, e in enumerate(crossing):
+            self.occ[e].append((len(self.crossings), s))
+        self.crossings.append(list(crossing))
+        self.live.append(True)
+        self.signs.append(sign)
+
+    def split(self, e, n):
+        """Cut edge ``e`` at ``n`` points; returns its n + 1 pieces in flow
+        order.  ``e`` keeps its tail and the last piece takes over its head
+        (on a free loop the last piece is ``e``); ``add`` places the rest."""
+        if e not in self.occ:
+            raise DomainError(f"no edge labelled {e}")
+        heads = [o for o in self.occ[e] if self._enters(o)]
+        start = max(self.occ) + 1
+        new = list(range(start, start + n - 1 + len(heads)))
+        cyc = next(c for c in self.components if e in c)
+        cyc[cyc.index(e) + 1:cyc.index(e) + 1] = new
+        self.occ.update((f, []) for f in new)
+        for ci, s in heads:
+            self.occ[e].remove((ci, s))
+            self.occ[new[-1]].append((ci, s))
+            self.crossings[ci][s] = new[-1]
+        return [e, *new] if heads else [e, *new, e]
 
     def delete_edge(self, e):
         del self.occ[e]
@@ -523,7 +553,7 @@ class _Splice:
         edge enters its deleted crossing and one where an edge leaves.  The
         entering edge keeps its label; the leaving edge's far occurrence
         takes it over.  An edge joined to itself becomes a free loop."""
-        if a[1] not in (0, 2 - self.signs[a[0]]):
+        if not self._enters(a):
             a, b = b, a
         keep, gone = self.crossings[a[0]][a[1]], self.crossings[b[0]][b[1]]
         self.occ[keep].remove(a)
@@ -534,9 +564,9 @@ class _Splice:
                 self.occ[keep].append((cj, t))
 
     def diagram(self, keep):
-        """The spliced code: live crossings in their old order, the surviving
-        edges of each component in ``keep`` numbered consecutively in cycle
-        order.  Returns (diagram, old label -> new label): an edge joined
+        """The edited code: live crossings in their old order (added ones
+        last), the surviving edges of each component in ``keep`` numbered
+        consecutively in cycle order.  Returns (diagram, old label -> new label): an edge joined
         away or deleted maps to the surviving edge that now runs where it
         ran, the nearest survivor before it along its cycle."""
         new, comps, n = {}, [], 0
@@ -613,3 +643,36 @@ def simplify(d: Diagram, effort: int | None = None) -> Diagram:
             sp.join(a, b)
         moves += 1
     return sp.diagram(range(len(d.components)))[0]
+
+
+def insert_kink(d: Diagram, edge: int, sign: int) -> Diagram:
+    """Reidemeister I insertion: a curl of sign +1 or -1 on ``edge``."""
+    if sign not in (1, -1):
+        raise DomainError(f"kink sign must be +1 or -1, got {sign}")
+    sp = _Splice(d)
+    a, loop, b = sp.split(edge, 2)
+    sp.add((a, loop, loop, b) if sign > 0 else (a, b, loop, loop), sign)
+    return sp.diagram(range(len(d.components)))[0]
+
+
+def insert_poke(d: Diagram, edge_under: int, edge_over: int) -> Diagram:
+    """Reidemeister II insertion: push ``edge_under`` beneath ``edge_over``.
+
+    The under-edge crosses at A, then at B, with opposite signs.  Of the
+    four bigon layouts (the over-edge runs through A first, then B first;
+    A negative, then positive) the first that keeps the embedding genus
+    of ``d`` is returned.  If none does, the two edges share no face.
+    """
+    if edge_under == edge_over:
+        raise DomainError("poke needs two distinct edges")
+    genus = embedding_genus(d)
+    for over_a_first, sign in ((True, -1), (True, 1), (False, -1), (False, 1)):
+        sp = _Splice(d)
+        (ua, um, ub), (oa, om, ob) = sp.split(edge_under, 2), sp.split(edge_over, 2)
+        at_a, at_b = ((oa, om), (om, ob)) if over_a_first else ((om, ob), (oa, om))
+        for (u_in, u_out), (o_in, o_out), sg in (((ua, um), at_a, sign), ((um, ub), at_b, -sign)):
+            sp.add((u_in, o_in, u_out, o_out) if sg > 0 else (u_in, o_out, u_out, o_in), sg)
+        out = sp.diagram(range(len(d.components)))[0]
+        if embedding_genus(out) == genus:
+            return out
+    raise DomainError(f"edges {edge_under} and {edge_over} share no face")

@@ -173,7 +173,7 @@ def closure(sl: StringLink) -> Diagram:
     the strand order, orientations those of the strands."""
     b, wmap = _to_builder(sl)
     _splice_terminals(b, sl.directions)
-    d, _ = b.to_diagram(b.seeds(wmap, sl.strands))
+    d, _ = b.to_diagram([(b.live(wmap[path[0]]), True) for path in sl.strands])
     return d
 
 

@@ -22,7 +22,6 @@ from .diagram import (
     crossing_signs,
     diagrams_equal,
     linking_number,
-    simplify,
     writhe,
     _orient,
 )
@@ -304,16 +303,15 @@ def _tied_with_pair(p: Pattern, k: Diagram) -> tuple[FramedLink, int, int]:
     return fl, 2, 1  # (framed link, small index, other index)
 
 
-def build_pipeline(p: Pattern, k: Diagram, simplify_effort: int | None = None) -> PipelineTrace:
+def build_pipeline(p: Pattern, k: Diagram) -> PipelineTrace:
     """Replay the surgery rewrite taking the split assembly to the
     zero-surgery on the satellite, certifying every stage's homology and
     the final diagram.
 
     Requires winding number +-1; every recorded stage has infinite cyclic
     first homology, and the final framed link is the zero surgery on the
-    satellite, certified both by diagram equality after reduction and by
-    the Alexander polynomial.  ``simplify_effort`` caps the reduction moves
-    used by the final comparison.
+    satellite, certified both by exact diagram equality (up to edge
+    renumbering, with no reduction) and by the Alexander polynomial.
     """
     n = winding_number(p)
     if n not in (1, -1):
@@ -344,9 +342,7 @@ def build_pipeline(p: Pattern, k: Diagram, simplify_effort: int | None = None) -
             raise DomainError(f"stage {name} has first homology {group}, expected Z")
 
     target = zero_surgery(satellite(p, k))
-    diagram_ok = final.framings == target.framings and diagrams_equal(
-        simplify(final.diagram, simplify_effort), simplify(target.diagram, simplify_effort)
-    )
+    diagram_ok = framed_links_equal(final, target)
     alexander_ok = equal_up_to_units(
         alexander_poly(final.diagram), alexander_poly(target.diagram)
     )

@@ -4,15 +4,15 @@ The Builder only assembles: connected sums, cabling a strand into parallel
 copies, twist regions, band connectors, tying strands into a companion
 tangle, and encircling a bundle with a round curve.  ``Diagram`` stays
 immutable; operations pull a diagram into a ``Builder``, append crossings
-and splice wires, and walk the result back out.  Deleting crossings
-(Reidemeister reduction, component deletion) splices the crossing code
+and splice wires, and walk the result back out.  Local moves (Reidemeister
+reduction and insertion, component deletion) edit the crossing code
 itself, in ``diagram._Splice``.
 
 Call sites share one vocabulary of ``Builder`` methods: ``from_diagram``
 and ``from_code`` import a crossing code; ``cut``, ``join`` and ``fuse``
-split and splice wires; ``seeds`` picks the first surviving wire of each
-component to walk out from; ``to_diagram``/``to_tangle`` walk the result
-back out.  ``braid`` lays out a braid word on fresh strands.
+split and splice wires; ``to_diagram``/``to_tangle`` walk the result
+back out from one seed wire per component.  ``braid`` lays out a braid
+word on fresh strands.
 
 Conventions
 -----------
@@ -60,9 +60,6 @@ class Builder:
         while w in self._alias:
             w = self._alias[w]
         return w
-
-    def any_wire(self):
-        return next(iter(self.wires))
 
     def is_loop(self, w):
         return self.wires[self.live(w)][0] == LOOP
@@ -203,11 +200,6 @@ class Builder:
     def join(self, tail_piece, head_piece):
         """Flow-coherent fuse: out of ``tail_piece`` into ``head_piece``."""
         return self.fuse((tail_piece, 1), (head_piece, 0))
-
-    def seeds(self, wmap, cycles):
-        """Walk seeds for ``to_diagram``: the live wire of each cycle's
-        first edge label, mapped through ``wmap``, walked forward."""
-        return [(self.live(wmap[cyc[0]]), True) for cyc in cycles]
 
     # -- walking back out ------------------------------------------------
 
@@ -572,44 +564,3 @@ def encircle(b: Builder, targets, over_first=True):
     b.join(last, first)
     return b.live(first)
 
-
-# -- local moves ------------------------------------------------------------
-
-
-def insert_kink(d, edge, sign):
-    """Reidemeister I insertion on the given edge."""
-    b, wmap = Builder.from_diagram(d)
-    w_in, w_out = b.cut(wmap[edge])
-    loop = b.fresh()
-    if sign > 0:
-        b.add_crossing(w_in, loop, loop, w_out, over_entry=1)
-    else:
-        b.add_crossing(w_in, w_out, loop, loop, over_entry=3)
-    out, _ = b.to_diagram(b.seeds(wmap, d.components))
-    return out
-
-
-def insert_poke(d, edge_under, edge_over):
-    """Reidemeister II insertion: push ``edge_under`` beneath ``edge_over``."""
-    b, wmap = Builder.from_diagram(d)
-    if b.live(wmap[edge_under]) == b.live(wmap[edge_over]):
-        raise DomainError("poke needs two distinct edges")
-    if b.is_loop(wmap[edge_under]):
-        opened, _ = b.cut(wmap[edge_under])
-        ua, um = b.cut(opened)
-        ub = ua  # the outer arc of the poked loop closes back on itself
-    else:
-        ua, rest = b.cut(wmap[edge_under])
-        um, ub = b.cut(rest)
-    if b.is_loop(wmap[edge_over]):
-        opened, _ = b.cut(wmap[edge_over])
-        oa, om = b.cut(opened)
-        ob = oa
-    else:
-        oa, rest = b.cut(wmap[edge_over])
-        om, ob = b.cut(rest)
-    # two cancelling crossings: under-strand passes beneath the over edge
-    b.add_crossing(ua, om, um, oa, over_entry=3)
-    b.add_crossing(um, om, ub, ob, over_entry=1)
-    out, _ = b.to_diagram(b.seeds(wmap, d.components))
-    return out

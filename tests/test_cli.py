@@ -1,4 +1,7 @@
+import argparse
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -12,7 +15,7 @@ from satkit.catalog import (
     winding_two_three_operator,
     zigzag_pattern,
 )
-from satkit.cli import run
+from satkit.cli import build_parser, run
 from satkit.diagram import unknot
 from satkit.patterns import Pattern, misframed_satellite
 
@@ -410,3 +413,22 @@ def test_builder_invariant_failure_is_internal(files, capsys, monkeypatch):
     code = run(["invariants", files["trefoil.pd"]])
     assert code == 3
     assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_readme_names_every_option_and_command():
+    # README's synopsis and command list are read back against the parser,
+    # so a removed flag or command cannot linger in the docs
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    parser = build_parser()
+    synopsis = re.search(r"^satkit (.*) COMMAND \.\.\.$", readme, re.M).group(1)
+    options = {a.option_strings[-1] for a in parser._actions if a.option_strings and a.dest != "help"}
+    assert set(re.findall(r"\[(--[\w-]+)", synopsis)) == options
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    block = readme.split("Commands:", 1)[1].split("\nExit codes", 1)[0]
+    named = {
+        span.split()[0]
+        for line in block.splitlines()
+        if line.startswith("- ")
+        for span in re.findall(r"`([^`]+)`", line.split(" — ")[0])
+    }
+    assert named == set(commands.choices)

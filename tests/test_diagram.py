@@ -25,6 +25,8 @@ from satkit.diagram import (
     crossing_signs,
     diagrams_equal,
     embedding_genus,
+    insert_kink,
+    insert_poke,
     linking_number,
     mirror,
     reverse,
@@ -36,7 +38,6 @@ from satkit.diagram import (
 from satkit.errors import DomainError, ValidationError
 from satkit.patterns import Pattern, _pattern_key
 from satkit.stringlinks import closure, infect, parallel, string_link_from_braid
-from satkit.wires import insert_kink, insert_poke
 
 
 @pytest.mark.parametrize("build", [braid_closure, pattern_from_braid, string_link_from_braid])
@@ -156,7 +157,23 @@ def test_poke_and_simplify():
     p = insert_poke(t, 1, 4)
     assert p.crossing_count == 5
     assert writhe(p, 0) == 3
+    assert embedding_genus(p) == 0
     assert diagrams_equal(simplify(p), t)
+
+
+def test_bad_move_arguments_are_domain_errors():
+    t = trefoil()
+    for move in (
+        lambda: insert_kink(t, 99, 1),
+        lambda: insert_poke(t, 99, 1),
+        lambda: insert_poke(t, 1, 99),
+    ):
+        with pytest.raises(DomainError, match="no edge labelled 99"):
+            move()
+    with pytest.raises(DomainError, match="kink sign"):
+        insert_kink(t, 1, 0)
+    with pytest.raises(DomainError, match="two distinct edges"):
+        insert_poke(t, 1, 1)
 
 
 def test_simplify_kinked_unknot():
@@ -231,7 +248,7 @@ def test_simplify_preserves_invariants_on_corpus():
             try:
                 inflated = insert_poke(inflated, e1, e2)
             except DomainError:
-                pass  # the two edges are one wire: "poke needs two distinct edges"
+                pass  # the two edges share no face
         s = simplify(inflated)
         assert alexander_poly(s) == alexander_poly(d)
         assert determinant(s) == determinant(d)

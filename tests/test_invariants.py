@@ -13,7 +13,16 @@ from satkit.catalog import (
     torus_knot,
     trefoil,
 )
-from satkit.diagram import connected_sum, mirror, relabeled, reverse, simplify, unknot
+from satkit.diagram import (
+    connected_sum,
+    insert_kink,
+    insert_poke,
+    mirror,
+    relabeled,
+    reverse,
+    simplify,
+    unknot,
+)
 from satkit.errors import DomainError
 from satkit.groups import wirtinger
 from satkit.invariants import (
@@ -26,7 +35,6 @@ from satkit.invariants import (
     laurent_det_up_to_units,
 )
 from satkit.patterns import satellite
-from satkit.wires import insert_kink, insert_poke
 
 
 def lp(*coeffs):

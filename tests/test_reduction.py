@@ -1,14 +1,19 @@
-"""Reidemeister reduction and component deletion on the crossing code.
+"""Local moves on the crossing code: Reidemeister reduction and
+insertion, and component deletion.
 
-``simplify`` and ``component_subdiagram`` splice the immutable crossing
-code (``diagram._Splice``).  They used to run on the mutable
-``wires.Builder``, setting deleted crossings to ``None`` and fusing wires
-through a ``reconnect`` method; that path is kept below as the reference.
-On planar input ``simplify`` must give the same raw code (crossings and
-component cycles) at every budget, and component deletion the same
-diagram up to renumbering for every proper subset of components.  On non-planar
-input the reference could write into a deleted crossing and raise
-``TypeError``; the splice must return a diagram everywhere.
+``simplify``, ``insert_kink``, ``insert_poke`` and ``component_subdiagram``
+edit the immutable crossing code (``diagram._Splice``).  They used to run on
+the mutable ``wires.Builder``, setting deleted crossings to ``None`` and
+fusing wires through a ``reconnect`` method, and cutting wires to insert
+crossings; that path is kept below as the reference.  On planar input
+``simplify`` must give the same raw code (crossings and component cycles)
+at every budget, and component deletion the same diagram up to
+renumbering for every proper subset of components.  On non-planar input
+the reference could write into a deleted crossing and raise
+``TypeError``; the splice must return a diagram everywhere.  Every kink
+must be raw-identical to the reference.  The reference poke never checks
+that its two edges share a face, so it also generates the non-planar
+inputs; the editor's poke must match it wherever it keeps the genus.
 """
 
 import itertools
@@ -34,12 +39,15 @@ from satkit.diagram import (
     component_subdiagram,
     diagrams_equal,
     embedding_genus,
+    insert_kink,
+    insert_poke,
     simplify,
 )
 from satkit.errors import DomainError
+from satkit.invariants import alexander_poly
 from satkit.patterns import satellite, to_link
 from satkit.surgery import build_pipeline
-from satkit.wires import LOOP, Builder, insert_kink, insert_poke
+from satkit.wires import LOOP, Builder
 
 # -- reference: the Builder path the splice replaced ---------------------------
 
@@ -194,11 +202,98 @@ def _reference_reduce(d, effort=None):
     return b.walk_out(seeds)
 
 
+def _seeds(b, wmap, cycles):
+    return [(b.live(wmap[cyc[0]]), True) for cyc in cycles]
+
+
 def _reference_subdiagram(d, keep):
     b, wmap = _ReferenceBuilder.from_diagram(d)
     comp = _orient(d).edge_component
     b.remove_edges({wmap[e] for e, c in comp.items() if c not in keep})
-    return b.walk_out(b.seeds(wmap, [d.components[c] for c in sorted(keep)]))
+    return b.walk_out(_seeds(b, wmap, [d.components[c] for c in sorted(keep)]))
+
+
+def _reference_kink(d, edge, sign):
+    b, wmap = Builder.from_diagram(d)
+    w_in, w_out = b.cut(wmap[edge])
+    loop = b.fresh()
+    if sign > 0:
+        b.add_crossing(w_in, loop, loop, w_out, over_entry=1)
+    else:
+        b.add_crossing(w_in, w_out, loop, loop, over_entry=3)
+    out, _ = b.to_diagram(_seeds(b, wmap, d.components))
+    return out
+
+
+def _poke_layouts(ua, um, ub, oa, om, ob):
+    """The four bigons, as (crossing, over entry) at A and at B, in the
+    order ``insert_poke`` tries them.  The first is the old poke's."""
+    return [
+        (((ua, om, um, oa), 3), ((um, om, ub, ob), 1)),  # over through A first, A negative
+        (((ua, oa, um, om), 1), ((um, ob, ub, om), 3)),  # over through A first, A positive
+        (((ua, ob, um, om), 3), ((um, oa, ub, om), 1)),  # over through B first, A negative
+        (((ua, om, um, ob), 1), ((um, om, ub, oa), 3)),  # over through B first, A positive
+    ]
+
+
+def _reference_poke(d, edge_under, edge_over, layout=0):
+    """The old poke, which never checked that the edges share a face."""
+    b, wmap = Builder.from_diagram(d)
+    if b.live(wmap[edge_under]) == b.live(wmap[edge_over]):
+        raise DomainError("poke needs two distinct edges")
+    if b.is_loop(wmap[edge_under]):
+        opened, _ = b.cut(wmap[edge_under])
+        ua, um = b.cut(opened)
+        ub = ua  # the outer arc of the poked loop closes back on itself
+    else:
+        ua, rest = b.cut(wmap[edge_under])
+        um, ub = b.cut(rest)
+    if b.is_loop(wmap[edge_over]):
+        opened, _ = b.cut(wmap[edge_over])
+        oa, om = b.cut(opened)
+        ob = oa
+    else:
+        oa, rest = b.cut(wmap[edge_over])
+        om, ob = b.cut(rest)
+    for x, entry in _poke_layouts(ua, um, ub, oa, om, ob)[layout]:
+        b.add_crossing(*x, over_entry=entry)
+    out, _ = b.to_diagram(_seeds(b, wmap, d.components))
+    return out
+
+
+def _share_face(d, u, v):
+    """Whether edges ``u`` and ``v`` can meet in one face: they lie on
+    different connected pieces (a free loop is a piece of its own), or
+    some face of the combinatorial map runs along both.  A face is traced
+    by running along an edge to its other occurrence and turning to the
+    next slot counterclockwise."""
+    where = {}
+    for ci, x in enumerate(d.crossings):
+        for s, e in enumerate(x):
+            where.setdefault(e, []).append((ci, s))
+    piece = {}
+    for start in range(len(d.crossings)):
+        stack = [start]
+        while stack:
+            ci = stack.pop()
+            if ci not in piece:
+                piece[ci] = start
+                stack.extend(cj for e in d.crossings[ci] for cj, _ in where[e])
+    if u not in where or v not in where or piece[where[u][0][0]] != piece[where[v][0][0]]:
+        return True
+    seen = set()
+    for dart in where[u]:
+        face, cur = set(), dart
+        while cur not in seen:
+            seen.add(cur)
+            e = d.crossings[cur[0]][cur[1]]
+            face.add(e)
+            a, b = where[e]
+            ci, s = b if a == cur else a
+            cur = (ci, (s + 1) % 4)
+        if v in face:
+            return True
+    return False
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -215,10 +310,10 @@ def _random_inflated(rng):
     d = braid_closure(strands, word)
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
-            d = insert_kink(d, rng.choice(d.edges()), rng.choice([1, -1]))
+            d = _reference_kink(d, rng.choice(d.edges()), rng.choice([1, -1]))
         else:
             try:
-                d = insert_poke(d, *rng.sample(d.edges(), 2))
+                d = _reference_poke(d, *rng.sample(d.edges(), 2))
             except DomainError:
                 pass  # the two edges are one wire
     return d
@@ -236,7 +331,8 @@ def _inputs():
     return out
 
 
-# pokes between edges that share no face make some inputs non-planar
+# the reference's pokes between edges that share no face make some inputs
+# non-planar
 INPUTS = _inputs()
 PLANAR = [d for d in INPUTS if embedding_genus(d) == 0]
 NON_PLANAR = [d for d in INPUTS if embedding_genus(d) > 0]
@@ -259,6 +355,65 @@ def test_component_deletion_matches_builder_reference():
         for r in range(d.component_count):
             for keep in itertools.combinations(range(d.component_count), r):
                 assert diagrams_equal(component_subdiagram(d, keep), _reference_subdiagram(d, keep))
+
+
+# -- insertion -------------------------------------------------------------------
+
+
+def test_kinks_match_builder_reference():
+    for d in INPUTS:
+        for e in d.edges():
+            for sign in (1, -1):
+                assert _raw(insert_kink(d, e, sign)) == _raw(_reference_kink(d, e, sign))
+
+
+def _check_poke(d, u, v):
+    """The editor's poke against the reference layouts and the face walk;
+    returns the index of the layout used, or None where it raised."""
+    genus = embedding_genus(d)
+    keeping = [i for i in range(4) if embedding_genus(_reference_poke(d, u, v, i)) == genus]
+    assert bool(keeping) == _share_face(d, u, v)
+    if not keeping:
+        with pytest.raises(DomainError, match="share no face"):
+            insert_poke(d, u, v)
+        return None
+    out = insert_poke(d, u, v)
+    assert _raw(out) == _raw(_reference_poke(d, u, v, keeping[0]))
+    assert embedding_genus(out) == genus
+    assert out.crossing_count == d.crossing_count + 2
+    assert out.component_count == d.component_count
+    # the Fox-calculus polynomial drops one Wirtinger relation, which is
+    # redundant only on a planar code: on a virtual one R2 can change it
+    if d.is_knot() and genus == 0:
+        assert alexander_poly(out) == alexander_poly(d)
+    return keeping[0]
+
+
+def test_pokes_match_builder_reference():
+    # corpus knots, then links, pattern forms, pipeline stages and the
+    # reference's own inflated closures, planar or not
+    rng = random.Random(3)
+    used = []
+    for d in INPUTS:
+        pairs = list(itertools.permutations(d.edges(), 2))
+        for u, v in rng.sample(pairs, min(len(pairs), 10)):
+            used.append(_check_poke(d, u, v))
+    # every layout comes first somewhere, and many pairs share no face
+    assert set(used) == {0, 1, 2, 3, None}
+    assert min(used.count(i) for i in range(4)) >= 100 and used.count(None) >= 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_codes())
+def test_insertion_on_any_valid_code(code):
+    d = Diagram(*code)
+    rng = random.Random(len(d.edges()))
+    for e in d.edges():
+        for sign in (1, -1):
+            assert _raw(insert_kink(d, e, sign)) == _raw(_reference_kink(d, e, sign))
+    pairs = list(itertools.permutations(d.edges(), 2))
+    for u, v in rng.sample(pairs, min(len(pairs), 8)):
+        _check_poke(d, u, v)
 
 
 # -- non-planar codes ------------------------------------------------------------

@@ -8,6 +8,8 @@ from satkit.catalog import (
     cable_pattern,
     clasp_pattern,
     core_pattern,
+    corpus_knots,
+    corpus_patterns,
     figure_eight,
     hopf_link,
     kink_base_pattern,
@@ -16,10 +18,10 @@ from satkit.catalog import (
     wiggle_base_pattern,
     zigzag_pattern,
 )
-from satkit.diagram import diagrams_equal, embedding_genus, simplify, unknot
+from satkit.diagram import Diagram, diagrams_equal, embedding_genus, relabeled, simplify, unknot
 from satkit.errors import DomainError
 from satkit.invariants import alexander_poly, equal_up_to_units
-from satkit.patterns import satellite
+from satkit.patterns import Pattern, satellite, winding_number
 from satkit.surgery import (
     BandArc,
     FramedLink,
@@ -161,7 +163,7 @@ def test_slam_dunk_rejects_nonzero_framing():
 def test_slam_dunk_rejects_linking_zero():
     # a circle poked under the partner crosses it twice with opposite
     # signs: not a meridian
-    from satkit.wires import insert_poke
+    from satkit.diagram import insert_poke
 
     d = insert_poke(braid_closure(3, [1, 1]), 5, 1)
     fl = FramedLink(d, (0,) * d.component_count)
@@ -189,6 +191,38 @@ def test_pipeline_core_unknot_degenerates():
     )
     assert trace.diagram_certificate
     assert trace.alexander_certificate
+
+
+def _relabelled(d, rng):
+    """``d`` with every cycle rotated and its edges renumbered at random;
+    returns the copy and the old -> new label map."""
+    cycles = []
+    for cyc in d.components:
+        k = rng.randrange(len(cyc))
+        cycles.append(cyc[k:] + cyc[:k])
+    mapping = dict(zip(d.edges(), rng.sample(range(1, 4 * len(d.edges()) + 1), len(d.edges()))))
+    return relabeled(Diagram(d.crossings, cycles, d.names), mapping), mapping
+
+
+def test_pipeline_final_stage_is_the_satellite_exactly():
+    # the diagram certificate compares the final stage with the target
+    # unreduced: they must agree up to renumbering, not just after R1/R2
+    rng = random.Random(17)
+    cases = 0
+    for _, p in corpus_patterns():
+        if winding_number(p) not in (1, -1):
+            continue
+        for _, k in corpus_knots():
+            base, m = _relabelled(p.base, rng)
+            shuffled = Pattern(base, tuple((m[e], s) for e, s in p.cut))
+            for pattern, companion in ((p, k), (shuffled, _relabelled(k, rng)[0])):
+                trace = build_pipeline(pattern, companion)
+                target = zero_surgery(satellite(pattern, companion))
+                assert trace.final.framings == target.framings
+                assert diagrams_equal(trace.final.diagram, target.diagram)
+                assert trace.diagram_certificate and trace.alexander_certificate
+            cases += 1
+    assert cases == 132
 
 
 def test_pipeline_core_trefoil():
