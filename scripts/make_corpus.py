@@ -30,16 +30,16 @@ def main():
 
     for name, d in corpus_knots()[: args.max_knots]:
         safe = name.replace("(", "").replace(")", "").replace(",", "-")
-        (out / f"{safe}.pd").write_text(formats.serialize_diagram(d) + "\n")
+        (out / f"{safe}.pd").write_text(formats.serialize(d) + "\n")
     for name, p in corpus_patterns():
         safe = name.replace("(", "").replace(")", "").replace(",", "-")
-        (out / f"{safe}.pat").write_text(formats.serialize_pattern(p) + "\n")
+        (out / f"{safe}.pat").write_text(formats.serialize(p) + "\n")
 
     p, k = cable_pattern(2, 3), trefoil()
-    fixture = formats.satellite_fixture_to_obj(p, k, satellite(p, k))
+    fixture = formats.to_obj((p, k, satellite(p, k)))
     (out / "cable23-trefoil.json").write_text(json.dumps(fixture, indent=2) + "\n")
     if args.with_bad:
-        bad = formats.satellite_fixture_to_obj(p, k, misframed_satellite(p, k))
+        bad = formats.to_obj((p, k, misframed_satellite(p, k)))
         (out / "misframed.json").write_text(json.dumps(bad, indent=2) + "\n")
     print(f"wrote corpus to {out}")
 

@@ -2,25 +2,31 @@
 
 Every subcommand prints a schema-versioned report on standard output
 (plain text by default, JSON with ``--format structured``) and uses exit
-code 0 for success, 1 for domain errors, 2 for parse and usage errors
-and 3 for internal errors (a broken invariant inside satkit, not a fault
-of the input).  Reports are deterministic for fixed inputs and flags; the timing
-field is excluded from the report digest.
+code 0 for success, 1 for domain errors and unreadable paths, 2 for parse
+and usage errors and 3 for internal errors (a broken invariant inside
+satkit, not a fault of the input).  Reports are deterministic for fixed
+inputs and flags; the timing field is excluded from the report digest.
+
+Each subcommand is one ``Command``: its input files, its operation and
+its report fields.  ``_execute`` is the one path they all take: it loads
+the inputs, runs the operation, writes ``-o`` and builds the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import pathlib
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 from . import formats
 from .diagram import Diagram
 from .errors import DomainError, InternalError, ParseError, SatkitError
-from .groups import strong_winding_check
+from .groups import cut_loop_word, strong_winding_check, word_to_text
 from .invariants import alexander_poly, determinant, satellite_formula_report
 from .patterns import (
     Pattern,
@@ -43,23 +49,37 @@ from .stringlinks import (
     winding_gcd,
     winding_vector,
 )
-from .surgery import build_pipeline, zero_surgery
+from .surgery import build_pipeline, h1, zero_surgery
 from . import suites as suites_mod
 
 SCHEMA = "satkit-report/1"
+
+
+class Command(NamedTuple):
+    """A subcommand.  ``run`` takes the parsed arguments and the loaded
+    inputs.  With ``output`` or ``fields`` set, it returns one object: the
+    report holds that object serialized under ``output`` (which ``-o``
+    writes), then ``fields(object)``.  With neither, ``run`` returns the
+    report's (outputs, stats, exit code) itself."""
+
+    inputs: tuple  # (positional name, accepted type or types), one per input file
+    run: Callable
+    output: Optional[str] = None
+    fields: Optional[Callable] = None
+    options: tuple = ()  # further (flags, keywords) for argparse
 
 
 def _digest_file(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _report(args, inputs, outputs, stats=None):
+def _report(args, inputs, outputs, stats):
     rep = {
         "schema": SCHEMA,
         "command": args._argv,
         "inputs": {str(p): _digest_file(p) for p in inputs},
         "outputs": outputs,
-        "stats": stats or {},
+        "stats": stats,
     }
     body = json.dumps(rep, sort_keys=True)
     rep["digest"] = hashlib.sha256(body.encode()).hexdigest()[:16]
@@ -74,100 +94,55 @@ def _emit(rep, args):
     else:
         for key, value in rep["outputs"].items():
             print(f"{key}: {value}")
-        if rep["stats"]:
-            for key, value in sorted(rep["stats"].items()):
-                print(f"# {key}: {value}")
+        for key, value in sorted(rep["stats"].items()):
+            print(f"# {key}: {value}")
 
 
-def _load(path, want=None):
+def _load(path, want):
     obj = formats.load_path(path)
-    if want is not None and not isinstance(obj, want):
+    if not isinstance(obj, want):
         names = want.__name__ if isinstance(want, type) else "/".join(t.__name__ for t in want)
         raise DomainError(f"{path} holds {type(obj).__name__}, expected {names}")
     return obj
 
 
-def _write_out(obj, path):
-    if path is None:
-        return
-    if str(path).endswith(".json"):
-        text = json.dumps(formats.to_obj(obj), sort_keys=True, indent=2)
+def _execute(args, command, paths=None):
+    """Load the inputs, run the command, write ``-o``; return the report
+    and the exit code."""
+    if paths is None:
+        paths = [getattr(args, name) for name, _ in command.inputs]
+    loaded = [_load(path, want) for path, (_, want) in zip(paths, command.inputs)]
+    result = command.run(args, *loaded)
+    if command.output is None and command.fields is None:
+        outputs, stats, code = result
     else:
-        text = formats.serialize(obj)
-    pathlib.Path(path).write_text(text + "\n")
+        outputs, stats, code = {}, {}, 0
+        if command.output:
+            outputs[command.output] = text = formats.serialize(result)
+            if args.output is not None:
+                if str(args.output).endswith(".json"):
+                    text = json.dumps(formats.to_obj(result), sort_keys=True, indent=2)
+                pathlib.Path(args.output).write_text(text + "\n")
+        if command.fields:
+            outputs.update(command.fields(result))
+    return _report(args, paths, outputs, stats), code
 
 
-# -- subcommand handlers ---------------------------------------------------------
+# -- subcommands -------------------------------------------------------------------
 
 
-def cmd_satellite(args):
-    p = _load(args.pattern, Pattern)
-    k = _load(args.companion, Diagram)
-    out = satellite(p, k)
-    _write_out(out, args.output)
-    return _report(args, [args.pattern, args.companion], {
-        "satellite": formats.serialize_diagram(out),
-        "crossings": out.crossing_count,
-    })
+def _pattern_fields(p):
+    return {"winding": winding_number(p)}
 
 
-def cmd_compose(args):
-    p = _load(args.pattern, Pattern)
-    k = _load(args.companion, Diagram)
-    out = compose(p, k)
-    _write_out(out, args.output)
-    return _report(args, [args.pattern, args.companion], {
-        "pattern": formats.serialize_pattern(out),
-        "winding": winding_number(out),
-    })
+def _link(s):
+    return s.link if isinstance(s, InfectionOperator) else s
 
 
-def cmd_winding(args):
-    p = _load(args.pattern, Pattern)
-    return _report(args, [args.pattern], {
-        "winding": winding_number(p),
-        "strands": p.strand_count,
-    })
-
-
-def cmd_pattern_r(args):
-    p = _load(args.pattern, Pattern)
-    k = _load(args.companion, Diagram)
-    out = difference_pattern(p, k)
-    _write_out(out, args.output)
-    return _report(args, [args.pattern, args.companion], {
-        "pattern": formats.serialize_pattern(out),
-        "winding": winding_number(out),
-    })
-
-
-def cmd_to_link(args):
-    p = _load(args.pattern, Pattern)
-    out = to_link(p)
-    _write_out(out, args.output)
-    return _report(args, [args.pattern], {"link": formats.serialize_diagram(out)})
-
-
-def cmd_from_link(args):
-    d = _load(args.link, Diagram)
-    out = from_link(d, args.circle)
-    _write_out(out, args.output)
-    return _report(args, [args.link], {
-        "pattern": formats.serialize_pattern(out),
-        "winding": winding_number(out),
-    })
-
-
-def cmd_strong_winding(args):
-    from .groups import cut_loop_word, word_to_text
-
-    p = _load(args.pattern, Pattern)
+def cmd_strong_winding(args, p):
     res = strong_winding_check(p, limit=args.limit)
     pres = res.wirtinger_presentation
-    return _report(args, [args.pattern], {
-        "outcome": res.outcome,
-        "cut_word": word_to_text(cut_loop_word(p)),
-    }, stats={
+    stats = {
         "cosets_used": res.enumeration.cosets_used,
         "limit": res.enumeration.limit,
         "enumeration": res.enumeration.outcome,
@@ -175,52 +150,27 @@ def cmd_strong_winding(args):
         "relators": len(pres.relators),
         "enumerated_generators": res.presentation.generator_count,
         "enumerated_relators": len(res.presentation.relators),
-    })
+    }
+    return {"outcome": res.outcome, "cut_word": word_to_text(cut_loop_word(p))}, stats, 0
 
 
-def cmd_invariants(args):
-    d = _load(args.diagram, Diagram)
+def cmd_invariants(args, d):
     if not d.is_knot():
         raise DomainError("invariants are computed for knot diagrams")
     poly = alexander_poly(d)
-    return _report(args, [args.diagram], {
-        "alexander": repr(poly),
-        "determinant": determinant(d),
-        "crossings": d.crossing_count,
-    })
+    return {"alexander": repr(poly), "determinant": determinant(d), "crossings": d.crossing_count}, {}, 0
 
 
-def cmd_check_satellite_formula(args):
-    p = _load(args.pattern, Pattern)
-    k = _load(args.companion, Diagram)
+def cmd_check_satellite_formula(args, p, k):
     rep = satellite_formula_report(p, k)
-    out = _report(args, [args.pattern, args.companion], {
-        "equal_up_to_units": rep["equal_up_to_units"],
-        "lhs": repr(rep["lhs"]),
-        "rhs": repr(rep["rhs"]),
-    })
-    out["_exit"] = 0 if rep["equal_up_to_units"] else 1
-    return out
+    ok = rep["equal_up_to_units"]
+    return {"equal_up_to_units": ok, "lhs": repr(rep["lhs"]), "rhs": repr(rep["rhs"])}, {}, 0 if ok else 1
 
 
-def cmd_surgery_zero(args):
-    k = _load(args.knot, Diagram)
-    fl = zero_surgery(k)
-    _write_out(fl, args.output)
-    from .surgery import h1
-
-    return _report(args, [args.knot], {
-        "framed_link": formats.serialize_framed_link(fl),
-        "h1": str(h1(fl)),
-    })
-
-
-def cmd_surgery_pipeline(args):
-    p = _load(args.pattern, Pattern)
-    k = _load(args.companion, Diagram)
+def cmd_surgery_pipeline(args, p, k):
     trace = build_pipeline(p, k)
     outputs = {
-        "final": formats.serialize_framed_link(trace.final),
+        "final": formats.serialize(trace.final),
         "diagram_certificate": trace.diagram_certificate,
         "alexander_certificate": trace.alexander_certificate,
         "stages": [name for name, _, _ in trace.stages],
@@ -229,84 +179,10 @@ def cmd_surgery_pipeline(args):
     }
     if args.emit_trace:
         outputs["trace"] = [
-            {"name": name, "framed_link": formats.framed_link_to_obj(fl), "h1": str(g)}
+            {"name": name, "framed_link": formats.to_obj(fl), "h1": str(g)}
             for name, fl, g in trace.stages
         ]
-    rep = _report(args, [args.pattern, args.companion], outputs)
-    rep["_exit"] = 0 if (trace.diagram_certificate and trace.alexander_certificate) else 1
-    return rep
-
-
-class _UsageError(Exception):
-    """A subcommand given too few inputs or a malformed option (exit 2)."""
-
-
-def _copy_vector(text):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        return None
-
-
-def cmd_slink(args):
-    sub = args.slink_command
-    takes_copies = sub in ("parallel", "reduce")
-    need = 2 if sub in ("stack", "infect") else 1
-    kvec = _copy_vector(args.copies) if takes_copies else ()
-    if len(args.inputs) < need or kvec is None:
-        copies = " --copies K1,K2,..." if takes_copies else ""
-        raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * need)}{copies}")
-    if sub == "stack":
-        s1 = _load(args.inputs[0], (StringLink, InfectionOperator))
-        s2 = _load(args.inputs[1], (StringLink, InfectionOperator))
-        s1 = s1.link if isinstance(s1, InfectionOperator) else s1
-        s2 = s2.link if isinstance(s2, InfectionOperator) else s2
-        out = stack(s1, s2)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {"string_link": formats.serialize_string_link(out)})
-    if sub == "closure":
-        s = _load(args.inputs[0], (StringLink, InfectionOperator))
-        s = s.link if isinstance(s, InfectionOperator) else s
-        out = closure(s)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {"link": formats.serialize_diagram(out)})
-    if sub == "infect":
-        op = _load(args.inputs[0], InfectionOperator)
-        k = _load(args.inputs[1], Diagram)
-        out = infect(op, k)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {"operator": formats.serialize_string_link(out)})
-    if sub == "winding":
-        op = _load(args.inputs[0], InfectionOperator)
-        return _report(args, args.inputs, {
-            "winding_vector": list(winding_vector(op)),
-            "winding_gcd": winding_gcd(op),
-        })
-    if sub == "parallel":
-        op = _load(args.inputs[0], InfectionOperator)
-        out = parallel(op, kvec)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {
-            "operator": formats.serialize_string_link(out),
-            "winding_vector": list(winding_vector(out)),
-        })
-    if sub == "fuse":
-        op = _load(args.inputs[0], InfectionOperator)
-        out = fuse(op)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {
-            "pattern": formats.serialize_pattern(out),
-            "winding": winding_number(out),
-        })
-    if sub == "reduce":
-        op = _load(args.inputs[0], InfectionOperator)
-        out = reduce_to_pattern(op, kvec)
-        _write_out(out, args.output)
-        return _report(args, args.inputs, {
-            "pattern": formats.serialize_pattern(out),
-            "winding": winding_number(out),
-        })
-    raise DomainError(f"unknown slink subcommand {sub}")
+    return outputs, {}, 0 if (trace.diagram_certificate and trace.alexander_certificate) else 1
 
 
 def _corpus_load(directory):
@@ -366,9 +242,75 @@ def cmd_corpus(args):
     }
     for name, why in skipped:
         print(f"warning: skipped {name}: {why}", file=sys.stderr)
-    rep = _report(args, [], outputs, stats)
-    rep["_exit"] = 0 if ok else 1
-    return rep
+    return outputs, stats, 0 if ok else 1
+
+
+class _UsageError(Exception):
+    """A subcommand given too few inputs or a malformed option (exit 2)."""
+
+
+_PATTERN, _COMPANION = ("pattern", Pattern), ("companion", Diagram)
+_LINK, _OPERATOR = ("input", (StringLink, InfectionOperator)), ("input", InfectionOperator)
+_OUT = (("-o", "--output"), {"default": None, "help": "write the primary output here"})
+
+SLINK = {
+    "stack": Command((_LINK, _LINK), lambda a, s1, s2: stack(_link(s1), _link(s2)), "string_link"),
+    "closure": Command((_LINK,), lambda a, s: closure(_link(s)), "link"),
+    "infect": Command((_OPERATOR, ("input", Diagram)), lambda a, op, k: infect(op, k), "operator"),
+    "winding": Command((_OPERATOR,), lambda a, op: op, None, lambda op: {
+        "winding_vector": list(winding_vector(op)), "winding_gcd": winding_gcd(op)}),
+    "parallel": Command((_OPERATOR,), lambda a, op: parallel(op, a.copy_vector), "operator",
+                        lambda op: {"winding_vector": list(winding_vector(op))}),
+    "fuse": Command((_OPERATOR,), lambda a, op: fuse(op), "pattern", _pattern_fields),
+    "reduce": Command((_OPERATOR,), lambda a, op: reduce_to_pattern(op, a.copy_vector), "pattern",
+                      _pattern_fields),
+}
+
+
+def cmd_slink(args):
+    """Check the arity and ``--copies`` of the SLINK command named by the
+    first positional, then execute it."""
+    sub = args.slink_command
+    command = SLINK[sub]
+    takes_copies = sub in ("parallel", "reduce")
+    try:
+        args.copy_vector = tuple(int(x) for x in args.copies.split(",")) if takes_copies else ()
+    except ValueError:
+        args.copy_vector = None
+    if len(args.inputs) < len(command.inputs) or args.copy_vector is None:
+        copies = " --copies=K1,K2,..." if takes_copies else ""
+        raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * len(command.inputs))}{copies}")
+    return _execute(args, command, args.inputs)
+
+
+# "surgery zero" is the subcommand "zero" of "surgery"
+COMMANDS = {
+    "satellite": Command((_PATTERN, _COMPANION), lambda a, p, k: satellite(p, k), "satellite",
+                         lambda d: {"crossings": d.crossing_count}),
+    "compose": Command((_PATTERN, _COMPANION), lambda a, p, k: compose(p, k), "pattern", _pattern_fields),
+    "winding": Command((_PATTERN,), lambda a, p: p, None,
+                       lambda p: {"winding": winding_number(p), "strands": p.strand_count}),
+    "pattern-r": Command((_PATTERN, _COMPANION), lambda a, p, k: difference_pattern(p, k), "pattern",
+                         _pattern_fields),
+    "to-link": Command((_PATTERN,), lambda a, p: to_link(p), "link"),
+    "from-link": Command((("link", Diagram),), lambda a, d: from_link(d, a.circle), "pattern",
+                         _pattern_fields, ((("--circle",), {"type": int, "default": 1}),)),
+    "strong-winding": Command((_PATTERN,), cmd_strong_winding),
+    "invariants": Command((("diagram", Diagram),), cmd_invariants),
+    "check-satellite-formula": Command((_PATTERN, _COMPANION), cmd_check_satellite_formula),
+    "surgery zero": Command((("knot", Diagram),), lambda a, k: zero_surgery(k), "framed_link",
+                            lambda fl: {"h1": str(h1(fl))}),
+    "surgery pipeline": Command((_PATTERN, _COMPANION), cmd_surgery_pipeline,
+                                options=((("--emit-trace",), {"action": "store_true"}),)),
+    "slink": Command((), cmd_slink, options=(
+        (("slink_command",), {"choices": tuple(SLINK)}),
+        (("inputs",), {"nargs": "+"}),
+        (("--copies",), {"default": "", "help": "comma-separated copy vector"}),
+        _OUT)),
+    "corpus": Command((), cmd_corpus, options=(
+        (("directory",), {}),
+        (("--suites",), {"default": None, "help": "comma list: satellite-formula,meridian,pipeline"}))),
+}
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -378,53 +320,20 @@ def build_parser():
     top = argparse.ArgumentParser(prog="satkit", description=__doc__)
     top.add_argument("--limit", type=int, default=10**6, help="coset enumeration limit")
     top.add_argument("--format", choices=("text", "structured"), default="text")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, *specs, **kw):
-        p = sub.add_parser(name, **kw)
-        for spec in specs:
-            p.add_argument(*spec[0], **spec[1])
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for path, command in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            parent = groups[""].add_parser(group)
+            groups[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+        p = groups[group].add_parser(name)
+        for arg, _ in command.inputs:
+            p.add_argument(arg)
+        for flags, kw in command.options + ((_OUT,) if command.output else ()):
+            p.add_argument(*flags, **kw)
+        # slink executes the command it picks from SLINK itself
+        handler = cmd_slink if command.run is cmd_slink else functools.partial(_execute, command=command)
         p.set_defaults(handler=handler)
-        return p
-
-    out_spec = (("-o", "--output"), {"default": None, "help": "write the primary output here"})
-    add("satellite", cmd_satellite, (("pattern",), {}), (("companion",), {}), out_spec)
-    add("compose", cmd_compose, (("pattern",), {}), (("companion",), {}), out_spec)
-    add("winding", cmd_winding, (("pattern",), {}))
-    add("pattern-r", cmd_pattern_r, (("pattern",), {}), (("companion",), {}), out_spec)
-    add("to-link", cmd_to_link, (("pattern",), {}), out_spec)
-    add("from-link", cmd_from_link, (("link",), {}),
-        (("--circle",), {"type": int, "default": 1}), out_spec)
-    add("strong-winding", cmd_strong_winding, (("pattern",), {}))
-    add("invariants", cmd_invariants, (("diagram",), {}))
-    add("check-satellite-formula", cmd_check_satellite_formula,
-        (("pattern",), {}), (("companion",), {}))
-
-    surgery = sub.add_parser("surgery")
-    ssub = surgery.add_subparsers(dest="surgery_command", required=True)
-    pz = ssub.add_parser("zero")
-    pz.add_argument("knot")
-    pz.add_argument("-o", "--output", default=None)
-    pz.set_defaults(handler=cmd_surgery_zero)
-    pp = ssub.add_parser("pipeline")
-    pp.add_argument("pattern")
-    pp.add_argument("companion")
-    pp.add_argument("--emit-trace", action="store_true")
-    pp.set_defaults(handler=cmd_surgery_pipeline)
-
-    slink = sub.add_parser("slink")
-    slink.add_argument("slink_command",
-                       choices=("stack", "closure", "infect", "winding", "parallel", "fuse", "reduce"))
-    slink.add_argument("inputs", nargs="+")
-    slink.add_argument("--copies", default="", help="comma-separated copy vector")
-    slink.add_argument("-o", "--output", default=None)
-    slink.set_defaults(handler=cmd_slink)
-
-    corpus = sub.add_parser("corpus")
-    corpus.add_argument("directory")
-    corpus.add_argument("--suites", default=None,
-                        help="comma list: satellite-formula,meridian,pipeline")
-    corpus.set_defaults(handler=cmd_corpus)
     return top
 
 
@@ -437,7 +346,7 @@ def run(argv) -> int:
     args._argv = list(argv)
     args._t0 = time.perf_counter()
     try:
-        rep = args.handler(args)
+        rep, exit_code = args.handler(args)
     except _UsageError as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return 2
@@ -447,13 +356,9 @@ def run(argv) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, SatkitError) as exc:
+    except (SatkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    exit_code = rep.pop("_exit", 0)
     _emit(rep, args)
     return exit_code
 

@@ -256,7 +256,11 @@ _ENCODERS = {
 
 
 def to_obj(x):
-    """The structured form of any serializable object."""
+    """The structured form of any serializable object.  A (pattern,
+    companion, declared satellite) tuple, as ``obj_to_any`` decodes a
+    ``satellite-fixture``, encodes back to one."""
+    if isinstance(x, tuple) and [type(part) for part in x] == [want for _, want in _FIXTURE_PARTS]:
+        return satellite_fixture_to_obj(*x)
     encode = _ENCODERS.get(type(x))
     if encode is None:
         raise DomainError(f"cannot serialize {type(x).__name__}")
@@ -299,6 +303,8 @@ def obj_to_any(obj):
 
 
 def _write(obj):
+    if obj["type"] not in _TYPES:
+        raise DomainError(f"a {obj['type']} has no text form")
     parts = []
     for tag, (field, _, write, _) in _BLOCKS.items():
         value = obj.get(field)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
 
+from .diagram import embedding_genus
 from .errors import DomainError
 
 # -- Laurent polynomials -----------------------------------------------------
@@ -469,11 +470,18 @@ def laurent_det_up_to_units(rows):
 
 @lru_cache(maxsize=2048)
 def alexander_poly(d) -> Laurent:
-    """Normalized Alexander polynomial of a knot diagram."""
+    """Normalized Alexander polynomial of a planar knot diagram.
+
+    Virtual (non-planar) codes are refused: the Fox minor drops one
+    Wirtinger relation, which is redundant only on planar codes.
+    """
     from .groups import wirtinger
 
     if not d.is_knot():
         raise DomainError("Alexander polynomial implemented for knots only")
+    genus = embedding_genus(d)
+    if genus:
+        raise DomainError(f"Alexander polynomial needs a planar diagram; this code has genus {genus}")
     pres = wirtinger(d)
     if not pres.relators:
         return Laurent.one()

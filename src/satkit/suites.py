@@ -24,7 +24,11 @@ def satellite_formula_suite(pairs):
     (name, pattern, companion) triple."""
     out = []
     for name, p, k in pairs:
-        rep = satellite_formula_report(p, k)
+        try:
+            rep = satellite_formula_report(p, k)
+        except SatkitError as exc:
+            out.append(_case(name, False, f"formula failed: {exc}"))
+            continue
         ok = rep["equal_up_to_units"]
         detail = f"poly={rep['lhs']!r}" if ok else f"lhs={rep['lhs']!r} rhs={rep['rhs']!r}"
         out.append(_case(name, ok, detail))
@@ -36,7 +40,11 @@ def declared_satellite_suite(fixtures):
     (name, pattern, companion, declared diagram)."""
     out = []
     for name, p, k, declared in fixtures:
-        rep = satellite_formula_report(p, k, declared)
+        try:
+            rep = satellite_formula_report(p, k, declared)
+        except SatkitError as exc:
+            out.append(_case(name, False, f"formula failed: {exc}"))
+            continue
         detail = f"declared={rep['lhs']!r} expected={rep['rhs']!r}"
         out.append(_case(name, rep["equal_up_to_units"], detail))
     return out

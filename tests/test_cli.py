@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import re
@@ -161,6 +162,21 @@ def test_structured_round_trips():
         assert encoder(back) == encoder(obj)
 
 
+def test_satellite_fixture_goes_through_to_obj():
+    from satkit.errors import DomainError
+    from satkit.patterns import satellite
+
+    p, k = cable_pattern(2, 3), trefoil()
+    fixture = (p, k, satellite(p, k))
+    doc = formats.to_obj(fixture)
+    assert doc == formats.satellite_fixture_to_obj(*fixture)
+    assert formats.to_obj(formats.obj_to_any(json.loads(json.dumps(doc)))) == doc
+    # a fixture is a JSON document only; a tuple of other types is no fixture
+    for bad in (fixture, (k, p, k)):
+        with pytest.raises(DomainError):
+            formats.serialize(bad)
+
+
 def test_parse_error_position():
     from satkit.errors import ParseError
 
@@ -317,8 +333,37 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: satkit slink {argv[1]} INPUT") and err.count("\n") == 1
+        # the shown form also takes a vector whose first entry is negative
+        assert ("--copies=K1,K2,..." in err) == (argv[1] in ("parallel", "reduce"))
     assert run(["corpus", sl]) == 1
     assert capsys.readouterr().err == f"error: {sl} is not a directory\n"
+
+
+def test_unreadable_paths_are_user_errors(files, tmp_path, capsys):
+    for argv in (["invariants", str(tmp_path)],
+                 ["satellite", files["core.pat"], files["trefoil.pd"], "-o", str(tmp_path)]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_virtual_knot_has_no_invariants_and_fails_its_formula_cases(files, tmp_path, capsys):
+    from satkit.diagram import Diagram
+
+    virtual = Diagram(((6, 1, 1, 2), (2, 4, 3, 5), (3, 5, 4, 6)), ((1, 2, 3, 4, 5, 6),))
+    (tmp_path / "virtual.pd").write_text(formats.serialize(virtual) + "\n")
+    assert run(["invariants", str(tmp_path / "virtual.pd")]) == 1
+    assert capsys.readouterr().err == "error: Alexander polynomial needs a planar diagram; this code has genus 1\n"
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for name in ("trefoil.pd", "virtual.pd", "core.pat", "zigzag.pat"):
+        (d / name).write_text((tmp_path / name).read_text())
+    assert run(["--format", "structured", "--limit", "10000", "corpus", str(d)]) == 1
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["satellite-formula"] == "2/4 ok; failing: core.pat*virtual.pd, zigzag.pat*virtual.pd"
+    assert outputs["satellite-formula:core.pat*virtual.pd"].startswith("formula failed: Alexander polynomial")
+    assert outputs["meridian"] == "2/2 ok"
+    assert outputs["pipeline"] == "2/4 ok; failing: core.pat*virtual.pd, zigzag.pat*virtual.pd"
 
 
 def test_corpus_empty(tmp_path, capsys):
@@ -432,3 +477,97 @@ def test_readme_names_every_option_and_command():
         for span in re.findall(r"`([^`]+)`", line.split(" — ")[0])
     }
     assert named == set(commands.choices)
+
+
+# Every subcommand in both output formats, with -o to text and JSON, .json
+# inputs and each kind of error exit.  Paths are relative to the working
+# directory, so the reports carry no temporary path.
+_PINNED_RUNS = [
+    ["satellite", "core.pat", "trefoil.pd"],
+    ["satellite", "cable23.pat", "trefoil.pd", "-o", "sat.pd"],
+    ["satellite", "core.pat", "trefoil.json", "-o", "sat.json"],
+    ["compose", "cable23.pat", "fig8.pd", "-o", "comp.pat"],
+    ["compose", "core.json", "trefoil.pd", "-o", "comp.json"],
+    ["winding", "cable23.pat"],
+    ["winding", "core.json"],
+    ["pattern-r", "core.pat", "trefoil.pd", "-o", "r.pat"],
+    ["to-link", "core.pat", "-o", "link.pd"],
+    ["from-link", "link.pd", "--circle", "1", "-o", "back.json"],
+    ["from-link", "link.pd", "--circle", "2"],
+    ["strong-winding", "core.pat"],
+    ["--limit", "300", "strong-winding", "clasp.pat"],
+    ["invariants", "trefoil.pd"],
+    ["invariants", "trefoil.json"],
+    ["check-satellite-formula", "cable23.pat", "fig8.pd"],
+    ["surgery", "zero", "trefoil.pd", "-o", "zero.fl"],
+    ["surgery", "zero", "fig8.pd", "-o", "zero.json"],
+    ["surgery", "pipeline", "zigzag.pat", "trefoil.pd", "--emit-trace"],
+    ["surgery", "pipeline", "core.pat", "fig8.pd"],
+    ["surgery", "pipeline", "clasp.pat", "trefoil.pd"],
+    ["slink", "stack", "w23.sl", "w23.sl", "-o", "stack.sl"],
+    ["slink", "closure", "w23.sl", "-o", "closure.pd"],
+    ["slink", "infect", "w23.sl", "trefoil.pd", "-o", "infect.json"],
+    ["slink", "winding", "w23.sl"],
+    ["slink", "parallel", "w23.sl", "--copies", "2,-1", "-o", "par.sl"],
+    ["slink", "fuse", "par.sl", "-o", "fuse.pat"],
+    ["slink", "reduce", "w23.sl", "--copies=2,-1", "-o", "reduce.json"],
+    ["--limit", "10000", "corpus", "corpus"],
+    ["corpus", "corpus", "--suites", "satellite-formula,meridian"],
+    ["corpus", "badcorpus", "--suites", "satellite-formula"],
+    ["invariants", "bad.pd"],
+    ["invariants", "hopf.pd"],
+    ["satellite", "trefoil.pd", "trefoil.pd"],
+    ["slink", "infect", "trefoil.pd", "trefoil.pd"],
+    ["invariants", "missing.pd"],
+    ["slink", "stack", "w23.sl"],
+    ["slink", "infect", "w23.sl"],
+    ["corpus", "w23.sl"],
+]
+# sha256 of the records below: a changed report, message, exit code or written
+# file changes it
+_PINNED_SHA256 = "253b101a5a885f84587e603eaff940822c4a7b20915dea3e1f06c4d8c1bc9800"
+
+
+def test_every_command_report_is_pinned(files, tmp_path, capsys, monkeypatch):
+    from satkit.catalog import hopf_link
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trefoil.json").write_text(json.dumps(formats.to_obj(trefoil())))
+    (tmp_path / "core.json").write_text(json.dumps(formats.to_obj(core_pattern())))
+    (tmp_path / "hopf.pd").write_text(formats.serialize(hopf_link()) + "\n")
+    (tmp_path / "bad.pd").write_text("X[1,2,3,an] C[(1)]\n")
+    for sub, names in (("corpus", ("trefoil.pd", "unknot.pd", "core.pat", "zigzag.pat")),
+                       ("badcorpus", ("trefoil.pd",))):
+        (tmp_path / sub).mkdir()
+        for name in names:
+            (tmp_path / sub / name).write_text((tmp_path / name).read_text())
+    p, k = cable_pattern(2, 3), trefoil()
+    (tmp_path / "badcorpus" / "misframed.json").write_text(
+        json.dumps(formats.satellite_fixture_to_obj(p, k, misframed_satellite(p, k))))
+    (tmp_path / "corpus" / "broken.pd").write_text("X[1,1,1]")
+
+    records = []
+    for fmt in ("text", "structured"):
+        for argv in _PINNED_RUNS:
+            code = run(["--format", fmt] + argv)
+            captured = capsys.readouterr()
+            out = captured.out
+            if fmt == "structured" and out:
+                rep = json.loads(out)
+                rep.pop("timing_ms")
+                out = json.dumps(rep, sort_keys=True, indent=2) + "\n"
+            written = argv[argv.index("-o") + 1] if "-o" in argv else None
+            body = (tmp_path / written).read_text() if written and (tmp_path / written).exists() else None
+            records.append([fmt, argv, code, out, captured.err, body])
+    text = json.dumps(records, sort_keys=True).replace(str(tmp_path), "<tmp>")
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SHA256
+
+
+def test_every_subcommand_has_help(capsys):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        nested = [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]
+        argvs = [[name, child, "-h"] for child in nested[0].choices] if nested else []
+        for argv in [[name, "-h"]] + argvs:
+            assert run(argv) == 0, argv
+            assert capsys.readouterr().out.startswith("usage: satkit")

@@ -1,13 +1,18 @@
 """Every import in ``src/satkit`` is used; ``__init__.py`` re-exports are
 exempt.  Every private function, method or class defined in ``src/satkit``
 is referenced in ``src`` or ``tests``.  Every ``name = ...`` local in a
-``src/satkit`` function is read in that function.  Standard library only:
-the checks walk each module's syntax tree."""
+``src/satkit`` function is read in that function.  Outside ``formats.py``,
+``src/satkit`` and ``scripts`` reach the formats through their one
+dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
+per-type function.  Standard library only: the checks walk each module's
+syntax tree."""
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
+SCRIPTS = SRC.parent.parent / "scripts"
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
@@ -133,3 +138,53 @@ def test_no_unread_locals():
         tree = ast.parse(path.read_text())
         found += [f"{path.name}:{line} {func}: {name}" for line, func, name in _unread_locals(tree)]
     assert not found, "locals assigned and never read:\n" + "\n".join(found)
+
+
+_PER_TYPE = re.compile(r"(serialize|parse)_\w+|\w+_to_obj")
+
+
+def _per_type_format_uses(tree):
+    """(line, name) for every use of a per-type ``formats`` function
+    (``serialize_*``, ``parse_*``, ``*_to_obj``), read as an attribute of
+    ``formats`` or through a name imported from it."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "formats"
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "formats":
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+            name = imported[node.id]
+        else:
+            continue
+        if _PER_TYPE.fullmatch(name):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_a_per_type_format_call():
+    src = (
+        "from satkit import formats\n"
+        "from satkit.formats import parse_pattern as read, to_obj\n"
+        "formats.serialize(x)\n"
+        "formats.serialize_diagram(x)\n"
+        "to_obj(x)\n"
+        "read(text)\n"
+        "f = formats.framed_link_to_obj\n"
+        "parser.parse_args()\n"
+    )
+    assert _per_type_format_uses(ast.parse(src)) == [(4, "serialize_diagram"), (6, "parse_pattern"),
+                                                     (7, "framed_link_to_obj")]
+
+
+def test_one_serializer_dispatch():
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        if path.name == "formats.py" and path.parent == SRC:
+            continue
+        found += [f"{path.name}:{line} {name}" for line, name in _per_type_format_uses(ast.parse(path.read_text()))]
+    assert not found, "per-type formats functions outside formats.py:\n" + "\n".join(found)

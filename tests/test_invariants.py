@@ -7,6 +7,7 @@ from satkit.abelian import AbelianGroup, cokernel, smith_normal_form
 from satkit.catalog import (
     braid_closure,
     cable_pattern,
+    core_pattern,
     double_kink_unknot,
     figure_eight,
     positive_kink_unknot,
@@ -14,7 +15,9 @@ from satkit.catalog import (
     trefoil,
 )
 from satkit.diagram import (
+    Diagram,
     connected_sum,
+    embedding_genus,
     insert_kink,
     insert_poke,
     mirror,
@@ -33,6 +36,7 @@ from satkit.invariants import (
     fox_derivative,
     fox_row_abelian,
     laurent_det_up_to_units,
+    satellite_formula_report,
 )
 from satkit.patterns import satellite
 
@@ -295,6 +299,18 @@ def test_alexander_stable_under_moves():
     t = trefoil()
     assert alexander_poly(insert_kink(t, 1, -1)) == alexander_poly(t)
     assert alexander_poly(insert_poke(t, 2, 5)) == alexander_poly(t)
+
+
+# a genus-1 (virtual) knot code: its Fox-calculus value is 1, yet a
+# genus-keeping poke of edge 5 under edge 6 gives 1 - t + t^2
+VIRTUAL_KNOT = Diagram(((6, 1, 1, 2), (2, 4, 3, 5), (3, 5, 4, 6)), ((1, 2, 3, 4, 5, 6),))
+
+
+def test_alexander_refuses_virtual_codes():
+    assert embedding_genus(VIRTUAL_KNOT) == 1
+    for compute in (alexander_poly, determinant, lambda d: satellite_formula_report(core_pattern(), d)):
+        with pytest.raises(DomainError, match="planar diagram; this code has genus 1"):
+            compute(VIRTUAL_KNOT)
 
 
 def test_determinants():
