@@ -10,17 +10,11 @@ from __future__ import annotations
 import random
 
 from .diagram import Diagram, connected_sum, insert_kink, insert_poke, mirror, unknot
-from .errors import DomainError
+from .errors import DomainError, built
 from .patterns import Pattern
-from .wires import Builder, braid
-
-
-def braid_permutation(strands, word):
-    perm = list(range(strands))
-    for x in word:
-        i = abs(x) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return perm
+from .stringlinks import InfectionOperator, StringLink, trivial_string_link
+from .surgery import FramedLink
+from .wires import Builder, braid, braid_permutation
 
 
 def braid_closure(strands, word) -> Diagram:
@@ -39,7 +33,7 @@ def braid_closure(strands, word) -> Diagram:
         while j not in seen:
             seen.add(j)
             j = perm[j]
-        seeds.append((b.live(bottom[i]), True))
+        seeds.append((bottom[i], True))
     d, _ = b.to_diagram(seeds)
     return d
 
@@ -104,9 +98,9 @@ def pattern_from_braid(strands, word) -> Pattern:
     if cycle != strands:
         raise DomainError("closure is a link; pattern base must be a knot")
     closure_wires = [b.join(t, s) for t, s in zip(top, bottom)]
-    d, labels = b.to_diagram([(b.live(bottom[0]), True)])
-    cut = tuple((labels[b.live(w)], 1) for w in closure_wires)
-    return Pattern(d, cut)
+    d, labels = b.to_diagram([(bottom[0], True)])
+    cut = tuple((labels[w], 1) for w in closure_wires)
+    return built(Pattern, d, cut)
 
 
 def core_pattern() -> Pattern:
@@ -234,16 +228,12 @@ def corpus_patterns():
 def strand_meridian_operator(m=2, strand=0):
     """Marked disk around a single strand of the trivial string link: the
     local-knotting operator."""
-    from .stringlinks import InfectionOperator, trivial_string_link
-
     sl = trivial_string_link(m)
     return InfectionOperator(sl, ((sl.strands[strand][0], 1),))
 
 
 def both_strands_operator():
     """Trivial two-strand link, disk around both strands: winding (1,1)."""
-    from .stringlinks import InfectionOperator, trivial_string_link
-
     sl = trivial_string_link(2)
     return InfectionOperator(sl, ((1, 1), (2, 1)))
 
@@ -258,8 +248,6 @@ def winding_two_three_operator():
     each strand from the bottom gives the paths below; the disk meets the
     passes in the transverse order recorded in the cut.
     """
-    from .stringlinks import InfectionOperator, StringLink
-
     sl = StringLink(
         2,
         ((2, 1, 3, 2), (6, 6, 7, 5), (7, 5, 8, 4)),
@@ -270,8 +258,6 @@ def winding_two_three_operator():
 
 def random_framed_links(count, rng=None, max_components=5):
     """Deterministic stream of small framed links for move tests."""
-    from .surgery import FramedLink
-
     rng = rng or random.Random(20260808)
     out = []
     while len(out) < count:

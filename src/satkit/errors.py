@@ -31,3 +31,13 @@ class DomainError(SatkitError):
 class InternalError(SatkitError):
     """An internal invariant failed: a construction produced an inconsistent
     wiring.  This is a bug in satkit, not malformed input."""
+
+
+def built(cls, *args):
+    """Construct an object satkit assembled itself.  Its validation can
+    then fail only through a satkit bug, so a ``ValidationError`` is raised
+    again as an ``InternalError``."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        raise InternalError(f"built an invalid {cls.__name__}: {exc}") from exc

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .abelian import AbelianGroup, cokernel
 from .diagram import Diagram, _orient, crossing_signs
 from .errors import DomainError, InternalError
-from .invariants import free_reduce
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,16 @@ def word_to_text(word):
         return ch.upper() if x < 0 and g < 26 else (f"G{abs(x)}" if x < 0 else ch)
 
     return " ".join(enc(x) for x in word)
+
+
+def free_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 # -- Wirtinger presentations ---------------------------------------------------
@@ -115,21 +124,11 @@ def wirtinger(d: Diagram) -> GroupPresentation:
     return GroupPresentation(arc_count, tuple(relators), marks)
 
 
-def arc_generator_of_edge(d: Diagram, edge: int) -> int:
-    arc_of_edge, _, _ = arc_data(d)
-    if edge not in arc_of_edge:
-        raise DomainError(f"no edge labelled {edge}")
-    return arc_of_edge[edge] + 1
-
-
 def cut_loop_word(pattern) -> tuple[int, ...]:
     """Wirtinger word of the round curve encircling a pattern's cut strands:
     the product of the cut arcs' generators with the cut signs, in cut order."""
-    word = []
-    for edge, sign in pattern.cut:
-        g = arc_generator_of_edge(pattern.base, edge)
-        word.append(g if sign > 0 else -g)
-    return tuple(word)
+    arc_of_edge = arc_data(pattern.base)[0]
+    return tuple((arc_of_edge[e] + 1) * s for e, s in pattern.cut)
 
 
 # -- presentation manipulation --------------------------------------------------

@@ -16,6 +16,8 @@ from math import isqrt
 
 from .diagram import embedding_genus
 from .errors import DomainError
+from .groups import free_reduce, wirtinger
+from .patterns import satellite, winding_number
 
 # -- Laurent polynomials -----------------------------------------------------
 
@@ -285,16 +287,6 @@ def equal_up_to_units(a: Laurent, b: Laurent) -> bool:
 # -- free differential calculus ----------------------------------------------
 
 
-def free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def fox_derivative(word, gen):
     """Fox derivative of a free word with respect to a generator.
 
@@ -475,8 +467,6 @@ def alexander_poly(d) -> Laurent:
     Virtual (non-planar) codes are refused: the Fox minor drops one
     Wirtinger relation, which is redundant only on planar codes.
     """
-    from .groups import wirtinger
-
     if not d.is_knot():
         raise DomainError("Alexander polynomial implemented for knots only")
     genus = embedding_genus(d)
@@ -510,8 +500,6 @@ def satellite_formula_report(pattern, companion, declared=None):
     the pattern's polynomial with the companion's polynomial evaluated at
     t^n, n the winding number.
     """
-    from .patterns import satellite, winding_number
-
     lhs = alexander_poly(declared if declared is not None else satellite(pattern, companion))
     n = winding_number(pattern)
     rhs = (alexander_poly(pattern.base) * alexander_poly(companion).compose_power(n)).normalized()

@@ -24,7 +24,7 @@ from .diagram import (
     reverse,
     total_writhe,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, built
 from .wires import Builder, build_cable, encircle, twist_chain
 
 
@@ -141,15 +141,15 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
             survivor = b.fuse((lsrc, 1), (lsrc, 0))
         else:
             survivor = b.fuse(b.single_dangle(lsrc), b.single_dangle(tgt))
-        marked.append(survivor if sign < 0 else b.live(tail_piece))
+        marked.append(survivor if sign < 0 else tail_piece)
     return marked
 
 
 def _satellite_parts(p: Pattern, k: Diagram, extra_twists: int = 0):
     b, wmap = Builder.from_diagram(p.base)
     marked = _tie_companion(b, wmap, p.cut, k, extra_twists)
-    d, labels = b.to_diagram([(b.live(wmap[p.cut[0][0]]), True)])
-    new_cut = tuple((labels[b.live(w)], s) for w, (_, s) in zip(marked, p.cut))
+    d, labels = b.to_diagram([(wmap[p.cut[0][0]], True)])
+    new_cut = tuple((labels[w], s) for w, (_, s) in zip(marked, p.cut))
     return d, new_cut
 
 
@@ -175,7 +175,7 @@ def compose(p: Pattern, a: Diagram) -> Pattern:
     connect-summing the companions.
     """
     d, cut = _satellite_parts(p, a)
-    return Pattern(d, cut)
+    return built(Pattern, d, cut)
 
 
 def difference_pattern(p: Pattern, k: Diagram) -> Pattern:
@@ -199,10 +199,9 @@ def difference_pattern(p: Pattern, k: Diagram) -> Pattern:
     tb, hb = b.cut(shift[wmaps[e1]])
     b.join(ta, hb)
     b.join(tb, ha)
-    seed = b.live(cut_wires[0])
-    d, labels = b.to_diagram([(seed, True)])
-    new_cut = tuple((labels[b.live(w)], s) for w, (_, s) in zip(cut_wires, q.cut))
-    return Pattern(d, new_cut)
+    d, labels = b.to_diagram([(cut_wires[0], True)])
+    new_cut = tuple((labels[w], s) for w, (_, s) in zip(cut_wires, q.cut))
+    return built(Pattern, d, new_cut)
 
 
 # -- the two-component link form ----------------------------------------------
@@ -214,9 +213,8 @@ def to_link(p: Pattern) -> Diagram:
     so its linking number with the knot equals the winding number."""
     b, wmap = Builder.from_diagram(p.base)
     targets = [(wmap[e], s) for e, s in p.cut]
-    circle_seed = encircle(b, targets, over_first=True)
-    base_seed = b.live(wmap[p.cut[0][0]])
-    d, _ = b.to_diagram([(base_seed, True), (circle_seed, False)])
+    circle_seed = encircle(b, targets)
+    d, _ = b.to_diagram([(wmap[p.cut[0][0]], True), (circle_seed, False)])
     return d
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
-from .wires import Builder, band, braid, build_cable, twist_chain
+from .wires import Builder, band, braid, braid_permutation, build_cable, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
@@ -78,8 +78,6 @@ def trivial_string_link(m: int) -> StringLink:
 def string_link_from_braid(strands, word) -> StringLink:
     """A braid word as a (pure only if the permutation is trivial) string
     link is rejected unless each strand returns to its own slot."""
-    from .catalog import braid_permutation
-
     b = Builder()
     bottom, top = braid(b, strands, word)
     if braid_permutation(strands, word) != list(range(strands)):
@@ -88,7 +86,7 @@ def string_link_from_braid(strands, word) -> StringLink:
         b._bind(w, 0, ("t", ("bot", i)))
     for i, w in enumerate(top):
         b._bind(w, 1, ("t", ("top", i)))
-    sl, _ = _walk_out(b, [(b.live(w), True) for w in bottom], (1,) * strands)
+    sl, _ = _walk_out(b, [(w, True) for w in bottom], (1,) * strands)
     return sl
 
 
@@ -118,7 +116,7 @@ def _to_builder(sl: StringLink):
 
 def _walk_out(b: Builder, seeds, directions):
     crossings, paths, labels = b.to_tangle(seeds)
-    return StringLink(len(paths), crossings, paths, tuple(directions)), labels
+    return built(StringLink, len(paths), crossings, paths, tuple(directions)), labels
 
 
 def _splice_terminals(b: Builder, directions, lower=None, upper=None):
@@ -161,9 +159,9 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
     seeds = []
     for i in range(s1.strand_count):
         if s1.directions[i] > 0:
-            seeds.append((b.live(w1[s1.strands[i][0]]), True))
+            seeds.append((w1[s1.strands[i][0]], True))
         else:
-            seeds.append((b.live(shift[w2[s2.strands[i][0]]]), True))
+            seeds.append((shift[w2[s2.strands[i][0]]], True))
     out, _ = _walk_out(b, seeds, s1.directions)
     return out
 
@@ -173,7 +171,7 @@ def closure(sl: StringLink) -> Diagram:
     the strand order, orientations those of the strands."""
     b, wmap = _to_builder(sl)
     _splice_terminals(b, sl.directions)
-    d, _ = b.to_diagram([(b.live(wmap[path[0]]), True) for path in sl.strands])
+    d, _ = b.to_diagram([(wmap[path[0]], True) for path in sl.strands])
     return d
 
 
@@ -184,10 +182,10 @@ def infect(op: InfectionOperator, k: Diagram) -> InfectionOperator:
     """
     b, wmap = _to_builder(op.link)
     marked = _tie_companion(b, wmap, op.cut, k)
-    seeds = [(b.live(wmap[path[0]]), True) for path in op.link.strands]
+    seeds = [(wmap[path[0]], True) for path in op.link.strands]
     out, labels = _walk_out(b, seeds, op.link.directions)
-    new_cut = tuple((labels[b.live(w)], s) for w, (_, s) in zip(marked, op.cut))
-    return InfectionOperator(out, new_cut)
+    new_cut = tuple((labels[w], s) for w, (_, s) in zip(marked, op.cut))
+    return built(InfectionOperator, out, new_cut)
 
 
 def winding_vector(op: InfectionOperator) -> tuple[int, ...]:
@@ -259,11 +257,10 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
         if k == 0:
             continue
         for j in range(abs(k) - 1, -1, -1):
-            w = b.live(copies[e][j])
-            new_cut.append((labels[w], s if k > 0 else -s))
+            new_cut.append((labels[copies[e][j]], s if k > 0 else -s))
     if not new_cut:
         raise DomainError("every marked strand was omitted")
-    return InfectionOperator(out, tuple(new_cut))
+    return built(InfectionOperator, out, tuple(new_cut))
 
 
 @dataclass(frozen=True)
@@ -324,10 +321,9 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
             b.join(tu, hv)
             b.join(tv, hu)
     _splice_terminals(b, sl.directions)
-    seed_wire = b.live(cut_wires[0][0])
-    d, labels = b.to_diagram([(seed_wire, True)])
-    cut = tuple((labels[b.live(w)], s) for w, s in cut_wires)
-    return Pattern(d, cut)
+    d, labels = b.to_diagram([(cut_wires[0][0], True)])
+    cut = tuple((labels[w], s) for w, s in cut_wires)
+    return built(Pattern, d, cut)
 
 
 def reduce_to_pattern(op: InfectionOperator, kvec, band_plan=None) -> Pattern:

@@ -21,6 +21,7 @@ from .diagram import (
     component_subdiagram,
     crossing_signs,
     diagrams_equal,
+    embedding_genus,
     linking_number,
     writhe,
     _orient,
@@ -113,7 +114,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
             tails.append((t, h))
         stubs = twist_chain(gb, [t for t, _ in reversed(tails)], fix)
         for stub, (_, h) in zip(stubs, reversed(tails)):
-            gb.fuse(gb.single_dangle(stub), (gb.live(h), 0))
+            gb.fuse(gb.single_dangle(stub), (h, 0))
     su = copies[slide_edge][0]
     sv = copies[handle_edge][copy_index]
     if orientation >= 0:
@@ -133,12 +134,12 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     lk_ij = linking_number(d, i, j)
     for c in range(n):
         if c == i:
-            seeds.append((gb.live(copies[slide_edge][0]), True))
+            seeds.append((copies[slide_edge][0], True))
             new_framings.append(fl.framings[i] + fl.framings[j] + 2 * orientation * lk_ij)
         else:
             e0 = d.components[c][0]
             residual = (1 - copy_index) if c == j else 0
-            seeds.append((gb.live(copies[e0][residual]), True))
+            seeds.append((copies[e0][residual], True))
             new_framings.append(fl.framings[c])
         if new_roles is not None:
             new_roles.append(fl.roles[c])
@@ -158,8 +159,6 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     are searched so the result stays planar; an explicit ``BandArc`` is
     honoured verbatim, with realizability the caller's concern.
     """
-    from .diagram import embedding_genus
-
     n = fl.diagram.component_count
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise DomainError("slide needs two distinct components")
@@ -270,20 +269,15 @@ def _split_assembly(p: Pattern, k: Diagram) -> FramedLink:
 
     passages = []
     for e, s in p.cut:
-        west, mid, east = cut_for_passage(b, b.live(wmap[e]))
+        west, mid, east = cut_for_passage(b, wmap[e])
         passages.append((west, mid, east, s))
     first, last = lasso(b, passages, over_first=True)
-    westk, midk, eastk = cut_for_passage(b, b.live(k_seed_src))
+    westk, midk, eastk = cut_for_passage(b, k_seed_src)
     firstk, lastk = lasso(b, [(westk, midk, eastk, 1)], over_first=False)
     b.join(last, firstk)
     b.join(lastk, first)
 
-    seeds = [
-        (b.live(base_seed_src), True),
-        (b.live(k_seed_src), True),
-        (b.live(first), True),
-    ]
-    d, _ = b.to_diagram(seeds)
+    d, _ = b.to_diagram([(base_seed_src, True), (k_seed_src, True), (first, True)])
     return FramedLink(d, (0, 0, 0), ("pattern-knot", "companion-handle", "joining-circle"))
 
 
@@ -294,11 +288,9 @@ def _tied_with_pair(p: Pattern, k: Diagram) -> tuple[FramedLink, int, int]:
     marked = _tie_companion(b, wmap, p.cut, k)
 
     targets = [(w, s) for w, (_, s) in zip(marked, p.cut)]
-    circle_seed = encircle(b, targets, over_first=True)
-    mer_seed = encircle(b, [(circle_seed, 1)], over_first=True)
-
-    sat_seed = b.live(wmap[p.cut[0][0]])
-    d, _ = b.to_diagram([(sat_seed, True), (b.live(circle_seed), False), (b.live(mer_seed), False)])
+    circle_seed = encircle(b, targets)
+    mer_seed = encircle(b, [(circle_seed, 1)])
+    d, _ = b.to_diagram([(wmap[p.cut[0][0]], True), (circle_seed, False), (mer_seed, False)])
     fl = FramedLink(d, (0, 0, 0), ("satellite", "bundle-circle", "meridian-pair-member"))
     return fl, 2, 1  # (framed link, small index, other index)
 

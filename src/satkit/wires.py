@@ -11,8 +11,9 @@ itself, in ``diagram._Splice``.
 Call sites share one vocabulary of ``Builder`` methods: ``from_diagram``
 and ``from_code`` import a crossing code; ``cut``, ``join`` and ``fuse``
 split and splice wires; ``to_diagram``/``to_tangle`` walk the result
-back out from one seed wire per component.  ``braid`` lays out a braid
-word on fresh strands.
+back out, once, from one seed wire per component.  Seeds may be any wire
+id the Builder issued, and the returned labels cover them all.  ``braid``
+lays out a braid word on fresh strands.
 
 Conventions
 -----------
@@ -23,15 +24,18 @@ tangle terminal.  A crossing-free circle is a wire whose ends hold the
 ``LOOP`` sentinel.
 
 Crossing tuples are stored with the nominal convention that the strand
-through slots 0/2 is the under-strand.  The walk performed by
-``to_diagram`` rotates tuples by two positions whenever the under-strand
-is traversed against that convention, so gadgets built for one nominal
-orientation stay correct when spliced into strands that run the other way.
+through slots 0/2 is the under-strand.  The walk out rotates tuples by
+two positions whenever the under-strand is traversed against that
+convention, so gadgets built for one nominal orientation stay correct when
+spliced into strands that run the other way.  The validating walk of the
+``Diagram`` or ``StringLink`` built from the result checks it; a failure
+there is an ``InternalError``.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, InternalError
+from .diagram import Diagram, _orient
+from .errors import DomainError, InternalError, built
 
 LOOP = ("loop",)
 
@@ -109,8 +113,6 @@ class Builder:
     @classmethod
     def from_diagram(cls, d):
         """Import a diagram.  Returns (builder, edge label -> wire id)."""
-        from .diagram import _orient
-
         orient = _orient(d)
         b, wmap = cls.from_code(d.crossings, d.edges(), orient)
         for e in orient.free:
@@ -203,107 +205,53 @@ class Builder:
 
     # -- walking back out ------------------------------------------------
 
-    def _step(self, w, toward, allow_open=False):
-        """Enter the crossing at ``w.ends[toward]``; return (next wire, its
-        far end index) or None at a terminal or (when allowed) a dangle."""
-        end = self.wires[w][toward]
-        if end is None:
-            if allow_open:
-                return None
-            raise InternalError("walk reached a dangling end")
-        if end[0] == "t":
-            return None
-        _, ci, s = end
-        self._entries.setdefault(ci, []).append(s)
-        s2 = (s + 2) % 4
-        w2 = self.crossings[ci][s2]
-        ends2 = self.wires[w2]
-        if ends2[0] == ("x", ci, s2) and ends2[1] == ("x", ci, s2):
-            raise InternalError("wire bound twice to one slot")
-        k = 0 if ends2[0] == ("x", ci, s2) else 1
-        return w2, 1 - k
-
-    def _walk_from(self, w, toward, allow_open=False):
-        """Visit wires starting along ``w`` toward end ``toward``.
-
-        Returns (wires, closed) where closed says the walk returned to its
-        start rather than ending at a terminal.
-        """
-        seq = [w]
-        start = (w, toward)
-        cur = start
-        while True:
-            nxt = self._step(cur[0], cur[1], allow_open)
-            if nxt is None:
-                return seq, False
-            if (nxt[0], nxt[1]) == start:
-                return seq, True
-            seq.append(nxt[0])
-            cur = nxt
-
-    def _finish(self, comp_wires):
-        visited = {w for seq in comp_wires for w in seq}
-        all_live = {self.live(w) for w in self.wires}
-        if visited != all_live:
+    def to_tangle(self, seeds):
+        """The one walk out of the Builder.  ``seeds``: one (wire, forward)
+        per path, in order; forward walks toward the wire's head.  A path
+        leaves each crossing opposite the slot it entered, and ends back at
+        its seed or at an end that is no crossing slot (terminal, dangle,
+        free loop).  Wires are labelled 1, 2, ... in path order; a crossing
+        whose under-strand is entered at slot 2 is rotated by two positions.
+        Returns (crossings, paths, wire -> label), the labels covering every
+        wire id issued, aliases included.  Only coverage and path length are
+        checked here; the ``Diagram`` or ``StringLink`` validating walk
+        checks the rest."""
+        order, paths, rotate = [], [], set()
+        for w, forward in seeds:
+            w, end = self.live(w), 1 if forward else 0
+            start, path = (w, end), [w]
+            while True:
+                at = self.wires[w][end]
+                if not at or at[0] != "x":
+                    break
+                _, ci, s = at
+                if s == 2:
+                    rotate.add(ci)
+                w = self.crossings[ci][s ^ 2]
+                end = 1 if self.wires[w][0] == ("x", ci, s ^ 2) else 0
+                if (w, end) == start:
+                    break
+                if len(path) == len(self.wires):
+                    raise InternalError("walk ran past every wire; crossings and wire ends disagree")
+                path.append(w)
+            paths.append(path)
+            order += path
+        label = {w: i for i, w in enumerate(order, 1)}
+        if label.keys() != self.wires.keys():
             raise InternalError("walk did not cover every wire; missing seeds?")
-        rotate = []
-        for ci in range(len(self.crossings)):
-            entries = sorted(self._entries.get(ci, []))
-            under = [s for s in entries if s in (0, 2)]
-            over = [s for s in entries if s in (1, 3)]
-            if len(under) != 1 or len(over) != 1:
-                raise InternalError(f"crossing {ci} traversed {entries}, expected one strand per pair")
-            rotate.append(under[0] == 2)
-
-        label = {}
-        nxt = 1
-        for seq in comp_wires:
-            for w in seq:
-                label[w] = nxt
-                nxt += 1
-
-        crossings = []
-        for x, rot in zip(self.crossings, rotate):
-            x = [label[self.live(w)] for w in x]
-            if rot:
-                x = x[2:] + x[:2]
-            crossings.append(tuple(x))
-        comps = tuple(tuple(label[w] for w in seq) for seq in comp_wires)
-        return tuple(crossings), comps, label
+        label.update((a, label[lw]) for a in self._alias if (lw := self.live(a)) in label)
+        crossings = tuple(
+            tuple(label[w] for w in (x[2:] + x[:2] if ci in rotate else x))
+            for ci, x in enumerate(self.crossings)
+        )
+        return crossings, tuple(tuple(label[w] for w in path) for path in paths), label
 
     def to_diagram(self, seeds):
-        """Walk out a diagram.  ``seeds``: one (wire, forward) per component,
-        in the desired component order.  Returns (Diagram, wire -> label)."""
-        from .diagram import Diagram
-
-        self._entries = {}
-        comp_wires = []
-        for w, forward in seeds:
-            w = self.live(w)
-            if self.is_loop(w):
-                comp_wires.append([w])
-                continue
-            seq, closed = self._walk_from(w, 1 if forward else 0)
-            if not closed:
-                raise InternalError("component seed reached a terminal; not a closed diagram")
-            comp_wires.append(seq)
-        crossings, comps, label = self._finish(comp_wires)
-        return Diagram(crossings, comps), label
-
-    def to_tangle(self, seeds):
-        """Walk out an open tangle.  ``seeds``: (wire, forward) per strand
-        starting at its flow-start terminal.  Returns (crossings, strand
-        edge paths, wire -> label)."""
-        self._entries = {}
-        comp_wires = []
-        for w, forward in seeds:
-            w = self.live(w)
-            seq, closed = self._walk_from(w, 1 if forward else 0, allow_open=True)
-            if closed:
-                raise InternalError("strand seed walked a closed loop")
-            comp_wires.append(seq)
-        crossings, comps, label = self._finish(comp_wires)
-        return crossings, comps, label
+        """Walk out a diagram, one closed path per component.  Returns
+        (Diagram, wire -> label); a code the walk-out gets wrong is an
+        ``InternalError``."""
+        crossings, components, label = self.to_tangle(seeds)
+        return built(Diagram, crossings, components), label
 
     # -- structural surgery ----------------------------------------------
 
@@ -352,6 +300,14 @@ def braid(b: Builder, strands, word):
     for x in word:
         braid_step(b, top, abs(x) - 1, positive=x > 0)
     return bottom, top
+
+
+def braid_permutation(strands, word):
+    perm = list(range(strands))
+    for x in word:
+        i = abs(x) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return perm
 
 
 def twist_chain(b: Builder, stubs, count):
@@ -484,7 +440,6 @@ def cut_for_passage(b: Builder, w):
     For a free loop the outer arc is a single wire returned in both outer
     positions.
     """
-    w = b.live(w)
     if b.is_loop(w):
         opened, _ = b.cut(w)
         first, second = b.cut(opened)
@@ -551,7 +506,7 @@ def lasso(b: Builder, passages, over_first=True):
     return first, cur
 
 
-def encircle(b: Builder, targets, over_first=True):
+def encircle(b: Builder, targets):
     """Close a lasso around the target wires.  ``targets`` is a list of
     (wire, sign).  Returns the circle's seed wire: walked with
     forward=False it orients the circle so its linking with the encircled
@@ -560,7 +515,7 @@ def encircle(b: Builder, targets, over_first=True):
     for w, sign in targets:
         west_in, mid, east_out = cut_for_passage(b, w)
         passages.append((west_in, mid, east_out, sign))
-    first, last = lasso(b, passages, over_first=over_first)
+    first, last = lasso(b, passages)
     b.join(last, first)
-    return b.live(first)
+    return first
 

@@ -309,6 +309,24 @@ def test_slink_commands(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_construction_is_internal_but_invalid_input_is_parse_error(files, tmp_path, capsys):
+    # the copy vector (-1, 1) merges two cut passages into one edge: a fault
+    # of ``fuse``, reported as such, not as a fault of the input file
+    par_file = str(tmp_path / "par.sl")
+    assert run(["slink", "parallel", files["w23.sl"], "--copies=-1,1", "-o", par_file]) == 0
+    capsys.readouterr()
+    for argv in (["slink", "reduce", files["w23.sl"], "--copies=-1,1"], ["slink", "fuse", par_file]):
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+    bad_pat = tmp_path / "dup.pat"
+    bad_pat.write_text("X[1,2,2,3] X[3,4,4,1] C[(1,2,3,4)] CUT[(1,-1),(1,+1),(2,+1)]\n")
+    bad_sl = tmp_path / "dup.sl"
+    bad_sl.write_text("SL[2] X[2,1,3,2] X[6,6,7,5] X[7,5,8,4] P[(1,2,3),(4,5,6,7,8)] CUT[(2,+1),(2,+1)]\n")
+    for argv in (["winding", str(bad_pat)], ["slink", "winding", str(bad_sl)]):
+        assert run(argv) == 2
+        assert "parse error: cut strands must be pairwise distinct edges" in capsys.readouterr().err
+
+
 def test_exit_codes(files, tmp_path, capsys):
     bad = tmp_path / "bad.pd"
     bad.write_text("X[1,2,3,an] C[(1)]\n")

@@ -4,8 +4,10 @@ is referenced in ``src`` or ``tests``.  Every ``name = ...`` local in a
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
-per-type function.  Standard library only: the checks walk each module's
-syntax tree."""
+per-type function.  A function-level import in ``src/satkit`` closes a
+cycle among the top-level imports; every other import sits at the top of
+its file.  Standard library only: the checks walk each module's syntax
+tree."""
 
 import ast
 import pathlib
@@ -188,3 +190,53 @@ def test_one_serializer_dispatch():
             continue
         found += [f"{path.name}:{line} {name}" for line, name in _per_type_format_uses(ast.parse(path.read_text()))]
     assert not found, "per-type formats functions outside formats.py:\n" + "\n".join(found)
+
+
+def _relative_imports(nodes, modules):
+    """The modules among ``modules`` that these import statements name."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update(n for n in ([node.module] if node.module else [a.name for a in node.names]) if n in modules)
+    return found
+
+
+def _acyclic_lazy_imports(trees):
+    """(module, line, imported) for every import below a module's top level
+    whose imported module does not reach the importing one through the
+    top-level imports, so that nothing forces the import into a function."""
+    top = {name: _relative_imports(tree.body, trees) for name, tree in trees.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(top[name])
+        return False
+
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node not in tree.body:
+                found += [(name, node.lineno, m) for m in sorted(_relative_imports([node], trees))
+                          if not reaches(m, name)]
+    return sorted(found)
+
+
+def test_checker_flags_an_import_no_cycle_forces():
+    trees = {
+        "a": ast.parse("from . import b\n"),
+        "b": ast.parse("def f():\n    from .a import y\n"),
+        "c": ast.parse("from .b import x\ndef g():\n    if x:\n        from .a import z\n"),
+    }
+    assert _acyclic_lazy_imports(trees) == [("c", 4, "a")]
+
+
+def test_function_level_imports_close_a_cycle():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = [f"{name}.py:{line} imports {m}" for name, line, m in _acyclic_lazy_imports(trees)]
+    assert not found, "function-level imports that no import cycle forces:\n" + "\n".join(found)
