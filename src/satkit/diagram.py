@@ -397,7 +397,7 @@ def unknot() -> Diagram:
 
 def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None, e2: int | None = None) -> Diagram:
     """Connected sum of two knot diagrams, spliced at the chosen edges."""
-    from .wires import Builder
+    from .wires import Builder, swap
 
     if not d1.is_knot() or not d2.is_knot():
         raise DomainError("connected sum requires one-component diagrams")
@@ -405,16 +405,10 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None, e2: int | Non
         e1 = min(d1.edges())
     if e2 is None:
         e2 = min(d2.edges())
-    b1, w1 = Builder.from_diagram(d1)
-    b2, w2 = Builder.from_diagram(d2)
-    shift = b1.absorb(b2)
-    wa = w1[e1]
-    wb = shift[w2[e2]]
-    tail_a, head_a = b1.cut(wa)
-    tail_b, head_b = b1.cut(wb)
-    b1.join(tail_a, head_b)
-    b1.join(tail_b, head_a)
-    out, _ = b1.to_diagram([(next(iter(b1.wires)), True)])
+    b, w1 = Builder.from_diagram(d1)
+    w2 = b.add_diagram(d2)
+    swap(b, w1[e1], w2[e2])
+    out, _ = b.to_diagram([(next(iter(b.wires)), True)])
     return out
 
 

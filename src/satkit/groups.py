@@ -177,11 +177,11 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
     relators = [_cyc_reduce(r) for r in g.relators]
     relators = [r for r in relators if r]
     marked = {n: free_reduce(w) for n, w in g.marked_words}
-    ngens = g.generator_count
+    live = list(range(1, g.generator_count + 1))
 
-    while ngens > target_generators:
+    while len(live) > target_generators:
         # occ[g]: letters +-g over every relator and marked word
-        occ = [0] * (ngens + 1)
+        occ = [0] * (g.generator_count + 1)
         for w in relators + list(marked.values()):
             for x in w:
                 occ[abs(x)] += 1
@@ -226,22 +226,20 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
         total = sum(len(r) for r in new_relators)
         if total > length_cap:
             break
-        # renumber to drop the eliminated generator
-        remap = {}
-        nxt = 1
-        for old in range(1, ngens + 1):
-            if old != gen:
-                remap[old] = nxt
-                nxt += 1
+        relators = new_relators
+        marked = {n: substitute(w) for n, w in marked.items()}
+        live.remove(gen)
 
-        def renumber(word):
-            return tuple((1 if x > 0 else -1) * remap[abs(x)] for x in word)
+    # number the surviving generators 1..k in their old order
+    remap = {old: new for new, old in enumerate(live, 1)}
 
-        relators = [renumber(r) for r in new_relators]
-        marked = {n: renumber(substitute(w)) for n, w in marked.items()}
-        ngens -= 1
+    def renumber(word):
+        return tuple(remap[x] if x > 0 else -remap[-x] for x in word)
 
-    return GroupPresentation(ngens, tuple(relators), tuple(sorted(marked.items())))
+    return GroupPresentation(
+        len(live), tuple(renumber(r) for r in relators),
+        tuple(sorted((n, renumber(w)) for n, w in marked.items())),
+    )
 
 
 # -- Todd-Coxeter ---------------------------------------------------------------

@@ -315,19 +315,20 @@ def fox_derivative(word, gen):
 def fox_row_abelian(word, ngens):
     """Abelianized Fox derivatives, every generator sent to t.
 
-    Returns {generator index: Laurent}, omitting zero entries.
+    Returns {generator index: Laurent}, omitting zero entries, generators
+    in order of first appearance.
     """
     row = {}
     tpow = 0
     for x in word:
-        g = abs(x)
+        coeffs = row.setdefault(abs(x), {})
         if x > 0:
-            row[g] = row.get(g, Laurent()) + Laurent.t(tpow)
+            coeffs[tpow] = coeffs.get(tpow, 0) + 1
             tpow += 1
         else:
-            row[g] = row.get(g, Laurent()) - Laurent.t(tpow - 1)
             tpow -= 1
-    return {g: v for g, v in row.items() if v}
+            coeffs[tpow] = coeffs.get(tpow, 0) - 1
+    return {g: v for g, coeffs in row.items() if (v := Laurent(coeffs))}
 
 
 # -- determinants of sparse Laurent matrices ----------------------------------

@@ -25,7 +25,7 @@ from .diagram import (
     total_writhe,
 )
 from .errors import DomainError, ValidationError, built
-from .wires import Builder, build_cable, encircle, twist_chain
+from .wires import Builder, build_cable, encircle, swap, twist_chain
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,14 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     orient = _orient(companion)
     cut_edge = min(companion.edges())
     widths = {e: m for e in companion.edges()}
-    gb, _, ports = build_cable(
-        companion.crossings, orient.signs, widths, cut_edges=(cut_edge,), loops=orient.free
+    _, ports = build_cable(
+        b, companion.crossings, orient.signs, widths, cut_edges=(cut_edge,), loops=orient.free
     )
-    shift = b.absorb(gb)
     # cut order and copy offsets run through the disk in opposite transverse
     # directions: strand i of the cut meets copy m+1-i of the cable.  The
     # twist region is threaded in the same reading direction as the splice.
-    entry = [shift[w] for w in reversed(ports[cut_edge][0])]
-    exits = [shift[w] for w in reversed(ports[cut_edge][1])]
+    entry = ports[cut_edge][0][::-1]
+    exits = ports[cut_edge][1][::-1]
     exits = twist_chain(b, exits, -total_writhe(companion) + extra_twists)
 
     marked = []
@@ -186,8 +185,7 @@ def difference_pattern(p: Pattern, k: Diagram) -> Pattern:
     q = compose(p, k)
     summand = mirror(reverse(q.base, 0))
     b, wmap = Builder.from_diagram(q.base)
-    bs, wmaps = Builder.from_diagram(summand)
-    shift = b.absorb(bs)
+    wmaps = b.add_diagram(summand)
 
     cut_edges = {e for e, _ in q.cut}
     non_cut = sorted(set(q.base.edges()) - cut_edges)
@@ -195,10 +193,7 @@ def difference_pattern(p: Pattern, k: Diagram) -> Pattern:
     e1 = min(summand.edges())
 
     cut_wires = [wmap[e] for e, _ in q.cut]
-    ta, ha = b.cut(wmap[e2])
-    tb, hb = b.cut(shift[wmaps[e1]])
-    b.join(ta, hb)
-    b.join(tb, ha)
+    swap(b, wmap[e2], wmaps[e1])
     d, labels = b.to_diagram([(cut_wires[0], True)])
     new_cut = tuple((labels[w], s) for w, (_, s) in zip(cut_wires, q.cut))
     return built(Pattern, d, new_cut)

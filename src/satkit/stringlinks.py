@@ -20,7 +20,7 @@ from functools import lru_cache
 from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe
 from .errors import DomainError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
-from .wires import Builder, band, braid, braid_permutation, build_cable, twist_chain
+from .wires import Builder, band, braid, braid_permutation, build_cable, swap, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
@@ -103,15 +103,17 @@ class InfectionOperator:
 # -- builder conversions -----------------------------------------------------
 
 
-def _to_builder(sl: StringLink):
-    b, wmap = Builder.from_code(sl.crossings, sl.edges(), _orient_tangle(sl))
+def _to_builder(b: Builder, sl: StringLink):
+    """Import ``sl`` beside what ``b`` holds, its strand ends bound to the
+    terminals.  Returns the edge label -> wire id map."""
+    wmap = b.add_code(sl.crossings, sl.edges(), _orient_tangle(sl))
     for si, path in enumerate(sl.strands):
         first, last = wmap[path[0]], wmap[path[-1]]
         start_key = ("bot", si) if sl.directions[si] > 0 else ("top", si)
         end_key = ("top", si) if sl.directions[si] > 0 else ("bot", si)
         b.wires[first][0] = ("t", start_key)
         b.wires[last][1] = ("t", end_key)
-    return b, wmap
+    return wmap
 
 
 def _walk_out(b: Builder, seeds, directions):
@@ -150,10 +152,10 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
         raise DomainError("stacking needs equal strand counts")
     if s1.directions != s2.directions:
         raise DomainError("stacking needs matching strand orientations")
-    b, w1 = _to_builder(s1)
-    b2, w2 = _to_builder(s2)
-    shift = b.absorb(b2)
-    upper = {b.live(shift[w]) for w in w2.values()}
+    b = Builder()
+    w1 = _to_builder(b, s1)
+    w2 = _to_builder(b, s2)
+    upper = {b.live(w) for w in w2.values()}
     lower = {b.live(w) for w in w1.values()}
     _splice_terminals(b, s1.directions, lower, upper)
     seeds = []
@@ -161,7 +163,7 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
         if s1.directions[i] > 0:
             seeds.append((w1[s1.strands[i][0]], True))
         else:
-            seeds.append((shift[w2[s2.strands[i][0]]], True))
+            seeds.append((w2[s2.strands[i][0]], True))
     out, _ = _walk_out(b, seeds, s1.directions)
     return out
 
@@ -169,7 +171,8 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
 def closure(sl: StringLink) -> Diagram:
     """Close top to bottom with a trivial string link; component order is
     the strand order, orientations those of the strands."""
-    b, wmap = _to_builder(sl)
+    b = Builder()
+    wmap = _to_builder(b, sl)
     _splice_terminals(b, sl.directions)
     d, _ = b.to_diagram([(wmap[path[0]], True) for path in sl.strands])
     return d
@@ -180,7 +183,8 @@ def infect(op: InfectionOperator, k: Diagram) -> InfectionOperator:
 
     The marking survives; the winding vector is unchanged.
     """
-    b, wmap = _to_builder(op.link)
+    b = Builder()
+    wmap = _to_builder(b, op.link)
     marked = _tie_companion(b, wmap, op.cut, k)
     seeds = [(wmap[path[0]], True) for path in op.link.strands]
     out, labels = _walk_out(b, seeds, op.link.directions)
@@ -215,7 +219,8 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     orient = _orient_tangle(sl)
     widths = {e: abs(kvec[orient.edge_component[e]]) for e in sl.edges()}
     bare = [path[0] for path in sl.strands if path[0] in orient.free]
-    b, copies, _ = build_cable(sl.crossings, orient.signs, widths, open_edges=bare)
+    b = Builder()
+    copies, _ = build_cable(b, sl.crossings, orient.signs, widths, open_edges=bare)
     # untwisted copies: correct each copied strand by its self-writhe; the
     # twist region threads the bundle against the copy-offset direction,
     # matching the reading the companion gadget uses
@@ -237,18 +242,15 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     directions = []
     for si, path in enumerate(sl.strands):
         k = kvec[si]
-        slot_order = range(abs(k) - 1, -1, -1) if k > 0 else range(abs(k))
+        if k == 0:
+            continue
+        # forward copies are seeded where the strand starts, reversed ones
+        # at its twisted end
+        starts, slot_order = (copies[path[0]], range(k - 1, -1, -1)) if k > 0 else (top_stubs[si], range(-k))
         for j in slot_order:
-            if k > 0:
-                w = b.live(copies[path[0]][j])
-                ends = b.wires[w]
-                seeds.append((w, ends[0] is None))
-                directions.append(sl.directions[si])
-            else:
-                w = b.live(top_stubs[si][j])
-                ends = b.wires[w]
-                seeds.append((w, ends[0] is None))
-                directions.append(-sl.directions[si])
+            w = b.live(starts[j])
+            seeds.append((w, b.wires[w][0] is None))
+            directions.append(sl.directions[si] * (1 if k > 0 else -1))
     out, labels = _walk_out(b, seeds, directions)
     new_cut = []
     for e, s in op.cut:
@@ -308,7 +310,8 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
             raise DomainError("band crosses the marked disk")
         if _component_of(orient, spec.edge_low) != i or _component_of(orient, spec.edge_high) != i + 1:
             raise DomainError(f"band {i} must join strand {i} to strand {i + 1}")
-    b, wmap = _to_builder(sl)
+    b = Builder()
+    wmap = _to_builder(b, sl)
     cut_wires = [(wmap[e], s) for e, s in op.cut]
     for i, spec in enumerate(band_plan):
         u, v = wmap[spec.edge_low], wmap[spec.edge_high]
@@ -316,10 +319,7 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
             band(b, u, v, spec.over_low)
         else:
             # antiparallel strands: the band is a plain turn-around
-            tu, hu = b.cut(u)
-            tv, hv = b.cut(v)
-            b.join(tu, hv)
-            b.join(tv, hu)
+            swap(b, u, v)
     _splice_terminals(b, sl.directions)
     d, labels = b.to_diagram([(cut_wires[0][0], True)])
     cut = tuple((labels[w], s) for w, s in cut_wires)

@@ -19,35 +19,33 @@ def _case(name, ok, detail=""):
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def satellite_formula_suite(pairs):
-    """The cabling formula for the Alexander polynomial, one case per
-    (name, pattern, companion) triple."""
+def _formula_cases(cases, detail):
+    """One case per (name, pattern, companion[, declared diagram]): the
+    formula report's verdict, described by ``detail(ok, report)``."""
     out = []
-    for name, p, k in pairs:
+    for name, p, k, *declared in cases:
         try:
-            rep = satellite_formula_report(p, k)
+            rep = satellite_formula_report(p, k, *declared)
         except SatkitError as exc:
             out.append(_case(name, False, f"formula failed: {exc}"))
             continue
         ok = rep["equal_up_to_units"]
-        detail = f"poly={rep['lhs']!r}" if ok else f"lhs={rep['lhs']!r} rhs={rep['rhs']!r}"
-        out.append(_case(name, ok, detail))
+        out.append(_case(name, ok, detail(ok, rep)))
     return out
+
+
+def satellite_formula_suite(pairs):
+    """The cabling formula for the Alexander polynomial, one case per
+    (name, pattern, companion) triple."""
+    return _formula_cases(
+        pairs, lambda ok, rep: f"poly={rep['lhs']!r}" if ok else f"lhs={rep['lhs']!r} rhs={rep['rhs']!r}"
+    )
 
 
 def declared_satellite_suite(fixtures):
     """Check declared satellite diagrams against the formula: cases are
     (name, pattern, companion, declared diagram)."""
-    out = []
-    for name, p, k, declared in fixtures:
-        try:
-            rep = satellite_formula_report(p, k, declared)
-        except SatkitError as exc:
-            out.append(_case(name, False, f"formula failed: {exc}"))
-            continue
-        detail = f"declared={rep['lhs']!r} expected={rep['rhs']!r}"
-        out.append(_case(name, rep["equal_up_to_units"], detail))
-    return out
+    return _formula_cases(fixtures, lambda ok, rep: f"declared={rep['lhs']!r} expected={rep['rhs']!r}")
 
 
 def meridian_suite(diagrams, limit=10**4):

@@ -104,7 +104,8 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
         for e in d.components[c]:
             widths[e] = w
     loops = [e for e in d.edges() if e in orient.free]
-    gb, copies, _ = build_cable(d.crossings, orient.signs, widths, loops=loops)
+    gb = Builder()
+    copies, _ = build_cable(gb, d.crossings, orient.signs, widths, loops=loops)
     fix = fl.framings[j] - writhe(d, j)
     if fix:
         pair = copies[handle_edge]
@@ -155,35 +156,27 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     The congruence class of the linking matrix, hence the homology, is
     unchanged exactly.
 
-    When no band is given, attachment edges and the band's crossing sense
-    are searched so the result stays planar; an explicit ``BandArc`` is
-    honoured verbatim, with realizability the caller's concern.
+    Attachment edges, the parallel copy banded in and the band's crossing
+    sense are searched so the result stays planar, ``band.over`` tried
+    first.  Edges named in ``band`` narrow the search to those edges; the
+    first attempt is returned when no candidate is planar.
     """
     n = fl.diagram.component_count
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise DomainError("slide needs two distinct components")
     d = fl.diagram
-    orient = _orient(d)
-
-    def check_edges(se, he):
-        if orient.edge_component.get(se) != i:
-            raise DomainError("band must start on the sliding component")
-        if orient.edge_component.get(he) != j:
-            raise DomainError("band must end on the handle component")
-
-    if band is not None and band.slide_edge is not None and band.handle_edge is not None:
-        check_edges(band.slide_edge, band.handle_edge)
-        return _slide_assembly(
-            fl, i, j, band.slide_edge, band.handle_edge, 1, band.over, band.orientation
-        )
+    comp_of = _orient(d).edge_component
     band = band or BandArc()
     orientation = band.orientation
     slide_edges = [band.slide_edge] if band.slide_edge is not None else list(d.components[i])
     handle_edges = [band.handle_edge] if band.handle_edge is not None else list(d.components[j])
     fallback = None
     for se in slide_edges:
+        if comp_of.get(se) != i:
+            raise DomainError("band must start on the sliding component")
         for he in handle_edges:
-            check_edges(se, he)
+            if comp_of.get(he) != j:
+                raise DomainError("band must end on the handle component")
             for copy_index in (1, 0):
                 for over in (band.over, not band.over):
                     out = _slide_assembly(fl, i, j, se, he, copy_index, over, orientation)
@@ -260,12 +253,10 @@ def _split_assembly(p: Pattern, k: Diagram) -> FramedLink:
     the cut strands (reversed) and once around the companion as a
     meridian."""
     b, wmap = Builder.from_diagram(p.base)
-    bk, wk = Builder.from_diagram(k)
-    shift = b.absorb(bk)
+    wk = b.add_diagram(k)
 
     base_seed_src = wmap[p.cut[0][0]]
-    k_edge = min(k.edges())
-    k_seed_src = shift[wk[k_edge]]
+    k_seed_src = wk[min(k.edges())]
 
     passages = []
     for e, s in p.cut:

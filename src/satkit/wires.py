@@ -3,17 +3,19 @@
 The Builder only assembles: connected sums, cabling a strand into parallel
 copies, twist regions, band connectors, tying strands into a companion
 tangle, and encircling a bundle with a round curve.  ``Diagram`` stays
-immutable; operations pull a diagram into a ``Builder``, append crossings
-and splice wires, and walk the result back out.  Local moves (Reidemeister
-reduction and insertion, component deletion) edit the crossing code
-itself, in ``diagram._Splice``.
+immutable; each construction pulls its diagrams into one ``Builder``,
+appends crossings and splices wires, and walks the result back out.  Local
+moves (Reidemeister reduction and insertion, component deletion) edit the
+crossing code itself, in ``diagram._Splice``.
 
-Call sites share one vocabulary of ``Builder`` methods: ``from_diagram``
-and ``from_code`` import a crossing code; ``cut``, ``join`` and ``fuse``
-split and splice wires; ``to_diagram``/``to_tangle`` walk the result
-back out, once, from one seed wire per component.  Seeds may be any wire
-id the Builder issued, and the returned labels cover them all.  ``braid``
-lays out a braid word on fresh strands.
+Call sites share one vocabulary.  ``add_diagram`` and ``add_code`` import
+a crossing code beside what the Builder holds (``from_diagram`` starts a
+new Builder that way); ``cut``, ``join`` and ``fuse`` split and splice
+wires, and ``swap`` cross-joins two cut wires; ``to_diagram``/``to_tangle``
+walk the result back out, once, from one seed wire per component.  Seeds
+may be any wire id the Builder issued, and the returned labels cover them
+all.  Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
+``lasso``, ``encircle``) draws into the Builder it is given.
 
 Conventions
 -----------
@@ -112,46 +114,33 @@ class Builder:
 
     @classmethod
     def from_diagram(cls, d):
-        """Import a diagram.  Returns (builder, edge label -> wire id)."""
-        orient = _orient(d)
-        b, wmap = cls.from_code(d.crossings, d.edges(), orient)
-        for e in orient.free:
-            b.wires[wmap[e]] = [LOOP, LOOP]
-        return b, wmap
-
-    @classmethod
-    def from_code(cls, crossings, edges, orient):
-        """Import a crossing code: one wire per edge, in ``edges`` order,
-        bound at the (crossing, slot) occurrences in ``orient.edge_head``
-        and ``orient.edge_tail``.  Returns (builder, edge label -> wire id)."""
+        """A new builder holding ``d``.  Returns (builder, edge label -> wire id)."""
         b = cls()
-        wmap = {e: b.fresh() for e in edges}
-        for x in crossings:
-            b.crossings.append([wmap[e] for e in x])
-        for e, (ci, s) in orient.edge_head.items():
-            b.wires[wmap[e]][1] = ("x", ci, s)
-        for e, (ci, s) in orient.edge_tail.items():
-            b.wires[wmap[e]][0] = ("x", ci, s)
-        return b, wmap
+        return b, b.add_diagram(d)
 
-    def absorb(self, other):
-        """Merge another builder into this one.  Returns its wire id map."""
-        shift = {}
-        coff = len(self.crossings)
-        for w, ends in other.wires.items():
-            nw = self.fresh()
-            shift[w] = nw
-        for w, ends in other.wires.items():
-            new_ends = []
-            for e in ends:
-                if e is not None and e != LOOP and e[0] == "x":
-                    new_ends.append(("x", e[1] + coff, e[2]))
-                else:
-                    new_ends.append(e)
-            self.wires[shift[w]] = new_ends
-        for x in other.crossings:
-            self.crossings.append([shift[w] for w in x])
-        return shift
+    def add_diagram(self, d):
+        """Import a diagram beside what the builder holds.  Returns its
+        edge label -> wire id map."""
+        orient = _orient(d)
+        wmap = self.add_code(d.crossings, d.edges(), orient)
+        for e in orient.free:
+            self.wires[wmap[e]] = [LOOP, LOOP]
+        return wmap
+
+    def add_code(self, crossings, edges, orient):
+        """Import a crossing code beside what the builder holds: one wire
+        per edge, in ``edges`` order, bound at the (crossing, slot)
+        occurrences in ``orient.edge_head`` and ``orient.edge_tail``.
+        Returns the edge label -> wire id map."""
+        off = len(self.crossings)
+        wmap = {e: self.fresh() for e in edges}
+        for x in crossings:
+            self.crossings.append([wmap[e] for e in x])
+        for e, (ci, s) in orient.edge_head.items():
+            self.wires[wmap[e]][1] = ("x", ci + off, s)
+        for e, (ci, s) in orient.edge_tail.items():
+            self.wires[wmap[e]][0] = ("x", ci + off, s)
+        return wmap
 
     def cut(self, w):
         """Split a wire at an interior point.
@@ -248,8 +237,10 @@ class Builder:
 
     def to_diagram(self, seeds):
         """Walk out a diagram, one closed path per component.  Returns
-        (Diagram, wire -> label); a code the walk-out gets wrong is an
-        ``InternalError``."""
+        (Diagram, wire -> label).  A dangling wire end, or a code the
+        walk-out gets wrong, is an ``InternalError``."""
+        if any(None in ends for ends in self.wires.values()):
+            raise InternalError("a closed diagram has a dangling wire end")
         crossings, components, label = self.to_tangle(seeds)
         return built(Diagram, crossings, components), label
 
@@ -328,8 +319,9 @@ def twist_chain(b: Builder, stubs, count):
     return cur
 
 
-def build_cable(crossings, signs, widths, cut_edges=(), loops=(), open_edges=()):
-    """Cable every strand of a crossing code into parallel copies.
+def build_cable(b: Builder, crossings, signs, widths, cut_edges=(), loops=(), open_edges=()):
+    """Cable every strand of a crossing code into parallel copies, drawn
+    into ``b`` beside what it holds.
 
     crossings: iterable of 4-tuples of edge labels.
     signs: crossing sign per crossing (fixes the grid geometry).
@@ -339,13 +331,12 @@ def build_cable(crossings, signs, widths, cut_edges=(), loops=(), open_edges=())
     loops: crossing-free circle labels (each becomes widths[e] free loops).
     open_edges: crossing-free open strand labels (copies dangle both ends).
 
-    Returns (builder, copies, cut_ports) where copies maps an ordinary
+    Returns (copies, cut_ports) where copies maps an ordinary
     edge to its copy wires (transverse order: copy j sits j units to the
     left of the direction of travel) and cut_ports maps a cut edge to
     (entry_pieces, exit_pieces): the entry piece carries the original
     head occurrence, so flow begins there.
     """
-    b = Builder()
     copies = {}
     cut_ports = {}
     cut_edges = set(cut_edges)
@@ -417,7 +408,7 @@ def build_cable(crossings, signs, widths, cut_edges=(), loops=(), open_edges=())
                         us[u - 1][v], os_[v - 1][p - u],
                         over_entry=3,
                     )
-    return b, copies, cut_ports
+    return copies, cut_ports
 
 
 def band(b: Builder, u, v, over):
@@ -430,6 +421,15 @@ def band(b: Builder, u, v, over):
         b.add_crossing(tv, hv, hu, tu, over_entry=3)
     else:
         b.add_crossing(tu, tv, hv, hu, over_entry=1)
+
+
+def swap(b: Builder, u, v):
+    """Cut two wires and cross-join the ends: out of ``u`` into ``v``
+    and out of ``v`` into ``u``."""
+    tu, hu = b.cut(u)
+    tv, hv = b.cut(v)
+    b.join(tu, hv)
+    b.join(tv, hu)
 
 
 def cut_for_passage(b: Builder, w):

@@ -25,7 +25,7 @@ from satkit.catalog import (
     trefoil,
     winding_two_three_operator,
 )
-from satkit.diagram import Diagram
+from satkit.diagram import Diagram, unknot
 from satkit.errors import InternalError, ParseError
 from satkit.patterns import Pattern, compose, difference_pattern, satellite, to_link, winding_number
 from satkit.stringlinks import (
@@ -121,6 +121,14 @@ def _closed_walk_meets(dangle_or_terminal):
     return state
 
 
+def _crossingless_wire_cut_open():
+    # the walk never meets a crossing, so only the dangling-end check sees
+    # that the unknot's one wire was left open
+    b, wmap = Builder.from_diagram(unknot())
+    b.cut(wmap[1])
+    return b.to_diagram([(wmap[1], True)])
+
+
 def _strand_seed_on_closed_loop():
     b, wmap, cyc = _trefoil_builder()
     return _walk_out(b, [(wmap[cyc[0]], True)], (1,))
@@ -146,10 +154,11 @@ def _alarm(signum, frame):
 @pytest.mark.parametrize("state", [
     _closed_walk_meets("dangle"),
     _closed_walk_meets("terminal"),
+    _crossingless_wire_cut_open,
     _strand_seed_on_closed_loop,
     _component_seeded_twice,
     _over_slots_swapped,
-], ids=["closed-walk-dangle", "closed-walk-terminal", "strand-on-loop", "seeded-twice",
+], ids=["closed-walk-dangle", "closed-walk-terminal", "crossingless-dangle", "strand-on-loop", "seeded-twice",
         "over-slots-swapped"])
 def test_broken_builder_states_are_internal_errors(state):
     previous = signal.signal(signal.SIGALRM, _alarm)

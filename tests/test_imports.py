@@ -1,6 +1,9 @@
 """Every import in ``src/satkit`` is used; ``__init__.py`` re-exports are
 exempt.  Every private function, method or class defined in ``src/satkit``
-is referenced in ``src`` or ``tests``.  Every ``name = ...`` local in a
+is referenced in ``src`` or ``tests``.  Every public module-level function
+or class, and every public method, in ``src/satkit`` is referenced outside
+its own definition in ``src``, ``tests``, ``scripts`` or ``perfbench``
+(``__init__.py`` re-exports do not count).  Every ``name = ...`` local in a
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
@@ -12,9 +15,11 @@ tree."""
 import ast
 import pathlib
 import re
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
 SCRIPTS = SRC.parent.parent / "scripts"
+PERFBENCH = SRC.parent.parent / "perfbench"
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
@@ -90,6 +95,75 @@ def test_no_unreferenced_private_names():
         if path.parent == SRC:
             found += [f"{path.name}:{line} {name}" for line, name in _unreferenced_private(tree, referenced)]
     assert not found, "unreferenced private names:\n" + "\n".join(found)
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _reference_counts(tree):
+    """Counter of every name read, attribute accessed, or dotted string
+    constant part (``"Builder.to_diagram"`` names both) in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            found.update(node.value.split("."))
+    return found
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods
+    of module-level classes: (line, name, definition node)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            found.append(node)
+            if isinstance(node, ast.ClassDef):
+                found += [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(node.lineno, node.name, node) for node in found if not node.name.startswith("_")]
+
+
+def _uncalled_public(tree, references):
+    """(line, name) for every public definition in ``tree`` that
+    ``references`` (a Counter over every file) names only inside that
+    definition."""
+    return sorted(
+        (line, name)
+        for line, name, node in _public_definitions(tree)
+        if references[name] <= _reference_counts(node)[name]
+    )
+
+
+def test_checker_flags_an_uncalled_public_definition():
+    src = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Kept:\n"
+        "    def called(self):\n        return self.named()\n"
+        "    def named(self):\n        pass\n"
+        "    def dead(self):\n        pass\n"
+        "    def __repr__(self):\n        pass\n"
+        "def traced():\n    pass\n"
+        "used(Kept().called())\n"
+        "TARGETS = ['Kept.traced']\n"
+    )
+    tree = ast.parse(src)
+    assert _uncalled_public(tree, _reference_counts(tree)) == [(3, "recursive"), (10, "dead")]
+
+
+def test_every_public_definition_has_a_caller():
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    others = sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources + others}
+    references = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    found = []
+    for path in sources:
+        found += [f"{path.name}:{line} {name}" for line, name in _uncalled_public(trees[path], references)]
+    assert not found, "public definitions with no caller:\n" + "\n".join(found)
 
 
 def _unread_locals(tree):

@@ -25,6 +25,7 @@ from satkit.patterns import Pattern, satellite, winding_number
 from satkit.surgery import (
     BandArc,
     FramedLink,
+    _slide_assembly,
     build_pipeline,
     framed_links_equal,
     h1,
@@ -87,6 +88,19 @@ def test_handle_slide_preserves_planarity():
     fl = FramedLink(hopf_link(), (2, -1))
     out = handle_slide(fl, 0, 1)
     assert embedding_genus(out.diagram) == 0
+
+
+def test_named_band_edges_narrow_the_planar_search():
+    # on these edges the first candidate (copy 1, band over) is not planar;
+    # naming both edges narrows the search to them, it does not fix the band
+    fl = FramedLink(hopf_link(), (0, 1))
+    candidates = [_slide_assembly(fl, 0, 1, 2, 4, copy_index, over, -1)
+                  for copy_index in (1, 0) for over in (True, False)]
+    assert embedding_genus(candidates[0].diagram) == 1
+    out = handle_slide(fl, 0, 1, BandArc(slide_edge=2, handle_edge=4, orientation=-1))
+    assert embedding_genus(out.diagram) == 0
+    assert out == next(c for c in candidates if embedding_genus(c.diagram) == 0)
+    assert h1(out).invariant_factors == h1(fl).invariant_factors
 
 
 def test_double_slide_preserves_h1():
