@@ -103,7 +103,7 @@ class InfectionOperator:
 # -- builder conversions -----------------------------------------------------
 
 
-def _to_builder(b: Builder, sl: StringLink):
+def _add_string_link(b: Builder, sl: StringLink):
     """Import ``sl`` beside what ``b`` holds, its strand ends bound to the
     terminals.  Returns the edge label -> wire id map."""
     wmap = b.add_code(sl.crossings, sl.edges(), _orient_tangle(sl))
@@ -153,11 +153,9 @@ def stack(s1: StringLink, s2: StringLink) -> StringLink:
     if s1.directions != s2.directions:
         raise DomainError("stacking needs matching strand orientations")
     b = Builder()
-    w1 = _to_builder(b, s1)
-    w2 = _to_builder(b, s2)
-    upper = {b.live(w) for w in w2.values()}
-    lower = {b.live(w) for w in w1.values()}
-    _splice_terminals(b, s1.directions, lower, upper)
+    w1 = _add_string_link(b, s1)
+    w2 = _add_string_link(b, s2)
+    _splice_terminals(b, s1.directions, set(w1.values()), set(w2.values()))
     seeds = []
     for i in range(s1.strand_count):
         if s1.directions[i] > 0:
@@ -172,7 +170,7 @@ def closure(sl: StringLink) -> Diagram:
     """Close top to bottom with a trivial string link; component order is
     the strand order, orientations those of the strands."""
     b = Builder()
-    wmap = _to_builder(b, sl)
+    wmap = _add_string_link(b, sl)
     _splice_terminals(b, sl.directions)
     d, _ = b.to_diagram([(wmap[path[0]], True) for path in sl.strands])
     return d
@@ -184,7 +182,7 @@ def infect(op: InfectionOperator, k: Diagram) -> InfectionOperator:
     The marking survives; the winding vector is unchanged.
     """
     b = Builder()
-    wmap = _to_builder(b, op.link)
+    wmap = _add_string_link(b, op.link)
     marked = _tie_companion(b, wmap, op.cut, k)
     seeds = [(wmap[path[0]], True) for path in op.link.strands]
     out, labels = _walk_out(b, seeds, op.link.directions)
@@ -311,7 +309,7 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
         if _component_of(orient, spec.edge_low) != i or _component_of(orient, spec.edge_high) != i + 1:
             raise DomainError(f"band {i} must join strand {i} to strand {i + 1}")
     b = Builder()
-    wmap = _to_builder(b, sl)
+    wmap = _add_string_link(b, sl)
     cut_wires = [(wmap[e], s) for e, s in op.cut]
     for i, spec in enumerate(band_plan):
         u, v = wmap[spec.edge_low], wmap[spec.edge_high]

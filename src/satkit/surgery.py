@@ -108,11 +108,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     copies, _ = build_cable(gb, d.crossings, orient.signs, widths, loops=loops)
     fix = fl.framings[j] - writhe(d, j)
     if fix:
-        pair = copies[handle_edge]
-        tails = []
-        for w in pair:
-            t, h = gb.cut(w)
-            tails.append((t, h))
+        tails = [gb.cut(w) for w in copies[handle_edge]]
         stubs = twist_chain(gb, [t for t, _ in reversed(tails)], fix)
         for stub, (_, h) in zip(stubs, reversed(tails)):
             gb.fuse(gb.single_dangle(stub), (h, 0))
@@ -170,13 +166,13 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     orientation = band.orientation
     slide_edges = [band.slide_edge] if band.slide_edge is not None else list(d.components[i])
     handle_edges = [band.handle_edge] if band.handle_edge is not None else list(d.components[j])
+    if any(comp_of.get(se) != i for se in slide_edges):
+        raise DomainError("band must start on the sliding component")
+    if any(comp_of.get(he) != j for he in handle_edges):
+        raise DomainError("band must end on the handle component")
     fallback = None
     for se in slide_edges:
-        if comp_of.get(se) != i:
-            raise DomainError("band must start on the sliding component")
         for he in handle_edges:
-            if comp_of.get(he) != j:
-                raise DomainError("band must end on the handle component")
             for copy_index in (1, 0):
                 for over in (band.over, not band.over):
                     out = _slide_assembly(fl, i, j, se, he, copy_index, over, orientation)

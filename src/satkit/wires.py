@@ -11,8 +11,9 @@ crossing code itself, in ``diagram._Splice``.
 Call sites share one vocabulary.  ``add_diagram`` and ``add_code`` import
 a crossing code beside what the Builder holds (``from_diagram`` starts a
 new Builder that way); ``cut``, ``join`` and ``fuse`` split and splice
-wires, and ``swap`` cross-joins two cut wires; ``to_diagram``/``to_tangle``
-walk the result back out, once, from one seed wire per component.  Seeds
+wires, and ``swap`` cuts two wires and cross-joins their ends;
+``to_diagram``/``to_tangle`` walk the result back out, once, from one seed
+wire per component (``to_diagram`` refuses a dangling wire end).  Seeds
 may be any wire id the Builder issued, and the returned labels cover them
 all.  Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
 ``lasso``, ``encircle``) draws into the Builder it is given.
