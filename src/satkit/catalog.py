@@ -17,12 +17,14 @@ from .surgery import FramedLink
 from .wires import Builder, braid, braid_permutation
 
 
-def braid_closure(strands, word) -> Diagram:
-    """Trace closure of a braid word (letters +-1..+-(strands-1))."""
+def _closed_braid(strands, word):
+    """Trace closure of a braid word, walked out from one bottom strand per
+    cycle of its permutation.  Returns (diagram, wire -> label, closing
+    wires): one closing wire per strand, left to right, each running from
+    the braid's top back to its bottom."""
     b = Builder()
     bottom, top = braid(b, strands, word)
-    for t, s in zip(top, bottom):
-        b.join(t, s)
+    closing = [b.join(t, s) for t, s in zip(top, bottom)]
     perm = braid_permutation(strands, word)
     seeds = []
     seen = set()
@@ -34,13 +36,18 @@ def braid_closure(strands, word) -> Diagram:
             seen.add(j)
             j = perm[j]
         seeds.append((bottom[i], True))
-    d, _ = b.to_diagram(seeds)
-    return d
+    d, labels = b.to_diagram(seeds)
+    return d, labels, closing
 
 
-def trefoil(right=True) -> Diagram:
-    d = braid_closure(2, [1, 1, 1])
-    return d if right else mirror(d)
+def braid_closure(strands, word) -> Diagram:
+    """Trace closure of a braid word (letters +-1..+-(strands-1))."""
+    return _closed_braid(strands, word)[0]
+
+
+def trefoil() -> Diagram:
+    """The right-handed trefoil."""
+    return braid_closure(2, [1, 1, 1])
 
 
 def figure_eight() -> Diagram:
@@ -83,24 +90,12 @@ def pattern_from_braid(strands, word) -> Pattern:
     """Pattern whose base is the braid closure, cut on the closure arcs.
 
     All strands run coherently through the disk, so the winding number is
-    the strand count; the closure permutation must be a single cycle.
+    the strand count; the closure must be a knot.
     """
-    b = Builder()
-    bottom, top = braid(b, strands, word)
-    perm = braid_permutation(strands, word)
-    seen = set()
-    cycle = 0
-    i = 0
-    while i not in seen:
-        seen.add(i)
-        i = perm[i]
-        cycle += 1
-    if cycle != strands:
+    d, labels, closing = _closed_braid(strands, word)
+    if not d.is_knot():
         raise DomainError("closure is a link; pattern base must be a knot")
-    closure_wires = [b.join(t, s) for t, s in zip(top, bottom)]
-    d, labels = b.to_diagram([(bottom[0], True)])
-    cut = tuple((labels[w], 1) for w in closure_wires)
-    return built(Pattern, d, cut)
+    return built(Pattern, d, tuple((labels[w], 1) for w in closing))
 
 
 def core_pattern() -> Pattern:
@@ -152,13 +147,12 @@ def zigzag_pattern() -> Pattern:
     return Pattern(d, ((3, -1), (1, 1), (4, 1)))
 
 
-def knot_pattern(k: Diagram, edge=None) -> Pattern:
-    """One-strand pattern over an arbitrary knot diagram: the satellite is
-    then a connected sum with that knot."""
+def knot_pattern(k: Diagram) -> Pattern:
+    """One-strand pattern over an arbitrary knot diagram, cut at its
+    lowest edge: the satellite is then a connected sum with that knot."""
     if not k.is_knot():
         raise DomainError("pattern base must be a knot")
-    e = min(k.edges()) if edge is None else edge
-    return Pattern(k, ((e, 1),))
+    return Pattern(k, ((min(k.edges()), 1),))
 
 
 # -- corpora ------------------------------------------------------------------
@@ -256,8 +250,9 @@ def winding_two_three_operator():
     return InfectionOperator(sl, ((2, 1), (3, 1), (8, 1), (7, 1), (6, 1)))
 
 
-def random_framed_links(count, rng=None, max_components=5):
-    """Deterministic stream of small framed links for move tests."""
+def random_framed_links(count, rng=None):
+    """Deterministic stream of small framed links for move tests: closures
+    of braids on 2 to 4 strands with at least two components."""
     rng = rng or random.Random(20260808)
     out = []
     while len(out) < count:
@@ -265,7 +260,7 @@ def random_framed_links(count, rng=None, max_components=5):
         length = rng.randint(2, 7)
         word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
         d = braid_closure(strands, word)
-        if d.component_count < 2 or d.component_count > max_components:
+        if d.component_count < 2:
             continue
         framings = tuple(rng.randint(-3, 3) for _ in range(d.component_count))
         out.append(FramedLink(d, framings))

@@ -72,14 +72,13 @@ class _Orientation:
         -1 when it enters at position 3 (the under-strand always enters
         at position 0).
     edge_head: edge -> (crossing, slot) occurrence where the edge ends.
-    edge_tail: edge -> (crossing, slot) occurrence where the edge starts.
+        The edge after it starts at the opposite slot, (crossing, slot ^ 2).
     edge_component: edge -> index of the path (component or strand) on it.
     free: the edges that meet no crossing (free loops, bare strands).
     """
 
     signs: tuple[int, ...]
     edge_head: dict
-    edge_tail: dict
     edge_component: dict
     free: frozenset
 
@@ -143,7 +142,7 @@ def _orient_paths(crossings, paths, closed):
             raise ValidationError(f"edge label {e} occurs {len(where)} times, expected {expected}")
 
     signs = [0] * len(crossings)
-    edge_head, edge_tail, edge_component = {}, {}, {}
+    edge_head, edge_component = {}, {}
     for index, path in enumerate(paths):
         for e in path:
             edge_component[e] = index
@@ -158,10 +157,9 @@ def _orient_paths(crossings, paths, closed):
             raise ValidationError(f"component {index} is inconsistent with the crossings")
         for i, (ci, s) in enumerate(heads):
             edge_head[path[i]] = (ci, s)
-            edge_tail[path[(i + 1) % len(path)]] = (ci, s ^ 2)
             if s != 0:
                 signs[ci] = 1 if s == 1 else -1
-    return _Orientation(tuple(signs), edge_head, edge_tail, edge_component, free)
+    return _Orientation(tuple(signs), edge_head, edge_component, free)
 
 
 @lru_cache(maxsize=4096)
@@ -395,19 +393,15 @@ def unknot() -> Diagram:
     return Diagram((), ((1,),))
 
 
-def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None, e2: int | None = None) -> Diagram:
-    """Connected sum of two knot diagrams, spliced at the chosen edges."""
+def connected_sum(d1: Diagram, d2: Diagram) -> Diagram:
+    """Connected sum of two knot diagrams, spliced at their lowest edges."""
     from .wires import Builder, swap
 
     if not d1.is_knot() or not d2.is_knot():
         raise DomainError("connected sum requires one-component diagrams")
-    if e1 is None:
-        e1 = min(d1.edges())
-    if e2 is None:
-        e2 = min(d2.edges())
     b, w1 = Builder.from_diagram(d1)
     w2 = b.add_diagram(d2)
-    swap(b, w1[e1], w2[e2])
+    swap(b, w1[min(d1.edges())], w2[min(d2.edges())])
     out, _ = b.to_diagram([(next(iter(b.wires)), True)])
     return out
 

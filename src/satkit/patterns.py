@@ -115,14 +115,13 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     orient = _orient(companion)
     cut_edge = min(companion.edges())
     widths = {e: m for e in companion.edges()}
-    _, ports = build_cable(
-        b, companion.crossings, orient.signs, widths, cut_edges=(cut_edge,), loops=orient.free
-    )
+    copies = build_cable(b, companion.crossings, orient.signs, widths, loops=orient.free)
     # cut order and copy offsets run through the disk in opposite transverse
     # directions: strand i of the cut meets copy m+1-i of the cable.  The
     # twist region is threaded in the same reading direction as the splice.
-    entry = ports[cut_edge][0][::-1]
-    exits = ports[cut_edge][1][::-1]
+    # Each copy opens into an exit (tail piece) and an entry (head piece);
+    # a free loop opens into one wire serving as both.
+    exits, entry = zip(*[b.cut(w) for w in reversed(copies[cut_edge])])
     exits = twist_chain(b, exits, -total_writhe(companion) + extra_twists)
 
     marked = []
@@ -158,12 +157,12 @@ def satellite(p: Pattern, k: Diagram) -> Diagram:
     return d
 
 
-def misframed_satellite(p: Pattern, k: Diagram, extra_twists: int = 1) -> Diagram:
-    """A deliberately wrong satellite: the framing correction is off by the
-    given number of full twists.  Negative-control fixture builder."""
+def misframed_satellite(p: Pattern, k: Diagram) -> Diagram:
+    """A deliberately wrong satellite: the framing correction is off by one
+    full twist.  Negative-control fixture builder."""
     if p.strand_count < 2:
         raise DomainError("a one-strand insertion cannot be mis-framed")
-    d, _ = _satellite_parts(p, k, extra_twists)
+    d, _ = _satellite_parts(p, k, 1)
     return d
 
 
@@ -262,13 +261,11 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     for i, ci in enumerate(over_run):
         cj = under_run[m - 1 - i]
         mids = set(d.crossings[ci][0::2]) & set(d.crossings[cj][0::2] + d.crossings[cj][1::2])
+        # an edge met at two distinct crossings runs between them
         mids = {e for e in mids if comp_of[e] != circle}
-        shared = None
-        for e in mids:
-            if {orient.edge_head[e][0], orient.edge_tail[e][0]} == {ci, cj}:
-                shared = e
-        if shared is None:
+        if not mids:
             raise DomainError("circle passages do not pair up across the disk")
+        *_, shared = mids
         if signs[ci] != signs[cj]:
             raise DomainError("paired passages disagree in sign; strand does not cross straight through")
         cut_info.append((shared, signs[ci]))

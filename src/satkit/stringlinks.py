@@ -82,10 +82,6 @@ def string_link_from_braid(strands, word) -> StringLink:
     bottom, top = braid(b, strands, word)
     if braid_permutation(strands, word) != list(range(strands)):
         raise DomainError("braid must induce the identity permutation")
-    for i, w in enumerate(bottom):
-        b._bind(w, 0, ("t", ("bot", i)))
-    for i, w in enumerate(top):
-        b._bind(w, 1, ("t", ("top", i)))
     sl, _ = _walk_out(b, [(w, True) for w in bottom], (1,) * strands)
     return sl
 
@@ -216,9 +212,10 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
         raise DomainError("at least one strand must survive")
     orient = _orient_tangle(sl)
     widths = {e: abs(kvec[orient.edge_component[e]]) for e in sl.edges()}
-    bare = [path[0] for path in sl.strands if path[0] in orient.free]
     b = Builder()
-    copies, _ = build_cable(b, sl.crossings, orient.signs, widths, open_edges=bare)
+    copies = build_cable(b, sl.crossings, orient.signs, widths)
+    # a strand that meets no crossing is one bare wire per copy
+    copies.update((e, [b.fresh() for _ in range(widths[e])]) for e in orient.free)
     # untwisted copies: correct each copied strand by its self-writhe; the
     # twist region threads the bundle against the copy-offset direction,
     # matching the reading the companion gadget uses
@@ -324,7 +321,7 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
     return built(Pattern, d, cut)
 
 
-def reduce_to_pattern(op: InfectionOperator, kvec, band_plan=None) -> Pattern:
+def reduce_to_pattern(op: InfectionOperator, kvec) -> Pattern:
     """Parallels then fusion: the winding number of the resulting pattern
     is the combination sum, which must equal the winding gcd."""
     kvec = tuple(int(k) for k in kvec)
@@ -335,8 +332,7 @@ def reduce_to_pattern(op: InfectionOperator, kvec, band_plan=None) -> Pattern:
         raise DomainError(
             f"combination {kvec} against {wv} gives {total}, need the winding gcd {g}"
         )
-    par = parallel(op, kvec)
-    return fuse(par, band_plan)
+    return fuse(parallel(op, kvec))
 
 
 def mirror_reverse(sl: StringLink) -> StringLink:

@@ -98,14 +98,9 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     orient = _orient(d)
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
-    widths = {}
-    for c in range(n):
-        w = 2 if c == j else 1
-        for e in d.components[c]:
-            widths[e] = w
-    loops = [e for e in d.edges() if e in orient.free]
+    widths = {e: 2 if c == j else 1 for e, c in orient.edge_component.items()}
     gb = Builder()
-    copies, _ = build_cable(gb, d.crossings, orient.signs, widths, loops=loops)
+    copies = build_cable(gb, d.crossings, orient.signs, widths, loops=orient.free)
     fix = fl.framings[j] - writhe(d, j)
     if fix:
         tails = [gb.cut(w) for w in copies[handle_edge]]

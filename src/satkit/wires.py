@@ -130,8 +130,9 @@ class Builder:
 
     def add_code(self, crossings, edges, orient):
         """Import a crossing code beside what the builder holds: one wire
-        per edge, in ``edges`` order, bound at the (crossing, slot)
-        occurrences in ``orient.edge_head`` and ``orient.edge_tail``.
+        per edge, in ``edges`` order.  Each edge's head is bound at its
+        (crossing, slot) occurrence in ``orient.edge_head``, and the edge
+        leaving that crossing opposite it has its tail bound there.
         Returns the edge label -> wire id map."""
         off = len(self.crossings)
         wmap = {e: self.fresh() for e in edges}
@@ -139,8 +140,7 @@ class Builder:
             self.crossings.append([wmap[e] for e in x])
         for e, (ci, s) in orient.edge_head.items():
             self.wires[wmap[e]][1] = ("x", ci + off, s)
-        for e, (ci, s) in orient.edge_tail.items():
-            self.wires[wmap[e]][0] = ("x", ci + off, s)
+            self.wires[wmap[crossings[ci][s ^ 2]]][0] = ("x", ci + off, s ^ 2)
         return wmap
 
     def cut(self, w):
@@ -320,51 +320,22 @@ def twist_chain(b: Builder, stubs, count):
     return cur
 
 
-def build_cable(b: Builder, crossings, signs, widths, cut_edges=(), loops=(), open_edges=()):
-    """Cable every strand of a crossing code into parallel copies, drawn
-    into ``b`` beside what it holds.
+def build_cable(b: Builder, crossings, signs, widths, loops=()):
+    """Cable every strand of a closed crossing code into parallel copies,
+    drawn into ``b`` beside what it holds.
 
     crossings: iterable of 4-tuples of edge labels.
     signs: crossing sign per crossing (fixes the grid geometry).
     widths: edge label -> copy count (constant along each component).
-    cut_edges: edges whose copies stay open: they get separate tail-side
-        and head-side pieces instead of a single copy wire.
     loops: crossing-free circle labels (each becomes widths[e] free loops).
-    open_edges: crossing-free open strand labels (copies dangle both ends).
 
-    Returns (copies, cut_ports) where copies maps an ordinary
-    edge to its copy wires (transverse order: copy j sits j units to the
-    left of the direction of travel) and cut_ports maps a cut edge to
-    (entry_pieces, exit_pieces): the entry piece carries the original
-    head occurrence, so flow begins there.
+    Returns copies: edge label -> its copy wires, in transverse order (copy
+    j sits j units to the left of the direction of travel).  Where a strand
+    has width 0 the other strand's copies pass straight through.  A caller
+    that needs a copy open cuts it.
     """
-    copies = {}
-    cut_ports = {}
-    cut_edges = set(cut_edges)
-    edge_labels = {e for x in crossings for e in x}
-    for e in edge_labels:
-        w = widths[e]
-        if e in cut_edges:
-            cut_ports[e] = ([b.fresh() for _ in range(w)], [b.fresh() for _ in range(w)])
-        else:
-            copies[e] = [b.fresh() for _ in range(w)]
-    for e in loops:
-        if e in cut_edges:
-            # a cut loop opens into bare strands: entry and exit are the same wires
-            ws = [b.fresh() for _ in range(widths[e])]
-            cut_ports[e] = (ws, ws)
-        else:
-            copies[e] = [b.fresh_loop() for _ in range(widths[e])]
-    for e in open_edges:
-        copies[e] = [b.fresh() for _ in range(widths[e])]
-
-    def incoming(e):
-        # wires arriving at a crossing along edge e
-        return cut_ports[e][0] if e in cut_edges else copies[e]
-
-    def outgoing(e):
-        return cut_ports[e][1] if e in cut_edges else copies[e]
-
+    copies = {e: [b.fresh() for _ in range(widths[e])] for e in {e for x in crossings for e in x}}
+    copies.update((e, [b.fresh_loop() for _ in range(widths[e])]) for e in loops)
     for ci, (ea, eb, ec, ed) in enumerate(crossings):
         p = widths[ea]
         q = widths[eb]
@@ -372,29 +343,12 @@ def build_cable(b: Builder, crossings, signs, widths, cut_edges=(), loops=(), op
             raise DomainError("cable widths differ along a strand")
         s = signs[ci]
         over_in, over_out = (eb, ed) if s > 0 else (ed, eb)
-        if p == 0 and q == 0:
-            continue
-        if p == 0:
-            # under strand deleted: over copies pass straight through
-            for win, wout in zip(incoming(over_in), outgoing(over_out)):
+        if p == 0 or q == 0:
+            for win, wout in zip(copies[ea] + copies[over_in], copies[ec] + copies[over_out]):
                 b.join(win, wout)
             continue
-        if q == 0:
-            for win, wout in zip(incoming(ea), outgoing(ec)):
-                b.join(win, wout)
-            continue
-        us = [[None] * (q + 1) for _ in range(p)]
-        os_ = [[None] * (p + 1) for _ in range(q)]
-        for u in range(p):
-            us[u][0] = incoming(ea)[u]
-            us[u][q] = outgoing(ec)[u]
-            for j in range(1, q):
-                us[u][j] = b.fresh()
-        for v in range(q):
-            os_[v][0] = incoming(over_in)[v]
-            os_[v][p] = outgoing(over_out)[v]
-            for j in range(1, p):
-                os_[v][j] = b.fresh()
+        us = [[copies[ea][u], *(b.fresh() for _ in range(q - 1)), copies[ec][u]] for u in range(p)]
+        os_ = [[copies[over_in][v], *(b.fresh() for _ in range(p - 1)), copies[over_out][v]] for v in range(q)]
         for u in range(1, p + 1):
             for v in range(1, q + 1):
                 if s > 0:
@@ -409,7 +363,7 @@ def build_cable(b: Builder, crossings, signs, widths, cut_edges=(), loops=(), op
                         us[u - 1][v], os_[v - 1][p - u],
                         over_entry=3,
                     )
-    return copies, cut_ports
+    return copies
 
 
 def band(b: Builder, u, v, over):

@@ -18,14 +18,25 @@ import pytest
 from satkit import suites
 from satkit.catalog import (
     both_strands_operator,
+    braid_closure,
     corpus_knots,
     corpus_patterns,
     figure_eight,
+    hopf_link,
     strand_meridian_operator,
+    torus_link,
     trefoil,
     winding_two_three_operator,
 )
-from satkit.diagram import Diagram, unknot
+from satkit.diagram import (
+    Diagram,
+    _orient,
+    component_subdiagram,
+    diagrams_equal,
+    linking_number,
+    total_writhe,
+    unknot,
+)
 from satkit.errors import InternalError, ParseError
 from satkit.patterns import Pattern, compose, difference_pattern, satellite, to_link, winding_number
 from satkit.stringlinks import (
@@ -40,7 +51,7 @@ from satkit.stringlinks import (
     stack,
 )
 from satkit.surgery import FramedLink, build_pipeline
-from satkit.wires import Builder
+from satkit.wires import Builder, build_cable
 
 # sha256 of the raw codes below: any change to labels, path order or
 # crossing rotations moves it
@@ -98,6 +109,41 @@ def test_builder_outputs_are_raw_identical(monkeypatch):
     out += [_raw(fl) for fl in slides]
 
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RAW_SHA256
+
+
+# -- cabling ----------------------------------------------------------------
+
+
+def _cable(d, widths):
+    """Cable ``d`` with the given width per component into a new Builder and
+    walk out one component per copy."""
+    orient = _orient(d)
+    b = Builder()
+    copies = build_cable(b, d.crossings, orient.signs, {e: widths[c] for e, c in orient.edge_component.items()},
+                         loops=orient.free)
+    seeds = [(w, True) for cyc in d.components for w in copies[cyc[0]]]
+    return b.to_diagram(seeds)[0]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_blackboard_cable_of_every_corpus_knot(m):
+    # parallel copies of a knot link pairwise as often as its writhe
+    for name, k in corpus_knots():
+        d = _cable(k, [m])
+        assert d.component_count == m, name
+        for i in range(m):
+            for j in range(i + 1, m):
+                assert linking_number(d, i, j) == total_writhe(k), (name, i, j)
+
+
+def test_width_zero_deletes_a_component():
+    # copies of the kept component pass straight through the deleted ones,
+    # as component deletion heals the crossing code
+    links = [torus_link(3, 6), torus_link(4, 4), hopf_link(), braid_closure(4, [1, -2, 3, 1, 2, -3, 2])]
+    for link in links:
+        for keep in range(link.component_count):
+            widths = [1 if c == keep else 0 for c in range(link.component_count)]
+            assert diagrams_equal(_cable(link, widths), component_subdiagram(link, [keep])), (link, keep)
 
 
 # -- hand-broken Builder states --------------------------------------------

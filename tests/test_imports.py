@@ -3,7 +3,10 @@ exempt.  Every private function, method or class defined in ``src/satkit``
 is referenced in ``src`` or ``tests``.  Every public module-level function
 or class, and every public method, in ``src/satkit`` is referenced outside
 its own definition in ``src``, ``tests``, ``scripts`` or ``perfbench``
-(``__init__.py`` re-exports do not count).  Every ``name = ...`` local in a
+(``__init__.py`` re-exports do not count).  Every defaulted parameter of
+a ``src/satkit`` function is set by some call there (a call to a class
+sets its ``__init__``, a call to an attribute any function of that name,
+and ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
@@ -164,6 +167,83 @@ def test_every_public_definition_has_a_caller():
     for path in sources:
         found += [f"{path.name}:{line} {name}" for line, name in _uncalled_public(trees[path], references)]
     assert not found, "public definitions with no caller:\n" + "\n".join(found)
+
+
+def _defaulted_parameters(tree):
+    """(line, function, parameter, position) for every parameter with a
+    default of every function in ``tree``; ``position`` counts the
+    arguments a call passes (a method's ``self``/``cls`` skipped), None for
+    a keyword-only parameter.  A class's ``__init__`` is listed under the
+    class name."""
+    owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    found = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(f)
+        name = cls.name if cls and f.name == "__init__" else f.name
+        skip = cls is not None and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        found += [(f.lineno, name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        found += [(f.lineno, name, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return found
+
+
+def _passed_parameters(tree):
+    """Set of (callee, parameter name or position) each call in ``tree``
+    passes; ``callee`` is the called name or attribute.  A ``*args`` or
+    ``**kwargs`` argument is recorded as ``(callee, "*")``: it may pass
+    anything."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+            found.add((callee, "*"))
+        found.update((callee, i) for i in range(len(node.args)))
+        found.update((callee, k.arg) for k in node.keywords)
+    return found
+
+
+def _unset_defaults(tree, passed):
+    """(line, function, parameter) for every defaulted parameter in
+    ``tree`` that no call in ``passed`` sets by name or position."""
+    return sorted(
+        (line, name, param)
+        for line, name, param, position in _defaulted_parameters(tree)
+        if not {(name, param), (name, position), (name, "*")} & passed
+    )
+
+
+def test_checker_flags_a_default_no_caller_sets():
+    src = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n"
+        "    def m(self, z=0, w=0):\n        pass\n"
+        "def g(v=0):\n    pass\n"
+        "f(0, 1, d=2)\n"
+        "K(1)\n"
+        "obj.m(w=1)\n"
+        "g(*args)\n"
+    )
+    tree = ast.parse(src)
+    assert _unset_defaults(tree, _passed_parameters(tree)) == [
+        (1, "f", "c"), (1, "f", "e"), (4, "K", "y"), (6, "m", "z")
+    ]
+
+
+def test_every_default_is_set_by_some_caller():
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    others = sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources + others}
+    passed = set().union(*(_passed_parameters(tree) for tree in trees.values()))
+    found = []
+    for path in sources:
+        found += [f"{path.name}:{line} {name}({param})" for line, name, param in _unset_defaults(trees[path], passed)]
+    assert not found, "defaulted parameters no caller sets:\n" + "\n".join(found)
 
 
 def _unread_locals(tree):

@@ -181,7 +181,14 @@ def _shared(crossings, paths, closed):
         o = _orient_paths(crossings, paths, closed)
     except ValidationError:
         return None
-    return o.signs, o.edge_head, o.edge_tail, o.edge_component
+    # the edge after each head starts at the opposite slot
+    edge_tail = {}
+    for path in paths:
+        for i, e in enumerate(path):
+            if e in o.edge_head:
+                ci, s = o.edge_head[e]
+                edge_tail[path[(i + 1) % len(path)]] = (ci, s ^ 2)
+    return o.signs, o.edge_head, edge_tail, o.edge_component
 
 
 def _agree(crossings, paths):
