@@ -17,6 +17,7 @@ wire per component (``to_diagram`` refuses a dangling wire end).  Seeds
 may be any wire id the Builder issued, and the returned labels cover them
 all.  Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
 ``lasso``, ``encircle``) draws into the Builder it is given.
+``build_cable`` returns closed copies; opening one is ``cut``.
 
 Conventions
 -----------
@@ -334,7 +335,8 @@ def build_cable(b: Builder, crossings, signs, widths, loops=()):
     has width 0 the other strand's copies pass straight through.  A caller
     that needs a copy open cuts it.
     """
-    copies = {e: [b.fresh() for _ in range(widths[e])] for e in {e for x in crossings for e in x}}
+    edges = {e for x in crossings for e in x}
+    copies = {e: [b.fresh() for _ in range(widths[e])] for e in edges}
     copies.update((e, [b.fresh_loop() for _ in range(widths[e])]) for e in loops)
     for ci, (ea, eb, ec, ed) in enumerate(crossings):
         p = widths[ea]
