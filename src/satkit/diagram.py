@@ -178,10 +178,6 @@ def _component_of(orient: _Orientation, edge: int) -> int:
     return orient.edge_component[edge]
 
 
-def edge_component(d: Diagram, edge: int) -> int:
-    return _component_of(_orient(d), edge)
-
-
 def _writhe(crossings, orient: _Orientation, c: int) -> int:
     comp = orient.edge_component
     return sum(
@@ -213,12 +209,8 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
     if a == b:
         raise DomainError("linking number needs two distinct components; use writhe")
     orient = _orient(d)
-    total = 0
-    for x, sign in zip(d.crossings, orient.signs):
-        cu = orient.edge_component[x[0]]
-        co = orient.edge_component[x[1]]
-        if {cu, co} == {a, b}:
-            total += sign
+    comp = orient.edge_component
+    total = sum(sign for x, sign in zip(d.crossings, orient.signs) if {comp[x[0]], comp[x[1]]} == {a, b})
     if total % 2:
         raise ValidationError("odd inter-component crossing sum; diagram is corrupt")
     return total // 2
@@ -226,13 +218,9 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
 
 def mirror(d: Diagram) -> Diagram:
     """Switch every crossing's over/under roles.  All signs negate."""
-    new = []
-    for (a, b, c, e), sign in zip(d.crossings, crossing_signs(d)):
-        if sign > 0:
-            new.append((b, c, e, a))
-        else:
-            new.append((e, a, b, c))
-    return Diagram(tuple(new), d.components, d.names)
+    signs = crossing_signs(d)
+    new = [(b, c, e, a) if sign > 0 else (e, a, b, c) for (a, b, c, e), sign in zip(d.crossings, signs)]
+    return Diagram(new, d.components, d.names)
 
 
 def reverse(d: Diagram, comp: int) -> Diagram:
@@ -243,17 +231,12 @@ def reverse(d: Diagram, comp: int) -> Diagram:
     no tuple change.
     """
     _check_component(d, comp)
-    orient = _orient(d)
-    new = []
-    for x in d.crossings:
-        if orient.edge_component[x[0]] == comp:
-            new.append((x[2], x[3], x[0], x[1]))
-        else:
-            new.append(x)
+    comp_of = _orient(d).edge_component
+    new = [x[2:] + x[:2] if comp_of[x[0]] == comp else x for x in d.crossings]
     comps = list(d.components)
     cyc = comps[comp]
     comps[comp] = (cyc[0],) + tuple(reversed(cyc[1:]))
-    return Diagram(tuple(new), tuple(comps), d.names)
+    return Diagram(new, comps, d.names)
 
 
 def relabeled(d: Diagram, mapping) -> Diagram:
@@ -435,53 +418,79 @@ def _delete_components(d: Diagram, keep):
     return sp.diagram(keep)
 
 
+@dataclass(frozen=True)
+class _Faces:
+    """The faces of the combinatorial map of a crossing code.
+
+    A face is traced from a dart (crossing, slot) by running along its edge
+    to the edge's other occurrence and turning to the next slot
+    counterclockwise, so the face lies to the right of the walk.
+    walks: per face, its darts in walk order as (dart, edge, forward);
+        forward: the walk runs along the edge's orientation, that is, the
+        dart is not the edge's ``edge_head``.
+    face: (edge, forward) -> index of the face that walk lies in.
+    piece: edge -> its connected piece, named by one of its components;
+        a free loop is a piece of its own and is not listed.
+    """
+
+    walks: tuple
+    face: dict
+    piece: dict
+
+    @property
+    def genus(self) -> int:
+        """Total genus over the pieces, each with V - E + F = 2 - 2g and
+        E = 2V, where V is a quarter of the darts."""
+        return len(set(self.piece.values())) - (len(self.walks) - len(self.face) // 4) // 2
+
+    def shared(self, u, v):
+        """The (u forward, v forward) walk directions of each face that runs
+        along both edges; all four when they lie on different pieces, as a
+        face of either can then hold the other."""
+        apart = u not in self.piece or self.piece[u] != self.piece.get(v)
+        return [(a, b) for a in (True, False) for b in (True, False)
+                if apart or self.face[u, a] == self.face[v, b]]
+
+
+def faces(d: Diagram) -> _Faces:
+    """The face record of ``d``, from one walk over its darts."""
+    crossings = d.crossings
+    occ = _occurrences(crossings)
+    orient = _orient(d)
+    head, comp = orient.edge_head, orient.edge_component
+    walks, face = [], {}
+    for ci in range(len(crossings)):
+        for s in range(4):
+            walk, cur = [], (ci, s)
+            while True:
+                e = crossings[cur[0]][cur[1]]
+                key = e, head[e] != cur
+                if key in face:
+                    break
+                face[key] = len(walks)
+                walk.append((cur, *key))
+                a, b = occ[e]
+                cj, t = b if a == cur else a
+                cur = cj, (t + 1) % 4
+            if walk:
+                walks.append(tuple(walk))
+    # components that cross lie on one piece
+    root = list(range(len(d.components)))
+    for x in crossings:
+        under, over = root[comp[x[0]]], root[comp[x[1]]]
+        if under != over:
+            root = [over if r == under else r for r in root]
+    return _Faces(tuple(walks), face, {e: root[comp[e]] for e in head})
+
+
 def embedding_genus(d: Diagram) -> int:
     """Total genus of the surfaces the crossing code embeds in.
 
     Zero for every honestly planar diagram; a positive value means the
     code is virtual (some construction wired strands inconsistently).
-    Computed from the face count of the combinatorial map, summed over the
-    connected pieces of the underlying 4-valent graph.
+    Read from the face record.
     """
-    occ = _occurrences(d.crossings)
-    if not d.crossings:
-        return 0
-    darts = [(ci, s) for ci in range(len(d.crossings)) for s in range(4)]
-
-    def alpha(dart):
-        ci, s = dart
-        pair = occ[d.crossings[ci][s]]
-        return pair[1] if pair[0] == dart else pair[0]
-
-    seen = set()
-    faces = 0
-    for start in darts:
-        if start in seen:
-            continue
-        faces += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            nxt = alpha(cur)
-            cur = (nxt[0], (nxt[1] + 1) % 4)
-
-    # connected pieces of the crossing graph (free loops are planar anyway)
-    parent = list(range(len(d.crossings)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e, pair in occ.items():
-        a, b = find(pair[0][0]), find(pair[1][0])
-        if a != b:
-            parent[a] = b
-    pieces = len({find(i) for i in range(len(d.crossings))})
-    v = len(d.crossings)
-    e = 2 * v
-    return pieces - (v - e + faces) // 2
+    return faces(d).genus
 
 
 class _Splice:
@@ -646,21 +655,25 @@ def insert_kink(d: Diagram, edge: int, sign: int) -> Diagram:
 def insert_poke(d: Diagram, edge_under: int, edge_over: int) -> Diagram:
     """Reidemeister II insertion: push ``edge_under`` beneath ``edge_over``.
 
-    The under-edge crosses at A, then at B, with opposite signs.  Of the
-    four bigon layouts (the over-edge runs through A first, then B first;
-    A negative, then positive) the first that keeps the embedding genus
-    of ``d`` is returned.  If none does, the two edges share no face.
+    The under-edge crosses at A, then at B, with opposite signs.  The
+    bigon lies in a face the two edges share, and the directions in which
+    that face's walk runs along them fix its layout: the over-edge runs
+    through A first when the directions differ (the edges run the same way
+    across the face), and A is negative when the walk runs along the
+    over-edge.  Of several shared faces, the layout with the over-edge
+    through A first, then with A negative, wins.  Edges on different
+    pieces, or on a free loop, take the first layout.  The embedding genus
+    of ``d`` is kept.  If the edges share no face, ``DomainError``.
     """
     if edge_under == edge_over:
         raise DomainError("poke needs two distinct edges")
-    genus = embedding_genus(d)
-    for over_a_first, sign in ((True, -1), (True, 1), (False, -1), (False, 1)):
-        sp = _Splice(d)
-        (ua, um, ub), (oa, om, ob) = sp.split(edge_under, 2), sp.split(edge_over, 2)
-        at_a, at_b = ((oa, om), (om, ob)) if over_a_first else ((om, ob), (oa, om))
-        for (u_in, u_out), (o_in, o_out), sg in (((ua, um), at_a, sign), ((um, ub), at_b, -sign)):
-            sp.add((u_in, o_in, u_out, o_out) if sg > 0 else (u_in, o_out, u_out, o_in), sg)
-        out = sp.diagram(range(len(d.components)))[0]
-        if embedding_genus(out) == genus:
-            return out
-    raise DomainError(f"edges {edge_under} and {edge_over} share no face")
+    shared = faces(d).shared(edge_under, edge_over)
+    if not shared:
+        raise DomainError(f"edges {edge_under} and {edge_over} share no face")
+    same, sign = min((fu == fo, 1 - 2 * fo) for fu, fo in shared)
+    sp = _Splice(d)
+    (ua, um, ub), (oa, om, ob) = sp.split(edge_under, 2), sp.split(edge_over, 2)
+    at_a, at_b = ((om, ob), (oa, om)) if same else ((oa, om), (om, ob))
+    for (u_in, u_out), (o_in, o_out), sg in (((ua, um), at_a, sign), ((um, ub), at_b, -sign)):
+        sp.add((u_in, o_in, u_out, o_out) if sg > 0 else (u_in, o_out, u_out, o_in), sg)
+    return sp.diagram(range(len(d.components)))[0]

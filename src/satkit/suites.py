@@ -86,11 +86,7 @@ def kirby_move_suite(slide_count=200, seed=20260808):
     """Randomised handle slides preserve the homology exactly."""
     rng = random.Random(seed)
     out = []
-    done = 0
-    links = random_framed_links(slide_count, rng)
-    for fl in links:
-        if done >= slide_count:
-            break
+    for index, fl in enumerate(random_framed_links(slide_count, rng)):
         n = fl.diagram.component_count
         i = rng.randrange(n)
         j = (i + rng.randrange(1, n)) % n
@@ -98,10 +94,7 @@ def kirby_move_suite(slide_count=200, seed=20260808):
         before = h1(fl).invariant_factors
         out_fl = handle_slide(fl, i, j, BandArc(orientation=orientation, over=rng.random() < 0.5))
         after = h1(out_fl).invariant_factors
-        out.append(
-            _case(f"slide-{done}", before == after, f"{before} -> {after}")
-        )
-        done += 1
+        out.append(_case(f"slide-{index}", before == after, f"{before} -> {after}"))
     return out
 
 

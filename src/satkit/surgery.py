@@ -6,9 +6,10 @@ The homology of a surgered manifold is read off the linking matrix
 (framings on the diagonal, linking numbers off it) through the Smith
 normal form.  Handle slides act on the diagram by banding a component
 with a framed parallel copy of another, which realises the corresponding
-congruence of the linking matrix exactly; the slam-dunk eliminates a
-zero-framed meridional pair, strands through the partner passing through
-untouched.
+congruence of the linking matrix exactly.  The band lies in a face the
+two components share, read from ``diagram.faces``, so a slide keeps the
+embedding genus by construction; the slam-dunk eliminates a zero-framed
+meridional pair, strands through the partner passing through untouched.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from .abelian import AbelianGroup, cokernel
 from .diagram import (
     Diagram,
     component_subdiagram,
-    crossing_signs,
     diagrams_equal,
     embedding_genus,
+    faces,
     linking_number,
     writhe,
     _orient,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, InternalError, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
 from .patterns import Pattern, _tie_companion, satellite, winding_number
 from .wires import Builder, band, build_cable, cut_for_passage, encircle, lasso, twist_chain
@@ -83,18 +84,20 @@ def framed_links_equal(a: FramedLink, b: FramedLink) -> bool:
 @dataclass(frozen=True)
 class BandArc:
     """Band specification for a handle slide: the edge of the sliding
-    component and the edge of the handle whose parallel copy is banded in,
-    plus the crossing sense of the two band connectors."""
+    component and the edge of the handle whose parallel copy is banded in
+    (None: any that ``handle_slide`` can band), the crossing sense of the
+    band's half twist (``over``: the connector out of the left strand
+    passes over the other), and the orientation, +1 to respect the
+    parallel's orientation or -1 to reverse it."""
 
     slide_edge: int | None = None
     handle_edge: int | None = None
     over: bool = True
-    orientation: int = 1  # +1: band respects the parallel's orientation
+    orientation: int = 1
 
 
 def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orientation):
     d = fl.diagram
-    n = d.component_count
     orient = _orient(d)
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
@@ -109,8 +112,10 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
             gb.fuse(gb.single_dangle(stub), (h, 0))
     su = copies[slide_edge][0]
     sv = copies[handle_edge][copy_index]
-    if orientation >= 0:
-        band(gb, su, sv, over)
+    if orientation > 0:
+        # copy 1 runs left of the handle, beside a face on the handle's
+        # left and so on the slide strand's right; copy 0 mirrors that
+        band(gb, *((su, sv) if copy_index else (sv, su)), over)
     else:
         # band meeting the reversed parallel: the slide strand enters the
         # copy against its nominal flow, so dangles pair head-to-head and
@@ -120,23 +125,13 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
         gb.fuse((tu, 1), (tv, 1))
         gb.fuse(gb.single_dangle(hv), gb.single_dangle(hu))
 
-    seeds = []
-    new_framings = []
-    new_roles = [] if fl.roles else None
-    lk_ij = linking_number(d, i, j)
-    for c in range(n):
-        if c == i:
-            seeds.append((copies[slide_edge][0], True))
-            new_framings.append(fl.framings[i] + fl.framings[j] + 2 * orientation * lk_ij)
-        else:
-            e0 = d.components[c][0]
-            residual = (1 - copy_index) if c == j else 0
-            seeds.append((copies[e0][residual], True))
-            new_framings.append(fl.framings[c])
-        if new_roles is not None:
-            new_roles.append(fl.roles[c])
+    framings = list(fl.framings)
+    framings[i] += fl.framings[j] + 2 * orientation * linking_number(d, i, j)
+    # component j goes on as the copy that was not banded in
+    seeds = [(copies[cyc[0]][1 - copy_index if c == j else 0], True) for c, cyc in enumerate(d.components)]
+    seeds[i] = (su, True)
     out, _ = gb.to_diagram(seeds)
-    return FramedLink(out, tuple(new_framings), tuple(new_roles) if new_roles else None)
+    return FramedLink(out, tuple(framings), fl.roles)
 
 
 def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) -> FramedLink:
@@ -147,35 +142,42 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     The congruence class of the linking matrix, hence the homology, is
     unchanged exactly.
 
-    Attachment edges, the parallel copy banded in and the band's crossing
-    sense are searched so the result stays planar, ``band.over`` tried
-    first.  Edges named in ``band`` narrow the search to those edges; the
-    first attempt is returned when no candidate is planar.
+    The band lies in one face: it joins the first (slide edge, handle
+    edge) pair, in cycle order and narrowed to the edges ``band`` names,
+    that runs the same way across a shared face (the face's walk runs
+    along the two in opposite directions), and meets the copy of the
+    handle on that face's side.  On different connected pieces the first
+    pair is banded in a face that holds both.  The result keeps the
+    input's genus; a pair with no such face raises ``DomainError``.
     """
     n = fl.diagram.component_count
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise DomainError("slide needs two distinct components")
+    band = band or BandArc()
+    if band.orientation not in (1, -1):
+        raise DomainError(f"band orientation must be +1 or -1, got {band.orientation}")
     d = fl.diagram
     comp_of = _orient(d).edge_component
-    band = band or BandArc()
-    orientation = band.orientation
     slide_edges = [band.slide_edge] if band.slide_edge is not None else list(d.components[i])
     handle_edges = [band.handle_edge] if band.handle_edge is not None else list(d.components[j])
     if any(comp_of.get(se) != i for se in slide_edges):
         raise DomainError("band must start on the sliding component")
     if any(comp_of.get(he) != j for he in handle_edges):
         raise DomainError("band must end on the handle component")
-    fallback = None
-    for se in slide_edges:
-        for he in handle_edges:
-            for copy_index in (1, 0):
-                for over in (band.over, not band.over):
-                    out = _slide_assembly(fl, i, j, se, he, copy_index, over, orientation)
-                    if fallback is None:
-                        fallback = out
-                    if embedding_genus(out.diagram) == 0:
-                        return out
-    return fallback
+    f = faces(d)
+    # copy 1 runs on the handle's left, beside the face whose walk runs
+    # back along the handle (fh False) and on along the slide edge
+    attach = next(
+        ((se, he, int(fs)) for se in slide_edges for he in handle_edges
+         for fs, fh in f.shared(se, he) if fs != fh),
+        None,
+    )
+    if attach is None:
+        raise DomainError(f"no band edges of components {i} and {j} run the same way across a shared face")
+    out = _slide_assembly(fl, i, j, *attach, band.over, band.orientation)
+    if embedding_genus(out.diagram) != f.genus:
+        raise InternalError(f"handle slide changed the embedding genus from {f.genus}")
+    return out
 
 
 def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
@@ -196,27 +198,17 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
     d = fl.diagram
     orient = _orient(d)
     comp_of = orient.edge_component
-    hits = []
-    for ci, x in enumerate(d.crossings):
-        comps = {comp_of[e] for e in x}
-        if small in comps:
-            hits.append((ci, comps))
+    meets = {ci: {comp_of[e] for e in x} for ci, x in enumerate(d.crossings)}
+    hits = [ci for ci, comps in meets.items() if small in comps]
     if len(hits) != 2:
         raise DomainError("the small circle must meet the diagram in exactly two crossings")
-    for ci, comps in hits:
-        if comps != {small, other}:
-            raise DomainError("the small circle must cross only the partner component")
-    signs = crossing_signs(d)
-    (c1, _), (c2, _) = hits
-    if signs[c1] != signs[c2]:
+    if any(meets[ci] != {small, other} for ci in hits):
+        raise DomainError("the small circle must cross only the partner component")
+    c1, c2 = hits
+    if orient.signs[c1] != orient.signs[c2]:
         raise DomainError("passage signs differ: the partner does not pierce the disk once")
     # the partner's passage through the disk: one edge shared by both crossings
-    def partner_edges(ci):
-        x = d.crossings[ci]
-        return {e for e in x if comp_of[e] == other}
-
-    shared = partner_edges(c1) & partner_edges(c2)
-    if not shared:
+    if not {e for e in d.crossings[c1] if comp_of[e] == other} & set(d.crossings[c2]):
         raise DomainError("the two passages do not share an edge of the partner")
 
     kept = [c for c in range(n) if c not in (small, other)]

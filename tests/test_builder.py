@@ -55,7 +55,7 @@ from satkit.wires import Builder, build_cable
 
 # sha256 of the raw codes below: any change to labels, path order or
 # crossing rotations moves it
-_RAW_SHA256 = "0e2388809428c582dcb22f40794e343e1a20246af3ed32e59a0d773c0bf8e75b"
+_RAW_SHA256 = "abfd838076989603ad305839e2b3a138420c5cd199d5915ae8e64673f1dd6e55"
 
 
 def _raw(obj):

@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from code_strategies import valid_codes
+from satkit import diagram
 from satkit.catalog import (
     braid_closure,
     both_strands_operator,
@@ -19,12 +22,14 @@ from satkit.catalog import (
 )
 from satkit.diagram import (
     Diagram,
+    _orient,
     canonical,
     component_subdiagram,
     connected_sum,
     crossing_signs,
     diagrams_equal,
     embedding_genus,
+    faces,
     insert_kink,
     insert_poke,
     linking_number,
@@ -36,7 +41,7 @@ from satkit.diagram import (
     writhe,
 )
 from satkit.errors import DomainError, ValidationError
-from satkit.patterns import Pattern, _pattern_key
+from satkit.patterns import Pattern, _pattern_key, to_link
 from satkit.stringlinks import closure, infect, parallel, string_link_from_braid
 
 
@@ -161,6 +166,22 @@ def test_poke_and_simplify():
     assert diagrams_equal(simplify(p), t)
 
 
+def test_poke_assembles_once(monkeypatch):
+    # the layout is read from the face record, not tried out
+    assembled = []
+    real = diagram._Splice.diagram
+    monkeypatch.setattr(diagram._Splice, "diagram", lambda sp, keep: assembled.append(keep) or real(sp, keep))
+    pokes = 0
+    for d in (trefoil(), figure_eight(), hopf_link(), braid_closure(3, [1, 1]), torus_link(3, 3)):
+        for u, v in itertools.permutations(d.edges(), 2):
+            try:
+                insert_poke(d, u, v)
+            except DomainError:
+                continue
+            pokes += 1
+    assert pokes > 100 and len(assembled) == pokes
+
+
 def test_bad_move_arguments_are_domain_errors():
     t = trefoil()
     for move in (
@@ -271,6 +292,79 @@ def test_simplify_preserves_component_structure(sw, seed):
 
 def test_corpus_knots_are_planar():
     assert [name for name, d in corpus_knots() if embedding_genus(d) != 0] == []
+
+
+# -- the face record ---------------------------------------------------------------
+
+
+def _counted_genus(d):
+    """The face-counting walk ``embedding_genus`` ran before the face record,
+    kept as the reference: trace every face, then subtract half the Euler
+    characteristic from the number of connected pieces."""
+    occ = {}
+    for ci, x in enumerate(d.crossings):
+        for s, e in enumerate(x):
+            occ.setdefault(e, []).append((ci, s))
+    if not d.crossings:
+        return 0
+    seen, count = set(), 0
+    for start in [(ci, s) for ci in range(len(d.crossings)) for s in range(4)]:
+        if start in seen:
+            continue
+        count += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            a, b = occ[d.crossings[cur[0]][cur[1]]]
+            ci, s = b if a == cur else a
+            cur = (ci, (s + 1) % 4)
+    parent = list(range(len(d.crossings)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for (a, _), (b, _) in occ.values():
+        parent[find(a)] = find(b)
+    pieces = len({find(i) for i in range(len(d.crossings))})
+    return pieces - (len(d.crossings) - 2 * len(d.crossings) + count) // 2
+
+
+def _check_faces(d):
+    f = faces(d)
+    head = _orient(d).edge_head
+    darts = [dart for walk in f.walks for dart, _, _ in walk]
+    # every dart lies in exactly one face
+    assert sorted(darts) == [(ci, s) for ci in range(len(d.crossings)) for s in range(4)]
+    edges = [e for walk in f.walks for _, e, _ in walk]
+    assert all(n == 2 for n in Counter(edges).values())
+    assert set(edges) == {e for x in d.crossings for e in x}
+    for index, walk in enumerate(f.walks):
+        for (ci, s), e, forward in walk:
+            assert d.crossings[ci][s] == e
+            assert forward == (head[e] != (ci, s))
+            assert f.face[e, forward] == index
+    # the four edges at a crossing lie on one piece
+    assert f.piece.keys() == set(edges)
+    for x in d.crossings:
+        assert len({f.piece[e] for e in x}) == 1
+    assert embedding_genus(d) == f.genus == _counted_genus(d)
+
+
+def test_face_record_of_corpus_diagrams():
+    diagrams = [d for _, d in corpus_knots()]
+    for _, p in corpus_patterns():
+        diagrams += [p.base, to_link(p)]
+    diagrams += [hopf_link(), torus_link(3, 3), unknot(), _split_union(trefoil(), 2)]
+    for d in diagrams:
+        _check_faces(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_codes())
+def test_face_record_of_any_valid_code(code):
+    _check_faces(Diagram(*code))
 
 
 # -- canonical labelling against the exhaustive search ---------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from satkit import suites, surgery
 from satkit.abelian import AbelianGroup
 from satkit.catalog import (
     braid_closure,
@@ -18,7 +19,7 @@ from satkit.catalog import (
     wiggle_base_pattern,
     zigzag_pattern,
 )
-from satkit.diagram import Diagram, diagrams_equal, embedding_genus, relabeled, simplify, unknot
+from satkit.diagram import Diagram, diagrams_equal, embedding_genus, linking_number, relabeled, simplify, unknot
 from satkit.errors import DomainError
 from satkit.invariants import alexander_poly, equal_up_to_units
 from satkit.patterns import Pattern, satellite, winding_number
@@ -91,16 +92,30 @@ def test_handle_slide_preserves_planarity():
 
 
 def test_named_band_edges_narrow_the_planar_search():
-    # on these edges the first candidate (copy 1, band over) is not planar;
-    # naming both edges narrows the search to them, it does not fix the band
+    # the face walk runs back along edge 2 and forward along edge 4, so the
+    # band meets copy 0; copy 1, the first one the old search tried, is
+    # not planar.  Edges 1 and 4 (and 2 and 3) share only a face whose walk
+    # runs along both the same way: a band between them would cross strands
     fl = FramedLink(hopf_link(), (0, 1))
-    candidates = [_slide_assembly(fl, 0, 1, 2, 4, copy_index, over, -1)
-                  for copy_index in (1, 0) for over in (True, False)]
-    assert embedding_genus(candidates[0].diagram) == 1
+    assert embedding_genus(_slide_assembly(fl, 0, 1, 2, 4, 1, True, -1).diagram) == 1
     out = handle_slide(fl, 0, 1, BandArc(slide_edge=2, handle_edge=4, orientation=-1))
+    assert out == _slide_assembly(fl, 0, 1, 2, 4, 0, True, -1)
     assert embedding_genus(out.diagram) == 0
-    assert out == next(c for c in candidates if embedding_genus(c.diagram) == 0)
     assert h1(out).invariant_factors == h1(fl).invariant_factors
+    for slide_edge, handle_edge in ((1, 4), (2, 3)):
+        for orientation in (1, -1):
+            with pytest.raises(DomainError, match="run the same way across a shared face"):
+                handle_slide(fl, 0, 1, BandArc(slide_edge, handle_edge, orientation=orientation))
+
+
+def test_band_orientation_must_be_a_sign():
+    # orientation 0 and 2 gave framings (1, 0) and (5, 0) instead of a
+    # slide's (3, 0) or (-1, 0); H1 cannot see it, as both linking
+    # matrices are unimodular
+    fl = FramedLink(hopf_link(), (1, 0))
+    for orientation in (0, 2, -2):
+        with pytest.raises(DomainError, match="band orientation must be"):
+            handle_slide(fl, 0, 1, BandArc(orientation=orientation))
 
 
 def test_double_slide_preserves_h1():
@@ -110,19 +125,49 @@ def test_double_slide_preserves_h1():
     assert h1(twice).invariant_factors == h1(fl).invariant_factors
 
 
-def test_random_slides_preserve_h1():
+def _random_slide_draws():
     rng = random.Random(7)
-    count = 0
+    draws = []
     for fl in random_framed_links(25, rng):
         n = fl.diagram.component_count
         for _ in range(2):
             i = rng.randrange(n)
             j = (i + rng.randrange(1, n)) % n
             orient = rng.choice([1, -1])
-            out = handle_slide(fl, i, j, BandArc(orientation=orient, over=rng.random() < 0.5))
-            assert h1(out).invariant_factors == h1(fl).invariant_factors
-            count += 1
-    assert count == 50
+            draws.append((fl, i, j, BandArc(orientation=orient, over=rng.random() < 0.5)))
+    return draws
+
+
+def test_random_slides_preserve_h1():
+    draws = _random_slide_draws()
+    for fl, i, j, band in draws:
+        out = handle_slide(fl, i, j, band)
+        assert h1(out).invariant_factors == h1(fl).invariant_factors
+    assert len(draws) == 50
+
+
+def test_slides_keep_the_genus_and_the_framing_formula(monkeypatch):
+    # slides 1, 71 and 132 of the suite once came back with genus 1: the
+    # band's crossing was drawn with the wrong handedness for their face
+    slides, assemblies = [], []
+    real_slide, real_assembly = suites.handle_slide, surgery._slide_assembly
+
+    def recorded(fl, i, j, band):
+        slides.append((fl, i, j, band, real_slide(fl, i, j, band)))
+        return slides[-1][-1]
+
+    monkeypatch.setattr(suites, "handle_slide", recorded)
+    monkeypatch.setattr(surgery, "_slide_assembly", lambda *args: assemblies.append(args) or real_assembly(*args))
+    suites.kirby_move_suite(200, 20260808)
+    # one assembly per slide
+    assert len(slides) == len(assemblies) == 200
+    slides += [(*draw, handle_slide(*draw)) for draw in _random_slide_draws()]
+    for fl, i, j, band, out in slides:
+        assert embedding_genus(out.diagram) == embedding_genus(fl.diagram) == 0
+        f, lk = fl.framings, linking_number(fl.diagram, i, j)
+        assert out.framings == tuple(
+            f[i] + f[j] + 2 * band.orientation * lk if c == i else f[c] for c in range(len(f))
+        )
 
 
 def _meridian_pair_fixture():
