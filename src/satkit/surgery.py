@@ -1,6 +1,9 @@
 """Framed links, surgery descriptions, Kirby moves, and the three-stage
-rewrite certifying that zero-surgery on a satellite is reachable from the
-split assembly of the pattern's underlying knot and the companion.
+rewrite from the split assembly of the pattern's underlying knot and the
+companion to zero-surgery on the satellite.  The first two stages are
+drawn with ``wires.encircle``; the handle slides between them are not
+executed (the tied stage is built directly), and the slam dunk that ends
+the rewrite is.
 
 The homology of a surgered manifold is read off the linking matrix
 (framings on the diagonal, linking numbers off it) through the Smith
@@ -29,8 +32,8 @@ from .diagram import (
 )
 from .errors import DomainError, InternalError, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
-from .patterns import Pattern, _tie_companion, satellite, winding_number
-from .wires import Builder, band, build_cable, cut_for_passage, encircle, lasso, twist_chain
+from .patterns import Pattern, compose, winding_number
+from .wires import Builder, band, build_cable, encircle, swap, twist_chain
 
 
 @dataclass(frozen=True)
@@ -232,39 +235,26 @@ class PipelineTrace:
 
 def _split_assembly(p: Pattern, k: Diagram) -> FramedLink:
     """Zero-framed split union of the pattern's underlying knot and the
-    companion, plus the zero-framed joining circle that runs once around
-    the cut strands (reversed) and once around the companion as a
-    meridian."""
+    companion, plus the zero-framed joining circle: a round curve around
+    the cut strands (reversed) banded to a meridian of the companion.  The
+    band joins curves on two connected pieces, so it stays planar."""
     b, wmap = Builder.from_diagram(p.base)
-    wk = b.add_diagram(k)
-
-    base_seed_src = wmap[p.cut[0][0]]
-    k_seed_src = wk[min(k.edges())]
-
-    passages = []
-    for e, s in p.cut:
-        west, mid, east = cut_for_passage(b, wmap[e])
-        passages.append((west, mid, east, s))
-    first, last = lasso(b, passages, over_first=True)
-    westk, midk, eastk = cut_for_passage(b, k_seed_src)
-    firstk, lastk = lasso(b, [(westk, midk, eastk, 1)], over_first=False)
-    b.join(last, firstk)
-    b.join(lastk, first)
-
-    d, _ = b.to_diagram([(base_seed_src, True), (k_seed_src, True), (first, True)])
+    k_seed = b.add_diagram(k)[min(k.edges())]
+    around = encircle(b, [(wmap[e], s) for e, s in p.cut])
+    swap(b, around, encircle(b, [(k_seed, -1)]))
+    d, _ = b.to_diagram([(wmap[p.cut[0][0]], True), (k_seed, True), (around, True)])
     return FramedLink(d, (0, 0, 0), ("pattern-knot", "companion-handle", "joining-circle"))
 
 
-def _tied_with_pair(p: Pattern, k: Diagram) -> tuple[FramedLink, int, int]:
+def _tied_with_pair(q: Pattern) -> tuple[FramedLink, int, int]:
     """The satellite picture with the residual zero-framed meridional pair:
-    a circle around the tied bundle and its small meridian."""
-    b, wmap = Builder.from_diagram(p.base)
-    marked = _tie_companion(b, wmap, p.cut, k)
-
-    targets = [(w, s) for w, (_, s) in zip(marked, p.cut)]
-    circle_seed = encircle(b, targets)
-    mer_seed = encircle(b, [(circle_seed, 1)])
-    d, _ = b.to_diagram([(wmap[p.cut[0][0]], True), (circle_seed, False), (mer_seed, False)])
+    a circle around the cut strands of the composed pattern ``q`` and its
+    small meridian.  ``q`` is walked out, so every wire runs with its
+    flow and the circles are drawn planar."""
+    b, wmap = Builder.from_diagram(q.base)
+    circle = encircle(b, [(wmap[e], s) for e, s in q.cut])
+    meridian = encircle(b, [(circle, 1)])
+    d, _ = b.to_diagram([(wmap[min(q.base.edges())], True), (circle, False), (meridian, False)])
     fl = FramedLink(d, (0, 0, 0), ("satellite", "bundle-circle", "meridian-pair-member"))
     return fl, 2, 1  # (framed link, small index, other index)
 
@@ -274,10 +264,13 @@ def build_pipeline(p: Pattern, k: Diagram) -> PipelineTrace:
     zero-surgery on the satellite, certifying every stage's homology and
     the final diagram.
 
-    Requires winding number +-1; every recorded stage has infinite cyclic
-    first homology, and the final framed link is the zero surgery on the
-    satellite, certified both by exact diagram equality (up to edge
-    renumbering, with no reduction) and by the Alexander polynomial.
+    Requires winding number +-1.  The companion-tied stage is built
+    directly from ``compose(p, k)``, whose base is the satellite, and is
+    recorded as one move; the slam dunk runs.  Every stage is a planar
+    diagram with infinite cyclic first homology, and the final framed link
+    is the zero surgery on the satellite, certified both by exact diagram
+    equality (up to edge renumbering, with no reduction) and by the
+    Alexander polynomial.
     """
     n = winding_number(p)
     if n not in (1, -1):
@@ -292,9 +285,9 @@ def build_pipeline(p: Pattern, k: Diagram) -> PipelineTrace:
     g = h1(assembly)
     stages.append(("split-assembly", assembly, g))
 
-    tied, small, other = _tied_with_pair(p, k)
-    for idx in range(len(p.cut)):
-        moves.append(f"slide cut strand {idx + 1} over the companion handle")
+    q = compose(p, k)
+    tied, small, other = _tied_with_pair(q)
+    moves.append("tie the cut strands into the companion (built directly; slides not executed)")
     g2 = h1(tied)
     stages.append(("companion-tied", tied, g2))
 
@@ -307,7 +300,7 @@ def build_pipeline(p: Pattern, k: Diagram) -> PipelineTrace:
         if not group.is_infinite_cyclic:
             raise DomainError(f"stage {name} has first homology {group}, expected Z")
 
-    target = zero_surgery(satellite(p, k))
+    target = zero_surgery(q.base)
     diagram_ok = framed_links_equal(final, target)
     alexander_ok = equal_up_to_units(
         alexander_poly(final.diagram), alexander_poly(target.diagram)

@@ -16,8 +16,15 @@ wires, and ``swap`` cuts two wires and cross-joins their ends;
 wire per component (``to_diagram`` refuses a dangling wire end).  Seeds
 may be any wire id the Builder issued, and the returned labels cover them
 all.  Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
-``lasso``, ``encircle``) draws into the Builder it is given.
-``build_cable`` returns closed copies; opening one is ``cut``.
+``encircle``) draws into the Builder it is given.  ``build_cable``
+returns closed copies; opening one is ``cut``.  ``encircle`` is the one
+round curve.
+
+Draw a gadget only on wires that run with their flow: its crossing layouts
+read a wire's tail and head as the strand's, and on a wire that runs the
+other way the drawing is still a valid code but need not be planar.  After
+a head-to-head join (``fuse`` of two heads), walk out first and draw on
+the imported result.
 
 Conventions
 -----------
@@ -389,90 +396,46 @@ def swap(b: Builder, u, v):
     b.join(tv, hu)
 
 
-def cut_for_passage(b: Builder, w):
-    """Cut a wire twice around a marked passage point.
+def encircle(b: Builder, targets):
+    """Draw a round curve around the target wires: cut each twice around a
+    passage point, pass over each in order, turn around, pass back under
+    each in reverse order, and close.  ``targets`` is a list of (wire,
+    sign), the sign being the strand's through the marked interval.
+    Returns the circle's seed wire: walked with forward=False it orients
+    the circle so its linking with the encircled strands is the sum of the
+    signs.
 
-    Returns (west_in, mid, east_out) relative to the wire's own direction:
-    ``west_in`` carries the original tail, ``east_out`` the original head.
-    For a free loop the outer arc is a single wire returned in both outer
-    positions.
+    Each target is cut into ``west_in`` (carrying its tail), ``mid`` and
+    ``east_out`` (carrying its head); a free loop opens into one outer arc
+    that serves as both.  The four crossing layouts, with the curve
+    descending on the way out and ascending on the way back:
+      over an eastward strand:   (west_in, nxt, mid, cur)  entry 3
+      over a westward strand:    (mid, cur, east_out, nxt) entry 1
+      under an eastward strand:  (cur, east_out, nxt, mid) entry 3
+      under a westward strand:   (cur, west_in, nxt, mid)  entry 1
+    A strand of positive sign runs eastward.
     """
-    if b.is_loop(w):
-        opened, _ = b.cut(w)
-        first, second = b.cut(opened)
-        # first: (dangle, dangle) tail side of the second cut point;
-        # the outer arc is `first` (tail at the second cut, head at the first)
-        return second, first, second
-
-    tail_piece, rest = b.cut(w)
-    mid, head_piece = b.cut(rest)
-    return tail_piece, mid, head_piece
-
-
-def lasso(b: Builder, passages, over_first=True):
-    """Build an open chain that passes over each listed passage in order,
-    turns around, and passes back under each in reverse order (the round
-    curve encircling those strands, before closing up).
-
-    passages: list of (west_in, mid, east_out, sign) as produced by
-    ``cut_for_passage`` plus the strand's sign through the marked interval.
-    When ``over_first`` is false the chain passes under on the way out and
-    over on the way back (mirrored gadget).
-
-    Returns (first_wire, last_wire): dangling tail of the first chain wire
-    and dangling head of the last; fuse them to close the circle.
-
-    The four crossing layouts, with the chain descending on the way out
-    and ascending on the way back:
-      chain over an eastward strand:   (west_in, nxt, mid, cur)  entry 3
-      chain over a westward strand:    (mid, cur, east_out, nxt) entry 1
-      chain under an eastward strand:  (cur, east_out, nxt, mid) entry 3
-      chain under a westward strand:   (cur, west_in, nxt, mid)  entry 1
-    ``west_in`` always carries the strand's tail, ``east_out`` its head,
-    regardless of which geometric side those pieces sit on.
-    """
-
-    def chain_over(cur, nxt, west_in, mid, east_out, sign, descending):
-        # rotating both the chain and the strand by a half turn re-reads the
-        # same tuple, so only the relative direction matters
-        eff = sign if descending else -sign
-        if eff > 0:
+    passages = []
+    for w, sign in targets:
+        west_in, rest = b.cut(w)
+        mid, east_out = b.cut(rest)
+        if west_in == rest:  # a free loop: one outer arc holds both ends
+            west_in = east_out
+        passages.append((west_in, mid, east_out, sign))
+    first = cur = b.fresh()
+    for west_in, mid, east_out, sign in passages:
+        nxt = b.fresh()
+        if sign > 0:
             b.add_crossing(west_in, nxt, mid, cur, over_entry=3)
         else:
             b.add_crossing(mid, cur, east_out, nxt, over_entry=1)
-
-    def chain_under(cur, nxt, west_in, mid, east_out, sign, descending):
-        eff = sign if descending else -sign
-        if eff > 0:
-            b.add_crossing(cur, west_in, nxt, mid, over_entry=1)
-        else:
-            b.add_crossing(cur, east_out, nxt, mid, over_entry=3)
-
-    way_out = chain_over if over_first else chain_under
-    way_back = chain_under if over_first else chain_over
-    first = b.fresh()
-    cur = first
-    for west_in, mid, east_out, sign in passages:
-        nxt = b.fresh()
-        way_out(cur, nxt, west_in, mid, east_out, sign, descending=True)
         cur = nxt
     for west_in, mid, east_out, sign in reversed(passages):
         nxt = b.fresh()
-        way_back(cur, nxt, west_in, mid, east_out, sign, descending=False)
+        if sign > 0:
+            b.add_crossing(cur, east_out, nxt, mid, over_entry=3)
+        else:
+            b.add_crossing(cur, west_in, nxt, mid, over_entry=1)
         cur = nxt
-    return first, cur
-
-
-def encircle(b: Builder, targets):
-    """Close a lasso around the target wires.  ``targets`` is a list of
-    (wire, sign).  Returns the circle's seed wire: walked with
-    forward=False it orients the circle so its linking with the encircled
-    strands is the sum of the signs."""
-    passages = []
-    for w, sign in targets:
-        west_in, mid, east_out = cut_for_passage(b, w)
-        passages.append((west_in, mid, east_out, sign))
-    first, last = lasso(b, passages)
-    b.join(last, first)
+    b.join(cur, first)
     return first
-

@@ -57,7 +57,7 @@ from satkit.suites import (
     summarize,
 )
 from satkit.surgery import FramedLink, build_pipeline, h1, slam_dunk, zero_surgery
-from satkit.wires import Builder, cut_for_passage, lasso
+from satkit.wires import Builder, encircle
 
 
 def _announce(number, ok, detail):
@@ -184,16 +184,10 @@ def test_criterion_5_pipeline_suite():
 def _meridian_pair_link(base):
     b, wmap = Builder.from_diagram(base)
     e = min(base.edges())
-    west, mid, east = cut_for_passage(b, wmap[e])
-    first, last = lasso(b, [(west, mid, east, 1)], over_first=True)
-    b.fuse((last, 1), (first, 0))
-    circle = b.live(first)
-    w2, m2, e2 = cut_for_passage(b, circle)
-    f2, l2 = lasso(b, [(w2, m2, e2, 1)], over_first=True)
-    b.fuse((l2, 1), (f2, 0))
+    circle = encircle(b, [(wmap[e], 1)])
+    meridian = encircle(b, [(circle, 1)])
     other_edge = [x for x in base.edges() if x != e][0] if len(base.edges()) > 1 else e
-    seed = b.live(wmap[other_edge]) if other_edge != e else b.live(mid)
-    d, _ = b.to_diagram([(seed, True), (b.live(circle), False), (b.live(f2), False)])
+    d, _ = b.to_diagram([(wmap[other_edge], True), (circle, False), (meridian, False)])
     return FramedLink(d, (0, 0, 0))
 
 

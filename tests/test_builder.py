@@ -55,7 +55,7 @@ from satkit.wires import Builder, build_cable
 
 # sha256 of the raw codes below: any change to labels, path order or
 # crossing rotations moves it
-_RAW_SHA256 = "abfd838076989603ad305839e2b3a138420c5cd199d5915ae8e64673f1dd6e55"
+_RAW_SHA256 = "276c0c3858b1c2dc0269e9356732758cb4328b4ca592ce31c3b015a9eb581468"
 
 
 def _raw(obj):

@@ -3,7 +3,9 @@ exempt.  Every private function, method or class defined in ``src/satkit``
 is referenced in ``src`` or ``tests``.  Every public module-level function
 or class, and every public method, in ``src/satkit`` is referenced outside
 its own definition in ``src``, ``tests``, ``scripts`` or ``perfbench``
-(``__init__.py`` re-exports do not count).  Every defaulted parameter of
+(``__init__.py`` re-exports do not count): a function or class by a bare
+name no enclosing function binds, an import alias, an attribute of an
+imported module or a dotted string, a method by any attribute too.  Every defaulted parameter of
 a ``src/satkit`` function is set by some call there (a call to a class
 sets its ``__init__``, a call to an attribute any function of that name,
 and ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
@@ -103,41 +105,82 @@ def test_no_unreferenced_private_names():
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _reference_counts(tree):
-    """Counter of every name read, attribute accessed, or dotted string
-    constant part (``"Builder.to_diagram"`` names both) in ``tree``."""
-    found = Counter()
+def _imports(tree, modules):
+    """The names ``tree``'s imports bind to modules (each ``import``, and
+    each from-import of a name in ``modules``), and alias -> imported name
+    for each renaming from-import."""
+    bound, renamed = set(), {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names if a.name in modules)
+            renamed.update((a.asname, a.name) for a in node.names if a.asname)
+    return bound, renamed
+
+
+def _reference_counts(scope, imports):
+    """Counter of the references in ``scope``, read with its module's
+    ``_imports``: each bare name read that no function around it binds (as
+    a parameter or by assignment), and the name an alias renames; each
+    attribute read on an imported module; each part of a dotted string
+    constant (``"Builder.to_diagram"`` names both).  Every attribute read
+    also counts as ``"." + attr``, which only a method may claim."""
+    bound, renamed = imports
+    found = Counter()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} | {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             found[node.id] += 1
+            if node.id in renamed:
+                found[renamed[node.id]] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            found["." + node.attr] += 1
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
             found.update(node.value.split("."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(scope, frozenset())
     return found
 
 
 def _public_definitions(tree):
     """Public module-level functions and classes, and the public methods
-    of module-level classes: (line, name, definition node)."""
+    of module-level classes: (line, name, definition node, is a method)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for node in tree.body:
         if isinstance(node, defs):
-            found.append(node)
+            found.append((node, False))
             if isinstance(node, ast.ClassDef):
-                found += [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [(node.lineno, node.name, node) for node in found if not node.name.startswith("_")]
+                found += [(m, True) for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(node.lineno, node.name, node, method) for node, method in found if not node.name.startswith("_")]
 
 
-def _uncalled_public(tree, references):
+def _uncalled_public(tree, references, modules):
     """(line, name) for every public definition in ``tree`` that
     ``references`` (a Counter over every file) names only inside that
-    definition."""
+    definition.  A module-level function or class is named only as a
+    name; a method by any attribute too."""
+    imports = _imports(tree, modules)
+
+    def named(counts, name, method):
+        return counts[name] + (counts["." + name] if method else 0)
+
     return sorted(
         (line, name)
-        for line, name, node in _public_definitions(tree)
-        if references[name] <= _reference_counts(node)[name]
+        for line, name, node, method in _public_definitions(tree)
+        if named(references, name, method) <= named(_reference_counts(node, imports), name, method)
     )
 
 
@@ -153,19 +196,35 @@ def test_checker_flags_an_uncalled_public_definition():
         "def traced():\n    pass\n"
         "used(Kept().called())\n"
         "TARGETS = ['Kept.traced']\n"
+        "def field():\n    pass\n"
+        "def shadowed():\n    pass\n"
+        "def on_module():\n    pass\n"
+        "def on_alias():\n    pass\n"
+        "def renamed():\n    pass\n"
+        "def reader(shadowed):\n    return shadowed\n"
+        "obj.field\n"
+        "pkg.mod.on_module()\n"
+        "alias.on_alias()\n"
+        "short(reader)\n"
+        "import pkg.mod\n"
+        "from pkg import other as alias, renamed as short\n"
     )
     tree = ast.parse(src)
-    assert _uncalled_public(tree, _reference_counts(tree)) == [(3, "recursive"), (10, "dead")]
+    references = _reference_counts(tree, _imports(tree, {"other"}))
+    assert _uncalled_public(tree, references, {"other"}) == [
+        (3, "recursive"), (10, "dead"), (18, "field"), (20, "shadowed")
+    ]
 
 
 def test_every_public_definition_has_a_caller():
     sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     others = sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    modules = {p.stem for p in sources}
     trees = {path: ast.parse(path.read_text()) for path in sources + others}
-    references = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    references = sum((_reference_counts(tree, _imports(tree, modules)) for tree in trees.values()), Counter())
     found = []
     for path in sources:
-        found += [f"{path.name}:{line} {name}" for line, name in _uncalled_public(trees[path], references)]
+        found += [f"{path.name}:{line} {name}" for line, name in _uncalled_public(trees[path], references, modules)]
     assert not found, "public definitions with no caller:\n" + "\n".join(found)
 
 

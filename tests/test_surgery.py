@@ -35,7 +35,7 @@ from satkit.surgery import (
     slam_dunk,
     zero_surgery,
 )
-from satkit.wires import Builder, cut_for_passage, lasso
+from satkit.wires import Builder, encircle
 
 
 def test_zero_surgery_h1():
@@ -173,18 +173,9 @@ def test_slides_keep_the_genus_and_the_framing_formula(monkeypatch):
 def _meridian_pair_fixture():
     """A 0-framed circle around a trefoil's edge plus its own meridian."""
     b, wmap = Builder.from_diagram(trefoil())
-    west, mid, east = cut_for_passage(b, wmap[1])
-    first, last = lasso(b, [(west, mid, east, 1)], over_first=True)
-    b.fuse((last, 1), (first, 0))
-    circle_wire = b.live(first)
-    w2, m2, e2 = cut_for_passage(b, circle_wire)
-    f2, l2 = lasso(b, [(w2, m2, e2, 1)], over_first=True)
-    b.fuse((l2, 1), (f2, 0))
-    d, _ = b.to_diagram([
-        (b.live(wmap[2]), True),
-        (b.live(circle_wire), False),
-        (b.live(f2), False),
-    ])
+    circle = encircle(b, [(wmap[1], 1)])
+    meridian = encircle(b, [(circle, 1)])
+    d, _ = b.to_diagram([(wmap[2], True), (circle, False), (meridian, False)])
     return FramedLink(d, (0, 0, 0))
 
 
@@ -202,10 +193,8 @@ def test_slam_dunk_to_empty():
     # 0-framed unknot with its 0-framed meridian: cancels to the empty link
     b = Builder()
     loop = b.fresh_loop()
-    west, mid, east = cut_for_passage(b, loop)
-    first, last = lasso(b, [(west, mid, east, 1)], over_first=True)
-    b.fuse((last, 1), (first, 0))
-    d, _ = b.to_diagram([(b.live(mid), True), (b.live(first), False)])
+    circle = encircle(b, [(loop, 1)])
+    d, _ = b.to_diagram([(loop, True), (circle, False)])
     fl = FramedLink(d, (0, 0))
     out = slam_dunk(fl, small=1, other=0)
     assert out.diagram.component_count == 0
@@ -264,8 +253,9 @@ def _relabelled(d, rng):
 
 
 def test_pipeline_final_stage_is_the_satellite_exactly():
-    # the diagram certificate compares the final stage with the target
-    # unreduced: they must agree up to renumbering, not just after R1/R2
+    # every stage is planar, and the diagram certificate compares the final
+    # stage with the target unreduced: they must agree up to renumbering,
+    # not just after R1/R2
     rng = random.Random(17)
     cases = 0
     for _, p in corpus_patterns():
@@ -276,6 +266,7 @@ def test_pipeline_final_stage_is_the_satellite_exactly():
             shuffled = Pattern(base, tuple((m[e], s) for e, s in p.cut))
             for pattern, companion in ((p, k), (shuffled, _relabelled(k, rng)[0])):
                 trace = build_pipeline(pattern, companion)
+                assert [embedding_genus(fl.diagram) for _, fl, _ in trace.stages] == [0, 0, 0]
                 target = zero_surgery(satellite(pattern, companion))
                 assert trace.final.framings == target.framings
                 assert diagrams_equal(trace.final.diagram, target.diagram)
@@ -303,8 +294,11 @@ def test_pipeline_stages_have_cyclic_h1():
 def test_pipeline_records_moves():
     p = zigzag_pattern()
     trace = build_pipeline(p, unknot())
-    assert len([m for m in trace.moves if m.startswith("slide")]) == len(p.cut)
-    assert trace.moves[-1].startswith("slam dunk")
+    # the tied stage is built, not slid to: no slide is recorded
+    assert trace.moves == (
+        "tie the cut strands into the companion (built directly; slides not executed)",
+        "slam dunk the meridional pair",
+    )
 
 
 def test_pipeline_rejects_winding_zero():
