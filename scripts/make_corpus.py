@@ -15,7 +15,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from satkit import formats
-from satkit.catalog import cable_pattern, core_pattern, corpus_knots, corpus_patterns, trefoil
+from satkit.catalog import cable_pattern, corpus_knots, corpus_patterns, trefoil
 from satkit.patterns import misframed_satellite, satellite
 
 

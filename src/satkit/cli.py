@@ -207,8 +207,17 @@ def _corpus_load(directory):
     return knots, patterns, fixtures, skipped
 
 
+class _UsageError(Exception):
+    """A subcommand given a wrong input count or a malformed option (exit 2)."""
+
+
+_SUITES = ("satellite-formula", "meridian", "pipeline")
+
+
 def cmd_corpus(args):
-    wanted = set((args.suites or "satellite-formula,meridian,pipeline").split(","))
+    wanted = set((args.suites or ",".join(_SUITES)).split(","))
+    if not wanted <= set(_SUITES):
+        raise _UsageError(f"satkit corpus DIR --suites=NAME,... with each NAME one of {', '.join(_SUITES)}")
     knots, patterns, fixtures, skipped = _corpus_load(args.directory)
     results = {}
     if "satellite-formula" in wanted:
@@ -245,10 +254,6 @@ def cmd_corpus(args):
     return outputs, stats, 0 if ok else 1
 
 
-class _UsageError(Exception):
-    """A subcommand given too few inputs or a malformed option (exit 2)."""
-
-
 _PATTERN, _COMPANION = ("pattern", Pattern), ("companion", Diagram)
 _LINK, _OPERATOR = ("input", (StringLink, InfectionOperator)), ("input", InfectionOperator)
 _OUT = (("-o", "--output"), {"default": None, "help": "write the primary output here"})
@@ -277,7 +282,7 @@ def cmd_slink(args):
         args.copy_vector = tuple(int(x) for x in args.copies.split(",")) if takes_copies else ()
     except ValueError:
         args.copy_vector = None
-    if len(args.inputs) < len(command.inputs) or args.copy_vector is None:
+    if len(args.inputs) != len(command.inputs) or args.copy_vector is None:
         copies = " --copies=K1,K2,..." if takes_copies else ""
         raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * len(command.inputs))}{copies}")
     return _execute(args, command, args.inputs)
@@ -309,7 +314,7 @@ COMMANDS = {
         _OUT)),
     "corpus": Command((), cmd_corpus, options=(
         (("directory",), {}),
-        (("--suites",), {"default": None, "help": "comma list: satellite-formula,meridian,pipeline"}))),
+        (("--suites",), {"default": None, "help": "comma list of " + ",".join(_SUITES)}))),
 }
 
 

@@ -116,16 +116,16 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     cut_edge = min(companion.edges())
     widths = {e: m for e in companion.edges()}
     copies = build_cable(b, companion.crossings, orient.signs, widths, loops=orient.free)
-    # cut order and copy offsets run through the disk in opposite transverse
-    # directions: strand i of the cut meets copy m+1-i of the cable.  The
-    # twist region is threaded in the same reading direction as the splice.
     # Each copy opens into an exit (tail piece) and an entry (head piece);
     # a free loop opens into one wire serving as both.
-    exits, entry = zip(*[b.cut(w) for w in reversed(copies[cut_edge])])
+    exits, entries = zip(*[b.cut(w) for w in copies[cut_edge]])
     exits = twist_chain(b, exits, -total_writhe(companion) + extra_twists)
+    # cut order and copy offsets run through the disk in opposite transverse
+    # directions: cut strand i meets copy m-1-i
+    ports = zip(reversed(entries), reversed(exits))
 
     marked = []
-    for (tail_piece, head_piece), (_, sign), s_port, e_port in zip(pieces, cut, entry, exits):
+    for (tail_piece, head_piece), (_, sign), (s_port, e_port) in zip(pieces, cut, ports):
         if sign > 0:
             b.join(tail_piece, s_port)
             rest = e_port

@@ -216,18 +216,6 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     copies = build_cable(b, sl.crossings, orient.signs, widths)
     # a strand that meets no crossing is one bare wire per copy
     copies.update((e, [b.fresh() for _ in range(widths[e])]) for e in orient.free)
-    # untwisted copies: correct each copied strand by its self-writhe; the
-    # twist region threads the bundle against the copy-offset direction,
-    # matching the reading the companion gadget uses
-    top_stubs = {}
-    for si, path in enumerate(sl.strands):
-        k = abs(kvec[si])
-        if k == 0:
-            continue
-        stubs = [copies[path[-1]][j] for j in range(k)]
-        if k >= 2:
-            stubs = list(reversed(twist_chain(b, list(reversed(stubs)), -self_writhe(sl, si))))
-        top_stubs[si] = stubs
     # Two independent orderings.  Strand slots are geometric, west to east:
     # copy offsets run to the left of the flow, so forward copies come out
     # right-to-left and reversed copies left-to-right.  The disk reading
@@ -237,22 +225,20 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     directions = []
     for si, path in enumerate(sl.strands):
         k = kvec[si]
-        if k == 0:
-            continue
+        # untwisted copies: twist each strand's top copies by its self-writhe
+        top = twist_chain(b, copies[path[-1]][:abs(k)], -self_writhe(sl, si))
         # forward copies are seeded where the strand starts, reversed ones
-        # at its twisted end
-        starts, slot_order = (copies[path[0]], range(k - 1, -1, -1)) if k > 0 else (top_stubs[si], range(-k))
-        for j in slot_order:
-            w = b.live(starts[j])
-            seeds.append((w, b.wires[w][0] is None))
-            directions.append(sl.directions[si] * (1 if k > 0 else -1))
+        # at its twisted top
+        if k > 0:
+            seeds += [(copies[path[0]][j], True) for j in range(k - 1, -1, -1)]
+        else:
+            seeds += [(w, False) for w in top]
+        directions += [sl.directions[si] * (1 if k > 0 else -1)] * abs(k)
     out, labels = _walk_out(b, seeds, directions)
     new_cut = []
     for e, s in op.cut:
         si = orient.edge_component[e]
         k = kvec[si]
-        if k == 0:
-            continue
         for j in range(abs(k) - 1, -1, -1):
             new_cut.append((labels[copies[e][j]], s if k > 0 else -s))
     if not new_cut:
@@ -264,7 +250,6 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
 class BandSpec:
     edge_low: int
     edge_high: int
-    over_low: bool = True
 
 
 def default_band_plan(op: InfectionOperator):
@@ -311,7 +296,7 @@ def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
     for i, spec in enumerate(band_plan):
         u, v = wmap[spec.edge_low], wmap[spec.edge_high]
         if sl.directions[i] == sl.directions[i + 1]:
-            band(b, u, v, spec.over_low)
+            band(b, u, v, over=True)
         else:
             # antiparallel strands: the band is a plain turn-around
             swap(b, u, v)

@@ -107,12 +107,9 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     widths = {e: 2 if c == j else 1 for e, c in orient.edge_component.items()}
     gb = Builder()
     copies = build_cable(gb, d.crossings, orient.signs, widths, loops=orient.free)
-    fix = fl.framings[j] - writhe(d, j)
-    if fix:
-        tails = [gb.cut(w) for w in copies[handle_edge]]
-        stubs = twist_chain(gb, [t for t, _ in reversed(tails)], fix)
-        for stub, (_, h) in zip(stubs, reversed(tails)):
-            gb.fuse(gb.single_dangle(stub), (h, 0))
+    tails, heads = zip(*[gb.cut(w) for w in copies[handle_edge]])
+    for stub, h in zip(twist_chain(gb, tails, fl.framings[j] - writhe(d, j)), heads):
+        gb.join(stub, h)
     su = copies[slide_edge][0]
     sv = copies[handle_edge][copy_index]
     if orientation > 0:

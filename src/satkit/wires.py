@@ -1,24 +1,26 @@
 """Mutable crossing/slot graph used to assemble diagrams.
 
 The Builder only assembles: connected sums, cabling a strand into parallel
-copies, twist regions, band connectors, tying strands into a companion
-tangle, and encircling a bundle with a round curve.  ``Diagram`` stays
-immutable; each construction pulls its diagrams into one ``Builder``,
-appends crossings and splices wires, and walks the result back out.  Local
-moves (Reidemeister reduction and insertion, component deletion) edit the
-crossing code itself, in ``diagram._Splice``.
+copies, twist regions, band connectors, and encircling a bundle with a
+round curve.  ``Diagram`` stays immutable; each construction pulls its
+diagrams into one ``Builder``, appends crossings and splices wires, and
+walks the result back out.  Local moves (Reidemeister reduction and
+insertion, component deletion) edit the crossing code itself, in
+``diagram._Splice``.
 
 Call sites share one vocabulary.  ``add_diagram`` and ``add_code`` import
 a crossing code beside what the Builder holds (``from_diagram`` starts a
-new Builder that way); ``cut``, ``join`` and ``fuse`` split and splice
-wires, and ``swap`` cuts two wires and cross-joins their ends;
-``to_diagram``/``to_tangle`` walk the result back out, once, from one seed
-wire per component (``to_diagram`` refuses a dangling wire end).  Seeds
-may be any wire id the Builder issued, and the returned labels cover them
-all.  Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
+new Builder that way); ``add_crossing`` binds the four ends of a new
+crossing; ``cut``, ``join`` and ``fuse`` split and splice wires, and
+``swap`` cuts two wires and cross-joins their ends; ``to_diagram``/
+``to_tangle`` walk the result back out, once, from one seed wire per
+component (``to_diagram`` refuses a dangling wire end).  Seeds may be any
+wire id the Builder issued, and the returned labels cover them all.
+Every gadget (``braid``, ``twist_chain``, ``build_cable``, ``band``,
 ``encircle``) draws into the Builder it is given.  ``build_cable``
-returns closed copies; opening one is ``cut``.  ``encircle`` is the one
-round curve.
+returns closed copies in copy order; opening one is ``cut``.  A gadget
+that takes a bundle (``twist_chain``) takes it in that copy order.
+``encircle`` is the one round curve.
 
 Draw a gadget only on wires that run with their flow: its crossing layouts
 read a wire's tail and head as the strand's, and on a wire that runs the
@@ -76,9 +78,6 @@ class Builder:
             w = self._alias[w]
         return w
 
-    def is_loop(self, w):
-        return self.wires[self.live(w)][0] == LOOP
-
     def single_dangle(self, w):
         """The one dangling end of wire ``w``, as (live wire, end index)."""
         lw = self.live(w)
@@ -93,12 +92,6 @@ class Builder:
             raise DomainError("wire end already bound")
         self.wires[w][end] = binding
 
-    def bind_tail(self, w, ci, slot):
-        self._bind(w, 0, ("x", ci, slot))
-
-    def bind_head(self, w, ci, slot):
-        self._bind(w, 1, ("x", ci, slot))
-
     def add_crossing(self, a, b, c, d, over_entry):
         """New crossing with the under-strand entering at slot 0 via ``a``.
 
@@ -109,14 +102,9 @@ class Builder:
         ci = len(self.crossings)
         a, b, c, d = (self.live(w) for w in (a, b, c, d))
         self.crossings.append([a, b, c, d])
-        self.bind_head(a, ci, 0)
-        self.bind_tail(c, ci, 2)
-        if over_entry == 1:
-            self.bind_head(b, ci, 1)
-            self.bind_tail(d, ci, 3)
-        else:
-            self.bind_tail(b, ci, 1)
-            self.bind_head(d, ci, 3)
+        b_end = int(over_entry == 1)  # b's head when the over-strand enters at slot 1
+        for w, end, slot in ((a, 1, 0), (c, 0, 2), (b, b_end, 1), (d, 1 - b_end, 3)):
+            self._bind(w, end, ("x", ci, slot))
         return ci
 
     # -- conversions -----------------------------------------------------
@@ -311,21 +299,17 @@ def braid_permutation(strands, word):
 
 
 def twist_chain(b: Builder, stubs, count):
-    """Append ``count`` full twists to the bundle of dangling stubs.
-
-    Positive count inserts positive crossings (adding +1 to the pairwise
-    linking of coherently oriented copies per twist).  Returns the new stub
-    list, in the same transverse order.
-    """
-    m = len(stubs)
-    cur = list(stubs)
-    if m < 2 or count == 0:
-        return cur
-    positive = count > 0
-    for _ in range(m * abs(count)):
-        for pos in range(m - 1):
-            braid_step(b, cur, pos, positive)
-    return cur
+    """Append ``count`` full twists to a bundle of dangling stubs in copy
+    order (copy j sits j units to the left of travel, as ``build_cable``
+    returns them), threading the region against that order.  Returns the
+    new stubs in copy order.  Positive count inserts positive crossings,
+    adding +1 per twist to the pairwise linking of coherently oriented
+    copies; an empty or single-copy bundle, or a count of 0, adds none."""
+    cur = list(reversed(stubs))
+    for _ in range(len(cur) * abs(count)):
+        for pos in range(len(cur) - 1):
+            braid_step(b, cur, pos, count > 0)
+    return cur[::-1]
 
 
 def build_cable(b: Builder, crossings, signs, widths, loops=()):

@@ -33,6 +33,7 @@ from satkit.diagram import (
     _orient,
     component_subdiagram,
     diagrams_equal,
+    embedding_genus,
     linking_number,
     total_writhe,
     unknot,
@@ -51,7 +52,7 @@ from satkit.stringlinks import (
     stack,
 )
 from satkit.surgery import FramedLink, build_pipeline
-from satkit.wires import Builder, build_cable
+from satkit.wires import Builder, build_cable, twist_chain
 
 # sha256 of the raw codes below: any change to labels, path order or
 # crossing rotations moves it
@@ -134,6 +135,35 @@ def test_blackboard_cable_of_every_corpus_knot(m):
         for i in range(m):
             for j in range(i + 1, m):
                 assert linking_number(d, i, j) == total_writhe(k), (name, i, j)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("count", [-2, 1])
+def test_twist_chain_on_one_edge_of_a_cable(m, count):
+    # cut one edge's copies, twist the tails in copy order and join them
+    # back: every pair of copies links count more times than the writhe,
+    # and the region, threaded against copy order, keeps the cable planar
+    for name, k in corpus_knots():
+        orient = _orient(k)
+        b = Builder()
+        copies = build_cable(b, k.crossings, orient.signs, {e: m for e in k.edges()}, loops=orient.free)
+        edge = k.components[0][0]
+        tails, heads = zip(*[b.cut(w) for w in copies[edge]])
+        for stub, head in zip(twist_chain(b, tails, count), heads):
+            b.join(stub, head)
+        d = b.to_diagram([(w, True) for w in copies[edge]])[0]
+        assert d.crossing_count == m * m * k.crossing_count + m * (m - 1) * abs(count), name
+        assert embedding_genus(d) == 0, name
+        for i in range(m):
+            for j in range(i + 1, m):
+                assert linking_number(d, i, j) == total_writhe(k) + count, (name, i, j)
+
+
+def test_twist_chain_with_nothing_to_twist_adds_no_crossing():
+    b = Builder()
+    for stubs, count in (([b.fresh(), b.fresh()], 0), ([b.fresh()], 3), ([], -2)):
+        assert twist_chain(b, stubs, count) == stubs
+    assert b.crossings == []
 
 
 def test_width_zero_deletes_a_component():

@@ -347,6 +347,7 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         ["slink", "infect", sl],
         ["slink", "parallel", sl],
         ["slink", "reduce", sl, "--copies", "2,x"],
+        ["slink", "closure", sl, sl],
     ):
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -355,6 +356,9 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         assert ("--copies=K1,K2,..." in err) == (argv[1] in ("parallel", "reduce"))
     assert run(["corpus", sl]) == 1
     assert capsys.readouterr().err == f"error: {sl} is not a directory\n"
+    assert run(["corpus", str(pathlib.Path(sl).parent), "--suites", "formula"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: satkit corpus DIR --suites=") and err.count("\n") == 1
 
 
 def test_unreadable_paths_are_user_errors(files, tmp_path, capsys):

@@ -1,14 +1,15 @@
-"""Every import in ``src/satkit`` is used; ``__init__.py`` re-exports are
-exempt.  Every private function, method or class defined in ``src/satkit``
+"""Every import in ``src/satkit`` and ``scripts`` is used; ``__init__.py``
+re-exports are exempt.  Every private function, method or class defined in ``src/satkit``
 is referenced in ``src`` or ``tests``.  Every public module-level function
 or class, and every public method, in ``src/satkit`` is referenced outside
 its own definition in ``src``, ``tests``, ``scripts`` or ``perfbench``
 (``__init__.py`` re-exports do not count): a function or class by a bare
 name no enclosing function binds, an import alias, an attribute of an
 imported module or a dotted string, a method by any attribute too.  Every defaulted parameter of
-a ``src/satkit`` function is set by some call there (a call to a class
-sets its ``__init__``, a call to an attribute any function of that name,
-and ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
+a ``src/satkit`` function, and every defaulted field of a ``@dataclass``
+or ``NamedTuple`` class, is set by some call there (a call to a class sets
+its ``__init__`` or its fields, a call to an attribute any function of that
+name, and ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
@@ -48,11 +49,11 @@ def test_checker_flags_an_unused_import():
 
 def test_no_unused_imports():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
+        found += [f"{path.parent.name}/{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
@@ -228,14 +229,25 @@ def test_every_public_definition_has_a_caller():
     assert not found, "public definitions with no caller:\n" + "\n".join(found)
 
 
+def _names(nodes):
+    """The name each node ends in: ``x`` for ``x``, ``x.y(...)`` gives ``y``."""
+    nodes = [n.func if isinstance(n, ast.Call) else n for n in nodes]
+    return {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in nodes}
+
+
 def _defaulted_parameters(tree):
     """(line, function, parameter, position) for every parameter with a
     default of every function in ``tree``; ``position`` counts the
     arguments a call passes (a method's ``self``/``cls`` skipped), None for
     a keyword-only parameter.  A class's ``__init__`` is listed under the
-    class name."""
+    class name, as is each defaulted field of a ``@dataclass`` or
+    ``NamedTuple`` class, its position the field order."""
     owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     found = []
+    for c in ast.walk(tree):
+        if isinstance(c, ast.ClassDef) and ("dataclass" in _names(c.decorator_list) or "NamedTuple" in _names(c.bases)):
+            fields = [a for a in c.body if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
+            found += [(a.lineno, c.name, a.target.id, i) for i, a in enumerate(fields) if a.value is not None]
     for f in ast.walk(tree):
         if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -292,6 +304,27 @@ def test_checker_flags_a_default_no_caller_sets():
     assert _unset_defaults(tree, _passed_parameters(tree)) == [
         (1, "f", "c"), (1, "f", "e"), (4, "K", "y"), (6, "m", "z")
     ]
+
+
+def test_checker_flags_a_field_default_no_caller_sets():
+    src = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: int = 0\n"
+        "class N(NamedTuple):\n"
+        "    x: int = 0\n"
+        "    y: int = 0\n"
+        "class Plain:\n"
+        "    z: int = 0\n"
+        "D(1, 2)\n"
+        "N(y=1)\n"
+    )
+    tree = ast.parse(src)
+    assert _unset_defaults(tree, _passed_parameters(tree)) == [(7, "D", "c"), (9, "N", "x")]
 
 
 def test_every_default_is_set_by_some_caller():

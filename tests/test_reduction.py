@@ -53,6 +53,9 @@ from satkit.wires import LOOP, Builder
 
 
 class _ReferenceBuilder(Builder):
+    def is_loop(self, w):
+        return self.wires[self.live(w)][0] == LOOP
+
     def reconnect(self, wa, at_a, wb, at_b):
         ea = self._unbind(wa, ("x",) + at_a)
         eb = self._unbind(wb, ("x",) + at_b)
@@ -238,7 +241,7 @@ def _poke_layouts(ua, um, ub, oa, om, ob):
 
 def _reference_poke(d, edge_under, edge_over, layout=0):
     """The old poke, which never checked that the edges share a face."""
-    b, wmap = Builder.from_diagram(d)
+    b, wmap = _ReferenceBuilder.from_diagram(d)
     if b.live(wmap[edge_under]) == b.live(wmap[edge_over]):
         raise DomainError("poke needs two distinct edges")
     if b.is_loop(wmap[edge_under]):
