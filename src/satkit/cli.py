@@ -151,6 +151,11 @@ def cmd_strong_winding(args, p):
         "enumerated_generators": res.presentation.generator_count,
         "enumerated_relators": len(res.presentation.relators),
     }
+    # the refutation's certificate: the Smith form, or the closed table's order
+    if not res.abelianization.is_trivial:
+        stats["abelianization"] = str(res.abelianization)
+    elif res.enumeration.outcome == "finite":
+        stats["order"] = res.enumeration.order
     return {"outcome": res.outcome, "cut_word": word_to_text(cut_loop_word(p))}, stats, 0
 
 

@@ -8,7 +8,10 @@ rendering writes generators as letters with capitals for inverses, e.g.
 The enumerator is a relator-based (HLT) Todd-Coxeter with a union-find
 coincidence queue and periodic lookahead, after Holt's "Handbook of
 Computational Group Theory".  Enumeration of a presentation of the trivial
-group is a proof of triviality; hitting the coset limit proves nothing.
+group is a proof of triviality, and a table that closes at order n > 1 is a
+proof of nontriviality; hitting the coset limit proves nothing.  The
+strong-winding check asks the Smith form first: a nontrivial abelianization
+already refutes normal generation, and only a perfect quotient is enumerated.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from .abelian import AbelianGroup, cokernel
 from .diagram import Diagram, _orient, crossing_signs
 from .errors import DomainError, InternalError
+from .patterns import winding_number
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    outcome: str  # "trivial" | "finite" | "exceeded"
+    outcome: str  # "trivial" | "finite" | "exceeded" | "not-run"
     order: int | None
     cosets_used: int
     limit: int
@@ -410,34 +414,50 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
     return EnumerationResult(outcome, live, len(ct.p), limit)
 
 
-# -- the semi-decision procedure -------------------------------------------------
+# -- the decision procedure ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class StrongWindingResult:
     verified: bool
-    enumeration: EnumerationResult
-    presentation: GroupPresentation  # the quotient presentation enumerated
+    enumeration: EnumerationResult  # outcome "not-run" when the Smith form refuted
+    abelianization: AbelianGroup  # of the quotient presentation
+    presentation: GroupPresentation  # the simplified quotient presentation
     wirtinger_presentation: GroupPresentation  # of the pattern's base, before the quotient
 
     @property
     def outcome(self) -> str:
-        return "verified" if self.verified else "inconclusive"
+        if self.verified:
+            return "verified"
+        if not self.abelianization.is_trivial or self.enumeration.outcome == "finite":
+            return "refuted"
+        return "inconclusive"
 
 
 def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
-    """Semi-decide whether the marked curve around the cut normally
-    generates the fundamental group of the complement of the pattern's
-    underlying knot.
+    """Decide, cheapest route first, whether the marked curve around the cut
+    normally generates the fundamental group of the complement of the
+    pattern's underlying knot, i.e. whether the quotient by the curve's
+    normal closure is trivial.
 
-    Verified means the quotient by the curve's normal closure enumerated to
-    the trivial group: a proof.  Inconclusive carries no conclusion.
+    The quotient abelianizes to the cyclic group of order |w| (Z when
+    w = 0), w the winding number; the Smith form is checked against the cut
+    signs before anything else.  A nontrivial abelianization is ``refuted``
+    with no enumeration.  A perfect quotient is enumerated: a table closing
+    at order 1 is ``verified``, at order n > 1 ``refuted`` (a nontrivial
+    perfect finite quotient); reaching ``limit`` cosets is ``inconclusive``.
+    Every outcome but ``inconclusive`` is a proof.
     """
+    if limit < 1:
+        raise DomainError("coset limit must be at least 1")
     pres = wirtinger(pattern.base)
-    word = cut_loop_word(pattern)
-    q = simplify_presentation(quotient(pres, [word]))
+    q = simplify_presentation(quotient(pres, [cut_loop_word(pattern)]))
+    ab = abelianization(q)
+    w = winding_number(pattern)
+    if ab != AbelianGroup.cyclic(w):
+        raise InternalError(f"quotient abelianization {ab} disagrees with winding number {w}")
+    if not ab.is_trivial:
+        skipped = EnumerationResult("not-run", None, 0, limit)
+        return StrongWindingResult(False, skipped, ab, q, pres)
     result = todd_coxeter(q, limit)
-    verified = result.outcome == "trivial"
-    if verified and not abelianization(q).is_trivial:
-        raise InternalError("enumeration claims trivial but abelianization is not")
-    return StrongWindingResult(verified, result, q, pres)
+    return StrongWindingResult(result.outcome == "trivial", result, ab, q, pres)

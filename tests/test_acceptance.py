@@ -29,7 +29,14 @@ from satkit.catalog import (
 from satkit.diagram import connected_sum, diagrams_equal, simplify, unknot
 from satkit.errors import DomainError
 from satkit.formats import serialize_diagram
-from satkit.groups import quotient, strong_winding_check, todd_coxeter, wirtinger
+from satkit.groups import (
+    abelianization,
+    cut_loop_word,
+    quotient,
+    strong_winding_check,
+    todd_coxeter,
+    wirtinger,
+)
 from satkit.invariants import alexander_poly, determinant, equal_up_to_units
 from satkit.patterns import (
     compose,
@@ -151,13 +158,21 @@ def test_criterion_4_strong_winding_suite():
             else:
                 assert abs(winding_number(comp)) == 1
         # verified forces winding +-1, via the abelianized quotient
-        from satkit.groups import abelianization, cut_loop_word
-
         q = quotient(wirtinger(p.base), [cut_loop_word(p)])
         assert abelianization(q).is_trivial
         assert abs(winding_number(p)) == 1
+    # |w| != 1: the quotient's Smith form Z/|w| refutes with no enumeration
+    for name, p, factors in (("clasp", clasp_pattern(), (0,)), ("cable(2,1)", cable_pattern(2, 1), (2,)),
+                             ("cable(2,3)", cable_pattern(2, 3), (2,)), ("cable(3,2)", cable_pattern(3, 2), (3,))):
+        res = strong_winding_check(p, limit)
+        if res.outcome != "refuted" or res.enumeration.cosets_used != 0:
+            failures.append(f"{name}: {res.outcome}, cosets {res.enumeration.cosets_used}")
+        q = quotient(wirtinger(p.base), [cut_loop_word(p)])
+        assert res.abelianization == abelianization(q) == AbelianGroup(factors)
+        assert AbelianGroup(factors) == AbelianGroup.cyclic(winding_number(p))
     ok = not failures
-    _announce(4, ok, f"strong winding verified on 4 patterns and 8 compositions (limit 10^6)"
+    _announce(4, ok, "strong winding verified on 4 patterns and 8 compositions (limit 10^6); "
+                     "refuted by the Smith form on clasp (Z), cable(2,1) (Z/2), cable(2,3) (Z/2), cable(3,2) (Z/3)"
                      + ("" if ok else "; failures: " + "; ".join(failures)))
 
 

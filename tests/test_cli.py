@@ -7,6 +7,7 @@ import re
 import pytest
 
 from satkit import formats
+from satkit.abelian import AbelianGroup
 from satkit.catalog import (
     cable_pattern,
     clasp_pattern,
@@ -18,7 +19,7 @@ from satkit.catalog import (
 )
 from satkit.cli import build_parser, run
 from satkit.diagram import unknot
-from satkit.patterns import Pattern, misframed_satellite
+from satkit.patterns import Pattern, compose, misframed_satellite
 
 
 @pytest.fixture
@@ -224,14 +225,38 @@ def test_satellite_command_structured_output(files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_winding_and_strong_winding(files, capsys):
+def test_winding_and_strong_winding(files, tmp_path, capsys):
     assert run(["winding", files["cable23.pat"]]) == 0
     assert "winding: 2" in capsys.readouterr().out
     assert run(["strong-winding", files["core.pat"]]) == 0
     out = capsys.readouterr().out
     assert "verified" in out
     assert run(["--limit", "300", "strong-winding", files["clasp.pat"]]) == 0
-    assert "inconclusive" in capsys.readouterr().out
+    assert "outcome: refuted" in capsys.readouterr().out
+    # a perfect quotient past the budget: 4 128 cosets close this composition
+    path = tmp_path / "zigzag-trefoil.pat"
+    path.write_text(formats.serialize_pattern(compose(zigzag_pattern(), trefoil())) + "\n")
+    assert run(["--limit", "300", "strong-winding", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "outcome: inconclusive" in out and "# enumeration: exceeded" in out
+
+
+def test_strong_winding_reports_its_certificate(files, capsys, monkeypatch):
+    from satkit import groups
+
+    assert run(["--format", "structured", "strong-winding", files["cable23.pat"]]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["outputs"]["outcome"] == "refuted"
+    stats = rep["stats"]
+    assert (stats["abelianization"], stats["enumeration"], stats["cosets_used"]) == ("Z/2", "not-run", 0)
+    assert stats["limit"] == 10**6 and "order" not in stats
+    # a perfect quotient whose table closes at order 60 is refuted by the order
+    monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: groups.EnumerationResult("finite", 60, 60, limit))
+    assert run(["--format", "structured", "strong-winding", files["core.pat"]]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["outputs"]["outcome"] == "refuted"
+    assert (rep["stats"]["order"], rep["stats"]["enumeration"]) == (60, "finite")
+    assert "abelianization" not in rep["stats"]
 
 
 def test_strong_winding_reports_enumerated_presentation(files, capsys):
@@ -252,8 +277,8 @@ def test_strong_winding_internal_error_exits_3(tmp_path, capsys, monkeypatch):
 
     path = tmp_path / "cable21.pat"
     path.write_text(formats.serialize_pattern(cable_pattern(2, 1)) + "\n")
-    # cable(2,1)'s quotient has abelianization Z/2; a "trivial" enumeration is a bug
-    monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: groups.EnumerationResult("trivial", 1, 1, limit))
+    # cable(2,1) has winding number 2; a trivial Smith form of its quotient is a bug
+    monkeypatch.setattr(groups, "abelianization", lambda g: AbelianGroup(()))
     assert run(["strong-winding", str(path)]) == 3
     assert capsys.readouterr().err.startswith("internal error: ")
 
@@ -356,6 +381,9 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         assert ("--copies=K1,K2,..." in err) == (argv[1] in ("parallel", "reduce"))
     assert run(["corpus", sl]) == 1
     assert capsys.readouterr().err == f"error: {sl} is not a directory\n"
+    # the coset limit is checked before the Smith form could refute clasp
+    assert run(["--limit", "0", "strong-winding", files["clasp.pat"]]) == 1
+    assert capsys.readouterr().err == "error: coset limit must be at least 1\n"
     assert run(["corpus", str(pathlib.Path(sl).parent), "--suites", "formula"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: satkit corpus DIR --suites=") and err.count("\n") == 1
@@ -547,7 +575,7 @@ _PINNED_RUNS = [
 ]
 # sha256 of the records below: a changed report, message, exit code or written
 # file changes it
-_PINNED_SHA256 = "262322cf873854315a34250da95a88117ec0c2cc106317a56c03f338a0fdb20a"
+_PINNED_SHA256 = "db2a4828072ee3ba42e01d351acc83739ff98f0ed8c602f5f32f6e132e0c3dd0"
 
 
 def test_every_command_report_is_pinned(files, tmp_path, capsys, monkeypatch):

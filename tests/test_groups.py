@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,10 @@ from satkit.catalog import (
     trefoil,
     zigzag_pattern,
     cable_pattern,
+    corpus_patterns,
 )
 from satkit import groups
-from satkit.diagram import unknot
+from satkit.diagram import relabeled, unknot
 from satkit.errors import DomainError, InternalError
 from satkit.groups import (
     EnumerationResult,
@@ -31,7 +34,7 @@ from satkit.groups import (
     word_to_text,
 )
 from satkit.invariants import free_reduce
-from satkit.patterns import winding_number
+from satkit.patterns import Pattern, compose, winding_number
 
 
 def test_wirtinger_unknot():
@@ -188,16 +191,89 @@ def test_strong_winding_carries_the_wirtinger_presentation():
 
 
 def test_strong_winding_trivial_claim_with_nontrivial_abelianization_is_internal(monkeypatch):
-    # cable(2,1)'s quotient has abelianization Z/2, so "trivial" is a bug
-    monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: EnumerationResult("trivial", 1, 1, limit))
-    with pytest.raises(InternalError, match="abelianization"):
-        strong_winding_check(cable_pattern(2, 1), limit=100)
+    # cable(2,1) has winding number 2, so its quotient abelianizes to Z/2: a
+    # Smith form claiming trivial (or Z) disagrees with the cut signs, and the
+    # check stops before any verdict
+    for claim in (AbelianGroup(()), AbelianGroup((0,))):
+        monkeypatch.setattr(groups, "abelianization", lambda g, claim=claim: claim)
+        with pytest.raises(InternalError, match="disagrees with winding number 2"):
+            strong_winding_check(cable_pattern(2, 1), limit=100)
 
 
-def test_strong_winding_inconclusive_for_winding_zero():
+def test_strong_winding_refuted_for_winding_zero():
     res = strong_winding_check(clasp_pattern(), limit=500)
     assert not res.verified
-    assert res.enumeration.outcome == "exceeded"
+    assert res.outcome == "refuted"
+    assert res.abelianization == AbelianGroup((0,))
+    assert res.enumeration == EnumerationResult("not-run", None, 0, 500)
+
+
+def _relabelled_pattern(p, rng):
+    edges = p.base.edges()
+    mapping = dict(zip(edges, rng.sample(range(1, 4 * len(edges) + 1), len(edges))))
+    return Pattern(relabeled(p.base, mapping), tuple((mapping[e], s) for e, s in p.cut))
+
+
+def test_winding_other_than_one_is_refuted_by_the_smith_form_alone(monkeypatch):
+    def spy(g, limit):
+        raise AssertionError("todd_coxeter called on a refuted pattern")
+
+    monkeypatch.setattr(groups, "todd_coxeter", spy)
+    rng = random.Random(19)
+    for p, factors in ((clasp_pattern(), (0,)), (cable_pattern(2, 1), (2,)),
+                       (cable_pattern(2, 3), (2,)), (cable_pattern(3, 2), (3,))):
+        for q in [p] + [_relabelled_pattern(p, rng) for _ in range(5)]:
+            res = strong_winding_check(q, 10**6)
+            assert (res.outcome, res.verified) == ("refuted", False)
+            assert res.abelianization.invariant_factors == factors
+            # the certificate, recomputed from the unsimplified quotient
+            full = quotient(wirtinger(q.base), [cut_loop_word(q)])
+            assert abelianization(full).invariant_factors == factors
+            assert res.enumeration == EnumerationResult("not-run", None, 0, 10**6)
+
+
+def test_perfect_quotient_closing_above_one_is_refuted(monkeypatch):
+    seen = []
+
+    def order_60(g, limit):
+        seen.append(g)
+        return EnumerationResult("finite", 60, 60, limit)
+
+    monkeypatch.setattr(groups, "todd_coxeter", order_60)
+    res = strong_winding_check(core_pattern(), 100)
+    assert (res.outcome, res.verified) == ("refuted", False)
+    assert res.abelianization.is_trivial
+    assert (res.enumeration.order, res.enumeration.limit) == (60, 100)
+    assert seen == [res.presentation]
+
+
+def test_exceeded_enumeration_is_inconclusive_with_its_budget():
+    res = strong_winding_check(compose(zigzag_pattern(), trefoil()), 300)
+    assert (res.outcome, res.verified) == ("inconclusive", False)
+    assert res.abelianization.is_trivial
+    assert res.enumeration == EnumerationResult("exceeded", None, 300, 300)
+
+
+def test_every_verified_result_enumerated_to_trivial():
+    patterns = [p for _, p in corpus_patterns()]
+    patterns += [compose(zigzag_pattern(), k) for k in (trefoil(), figure_eight())]
+    rng = random.Random(7)
+    verified = 0
+    for p in patterns + [_relabelled_pattern(p, rng) for p in patterns]:
+        res = strong_winding_check(p, 10**5)
+        assert res.outcome in ("verified", "refuted")
+        if res.verified:
+            verified += 1
+            assert res.enumeration.outcome == "trivial"
+            assert res.enumeration.order == 1 and res.abelianization.is_trivial
+            assert abs(winding_number(p)) == 1
+    assert verified == 12
+
+
+def test_coset_limit_is_checked_before_any_route():
+    for p in (clasp_pattern(), core_pattern()):
+        with pytest.raises(DomainError, match="coset limit must be at least 1"):
+            strong_winding_check(p, 0)
 
 
 def test_verified_implies_winding_one():
