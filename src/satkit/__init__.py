@@ -34,7 +34,6 @@ from .invariants import (
     alexander_poly,
     determinant,
     equal_up_to_units,
-    fox_derivative,
     satellite_formula_report,
 )
 from .patterns import (

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .diagram import embedding_genus
 from .errors import DomainError
-from .groups import free_reduce, wirtinger
+from .groups import wirtinger
 from .patterns import satellite, winding_number
 
 # -- Laurent polynomials -----------------------------------------------------
@@ -285,31 +285,6 @@ def equal_up_to_units(a: Laurent, b: Laurent) -> bool:
 
 
 # -- free differential calculus ----------------------------------------------
-
-
-def fox_derivative(word, gen):
-    """Fox derivative of a free word with respect to a generator.
-
-    Words are tuples of nonzero signed generator indices.  The result is a
-    free group ring element: dict mapping reduced words to coefficients,
-    following d(uv) = du + u dv, dg/dg = 1, d(g^-1)/dg = -g^-1.
-    """
-    terms = {}
-
-    def add(w, c):
-        w = free_reduce(w)
-        terms[w] = terms.get(w, 0) + c
-        if terms[w] == 0:
-            del terms[w]
-
-    prefix = ()
-    for x in word:
-        if x == gen:
-            add(prefix, 1)
-        elif x == -gen:
-            add(prefix + (-gen,), -1)
-        prefix = prefix + (x,)
-    return terms
 
 
 def fox_row_abelian(word, ngens):

@@ -8,7 +8,8 @@ An infection operator marks, exactly as a pattern does, the ordered edges
 crossed by a disk in the exterior together with passage signs; infecting
 ties those strands into a companion knot with the same zero-framing gadget
 the satellite construction uses, so the one-strand case reproduces the
-pattern operations verbatim.
+pattern operations verbatim.  Fusion bands consecutive strands at the
+bottom boundary, where they are face to face below every crossing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe
-from .errors import DomainError, ValidationError, built
+from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe, embedding_genus
+from .errors import DomainError, InternalError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
 from .wires import Builder, band, braid, braid_permutation, build_cable, swap, twist_chain
 
@@ -246,62 +247,39 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     return built(InfectionOperator, out, tuple(new_cut))
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    edge_low: int
-    edge_high: int
-
-
-def default_band_plan(op: InfectionOperator):
-    """Bands joining consecutive strands at their bottom-boundary edges,
-    where adjacent strands are face to face and clear of the marked disk."""
-    cut_edges = {e for e, _ in op.cut}
-    plan = []
-    for i in range(op.link.strand_count - 1):
-        plan.append(BandSpec(_bottom_edge(op.link, i, cut_edges), _bottom_edge(op.link, i + 1, cut_edges)))
-    return tuple(plan)
-
-
-def _bottom_edge(sl: StringLink, strand, forbidden):
-    path = sl.strands[strand]
-    e = path[0] if sl.directions[strand] > 0 else path[-1]
-    if e not in forbidden:
-        return e
-    for e in path:
-        if e not in forbidden:
-            return e
-    raise DomainError(f"strand {strand} has no edge free of the marked disk")
-
-
-def fuse(op: InfectionOperator, band_plan=None) -> Pattern:
+def fuse(op: InfectionOperator) -> Pattern:
     """Band the strands together, in order, into a tangle whose closure is
-    a knot; the marking becomes the pattern's cut.  Bands must avoid the
-    marked disk: a band through a cut edge is rejected."""
+    a knot; the marking becomes the pattern's cut.
+
+    Strands i and i + 1 are banded at their bottom-boundary edges (``path[0]``
+    of an upward strand, ``path[-1]`` of a downward one): the band lies in
+    the boundary face, below every crossing and clear of the marked disk.
+    Where a banded edge is marked, the marking stays on the piece away from
+    the boundary: an upward strand's moves to the head piece of its first
+    band cut, a downward strand's stays on the tail piece.  A fused base
+    whose embedding genus differs from the closure's is an
+    ``InternalError``."""
     sl = op.link
-    if band_plan is None:
-        band_plan = default_band_plan(op)
-    band_plan = tuple(band_plan)
-    if len(band_plan) != sl.strand_count - 1:
-        raise DomainError("band plan must join every consecutive strand pair")
-    cut_edges = {e for e, _ in op.cut}
-    orient = _orient_tangle(sl)
-    for i, spec in enumerate(band_plan):
-        if spec.edge_low in cut_edges or spec.edge_high in cut_edges:
-            raise DomainError("band crosses the marked disk")
-        if _component_of(orient, spec.edge_low) != i or _component_of(orient, spec.edge_high) != i + 1:
-            raise DomainError(f"band {i} must join strand {i} to strand {i + 1}")
     b = Builder()
     wmap = _add_string_link(b, sl)
-    cut_wires = [(wmap[e], s) for e, s in op.cut]
-    for i, spec in enumerate(band_plan):
-        u, v = wmap[spec.edge_low], wmap[spec.edge_high]
+    bottom = [path[0] if d > 0 else path[-1] for path, d in zip(sl.strands, sl.directions)]
+    away = {}
+    for i in range(sl.strand_count - 1):
+        u, v = wmap[bottom[i]], wmap[bottom[i + 1]]
         if sl.directions[i] == sl.directions[i + 1]:
-            band(b, u, v, over=True)
+            heads = band(b, u, v, over=True)
         else:
             # antiparallel strands: the band is a plain turn-around
-            swap(b, u, v)
+            heads = swap(b, u, v)
+        for j, head in zip((i, i + 1), heads):
+            if sl.directions[j] > 0:
+                away.setdefault(bottom[j], head)
+    cut_wires = [(away.get(e, wmap[e]), s) for e, s in op.cut]
     _splice_terminals(b, sl.directions)
     d, labels = b.to_diagram([(cut_wires[0][0], True)])
+    genus = embedding_genus(closure(sl))
+    if embedding_genus(d) != genus:
+        raise InternalError(f"fuse changed the embedding genus from {genus}")
     cut = tuple((labels[w], s) for w, s in cut_wires)
     return built(Pattern, d, cut)
 
@@ -332,4 +310,4 @@ def as_pattern(op: InfectionOperator) -> Pattern:
     """Closure of a one-strand operator, keeping the marking."""
     if op.link.strand_count != 1:
         raise DomainError("as_pattern needs a one-strand operator")
-    return fuse(op, ())
+    return fuse(op)

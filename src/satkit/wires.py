@@ -362,22 +362,27 @@ def build_cable(b: Builder, crossings, signs, widths, loops=()):
 def band(b: Builder, u, v, over):
     """Band two wires running the same way: cut both and swap their ends
     across one new crossing.  The connector out of ``u`` into ``v``
-    passes over the one out of ``v`` into ``u`` when ``over``."""
+    passes over the one out of ``v`` into ``u`` when ``over``.  Returns
+    the head pieces (hu, hv) of the two cuts; the old ids name the tail
+    pieces."""
     tu, hu = b.cut(u)
     tv, hv = b.cut(v)
     if over:
         b.add_crossing(tv, hv, hu, tu, over_entry=3)
     else:
         b.add_crossing(tu, tv, hv, hu, over_entry=1)
+    return hu, hv
 
 
 def swap(b: Builder, u, v):
     """Cut two wires and cross-join the ends: out of ``u`` into ``v``
-    and out of ``v`` into ``u``."""
+    and out of ``v`` into ``u``.  Returns the head pieces (hu, hv) of the
+    two cuts, as ``band`` does."""
     tu, hu = b.cut(u)
     tv, hv = b.cut(v)
     b.join(tu, hv)
     b.join(tv, hu)
+    return hu, hv
 
 
 def encircle(b: Builder, targets):

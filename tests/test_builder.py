@@ -56,7 +56,7 @@ from satkit.wires import Builder, build_cable, twist_chain
 
 # sha256 of the raw codes below: any change to labels, path order or
 # crossing rotations moves it
-_RAW_SHA256 = "276c0c3858b1c2dc0269e9356732758cb4328b4ca592ce31c3b015a9eb581468"
+_RAW_SHA256 = "c54a0a66dee9b17307d270f105835e00be40a67a69528a6929b329b8073ebfab"
 
 
 def _raw(obj):

@@ -9,10 +9,12 @@ import pytest
 from satkit import formats
 from satkit.abelian import AbelianGroup
 from satkit.catalog import (
+    both_strands_operator,
     cable_pattern,
     clasp_pattern,
     core_pattern,
     figure_eight,
+    strand_meridian_operator,
     trefoil,
     winding_two_three_operator,
     zigzag_pattern,
@@ -350,6 +352,23 @@ def test_invalid_construction_is_internal_but_invalid_input_is_parse_error(files
     for argv in (["winding", str(bad_pat)], ["slink", "winding", str(bad_sl)]):
         assert run(argv) == 2
         assert "parse error: cut strands must be pairwise distinct edges" in capsys.readouterr().err
+
+
+def test_slink_fuse_bands_at_the_bottom_boundary(files, tmp_path, capsys):
+    # each strand of these operators is one marked edge; fuse bands below it
+    sm_file, both_file = str(tmp_path / "sm.sl"), str(tmp_path / "both.sl")
+    (tmp_path / "sm.sl").write_text(formats.serialize_string_link(strand_meridian_operator(2, 0)) + "\n")
+    (tmp_path / "both.sl").write_text(formats.serialize_string_link(both_strands_operator()) + "\n")
+    for argv in (["slink", "fuse", sm_file], ["slink", "fuse", both_file],
+                 ["slink", "reduce", sm_file, "--copies=1,-2"]):
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+    # two passages still land on one edge after an antiparallel turn-around
+    for argv in (["slink", "reduce", both_file, "--copies=2,-1"],
+                 ["slink", "reduce", files["w23.sl"], "--copies=-1,1"]):
+        assert run(argv) == 3, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: "), err
 
 
 def test_exit_codes(files, tmp_path, capsys):

@@ -26,6 +26,7 @@ from satkit.groups import (
     _invert,
     abelianization,
     cut_loop_word,
+    free_reduce,
     quotient,
     simplify_presentation,
     strong_winding_check,
@@ -33,7 +34,6 @@ from satkit.groups import (
     wirtinger,
     word_to_text,
 )
-from satkit.invariants import free_reduce
 from satkit.patterns import Pattern, compose, winding_number
 
 

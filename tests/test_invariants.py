@@ -33,7 +33,6 @@ from satkit.invariants import (
     alexander_poly,
     determinant,
     equal_up_to_units,
-    fox_derivative,
     fox_row_abelian,
     laurent_det_up_to_units,
     satellite_formula_report,
@@ -217,17 +216,6 @@ def test_abelian_group_api():
 
 
 # -- Fox calculus ---------------------------------------------------------------
-
-
-def test_fox_base_cases():
-    assert fox_derivative((1,), 1) == {(): 1}
-    assert fox_derivative((-1,), 1) == {(-1,): -1}
-    assert fox_derivative((2,), 1) == {}
-
-
-def test_fox_product_rule():
-    # d(gg)/dg = 1 + g
-    assert fox_derivative((1, 1), 1) == {(): 1, (1,): 1}
 
 
 def test_fox_commutator_abelianized():

@@ -1,9 +1,13 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from satkit.catalog import (
     both_strands_operator,
     braid_closure,
     core_pattern,
+    corpus_knots,
     figure_eight,
     strand_meridian_operator,
     trefoil,
@@ -17,16 +21,14 @@ from satkit.diagram import (
     simplify,
     unknot,
 )
-from satkit.errors import DomainError
-from satkit.invariants import alexander_poly, determinant, equal_up_to_units
+from satkit.errors import DomainError, InternalError
+from satkit.invariants import alexander_poly, determinant, equal_up_to_units, satellite_formula_report
 from satkit.patterns import patterns_equal, satellite, winding_number
 from satkit.stringlinks import (
-    BandSpec,
     InfectionOperator,
     StringLink,
     as_pattern,
     closure,
-    default_band_plan,
     fuse,
     infect,
     mirror_reverse,
@@ -184,7 +186,7 @@ def test_parallel_rejects_empty():
 
 def test_fuse_one_strand_identity():
     op = strand_meridian_operator(1, 0)
-    p = fuse(op, ())
+    p = fuse(op)
     assert patterns_equal(p, core_pattern())
 
 
@@ -195,14 +197,6 @@ def test_fuse_w23_reduction():
     assert winding_number(p) == 1
     assert p.base.is_knot()
     assert embedding_genus(p.base) == 0
-
-
-def test_band_on_a_missing_edge_is_a_domain_error():
-    op = w23()
-    band = default_band_plan(op)[0]
-    for spec in (BandSpec(99, band.edge_high), BandSpec(band.edge_low, 99)):
-        with pytest.raises(DomainError, match="no edge labelled 99"):
-            fuse(op, [spec])
 
 
 def test_reduce_to_pattern_gcd_check():
@@ -219,12 +213,46 @@ def test_reduce_meridian_gives_core():
     assert patterns_equal(p, core_pattern())
 
 
-def test_band_through_disk_rejected():
-    op = both_strands_operator()
-    from satkit.stringlinks import BandSpec
+def test_every_valid_copy_vector_fuses_or_is_an_internal_fault():
+    # the catalog operators, plain and infected by the trefoil, with every
+    # copy vector |k_i| <= 3 whose combination is the winding gcd: each
+    # fuses into a planar pattern of winding gcd, or fails inside the
+    # construction (two passages merged on one edge, or a genus change);
+    # no valid vector is refused
+    operators = [strand_meridian_operator(2, 0), strand_meridian_operator(3, 1), both_strands_operator(), w23()]
+    outcomes = Counter()
+    for op in operators + [infect(op, trefoil()) for op in operators]:
+        g, wv = winding_gcd(op), winding_vector(op)
+        for kvec in itertools.product(range(-3, 4), repeat=op.link.strand_count):
+            if sum(k * w for k, w in zip(kvec, wv)) != g:
+                continue
+            try:
+                p = reduce_to_pattern(op, kvec)
+            except InternalError as exc:
+                outcomes[str(exc)] += 1
+                continue
+            assert embedding_genus(p.base) == 0 and winding_number(p) == g, kvec
+            if p.base.crossing_count <= 120:
+                assert satellite_formula_report(p, trefoil())["equal_up_to_units"], kvec
+            outcomes["pattern"] += 1
+    assert outcomes == {
+        "pattern": 120,
+        "built an invalid Pattern: cut strands must be pairwise distinct edges": 6,
+        "fuse changed the embedding genus from 0": 2,
+    }
 
-    with pytest.raises(DomainError):
-        fuse(op, (BandSpec(1, 2),))
+
+@pytest.mark.parametrize("op", [both_strands_operator(), strand_meridian_operator(2, 0)],
+                         ids=["both-strands", "strand-meridian"])
+def test_fuse_commutes_with_infection(op):
+    p = fuse(op)
+    for _, k in corpus_knots():
+        if k.crossing_count > 10:
+            continue
+        q = fuse(infect(op, k))
+        assert embedding_genus(q.base) == 0
+        assert winding_number(q) == winding_number(p)
+        assert equal_up_to_units(alexander_poly(q.base), alexander_poly(satellite(p, k)))
 
 
 def test_commutation_at_alexander_level():
