@@ -1,6 +1,8 @@
 """Satellite operators on knot and link diagrams, with group-theoretic and
 homological verification tooling."""
 
+from types import ModuleType as _ModuleType
+
 from .abelian import AbelianGroup, cokernel, smith_normal_form
 from .diagram import (
     Diagram,
@@ -50,7 +52,6 @@ from .patterns import (
 from .stringlinks import (
     InfectionOperator,
     StringLink,
-    as_pattern,
     closure,
     fuse,
     infect,
@@ -73,4 +74,6 @@ from .surgery import (
     zero_surgery,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

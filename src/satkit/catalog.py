@@ -45,6 +45,17 @@ def braid_closure(strands, word) -> Diagram:
     return _closed_braid(strands, word)[0]
 
 
+def string_link_from_braid(strands, word) -> StringLink:
+    """A pure braid as a string link; a braid word whose strands do not
+    each return to their own slot is rejected."""
+    b = Builder()
+    bottom, _ = braid(b, strands, word)
+    if braid_permutation(strands, word) != list(range(strands)):
+        raise DomainError("braid must induce the identity permutation")
+    crossings, paths, _ = b.to_tangle([(w, True) for w in bottom])
+    return built(StringLink, len(paths), crossings, paths)
+
+
 def trefoil() -> Diagram:
     """The right-handed trefoil."""
     return braid_closure(2, [1, 1, 1])
@@ -66,11 +77,6 @@ def torus_knot(p, q) -> Diagram:
 def torus_link(p, q) -> Diagram:
     word = list(range(1, p)) * q
     return braid_closure(p, word)
-
-
-def hopf_link(positive=True) -> Diagram:
-    d = braid_closure(2, [1, 1])
-    return d if positive else mirror(d)
 
 
 def positive_kink_unknot() -> Diagram:

@@ -196,7 +196,7 @@ def _corpus_load(directory):
     if root.exists() and not root.is_dir():
         raise DomainError(f"{directory} is not a directory")
     for path in sorted(root.iterdir()):
-        if path.is_dir() or path.suffix not in (".json", ".pd", ".pat", ".fl", ".sl"):
+        if path.is_dir() or path.suffix not in formats._SUFFIXES:
             continue
         try:
             loaded = formats.load_path(path)

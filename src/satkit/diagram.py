@@ -239,13 +239,6 @@ def reverse(d: Diagram, comp: int) -> Diagram:
     return Diagram(new, comps, d.names)
 
 
-def relabeled(d: Diagram, mapping) -> Diagram:
-    """Apply an edge-label bijection."""
-    cr = tuple(tuple(mapping[e] for e in x) for x in d.crossings)
-    comps = tuple(tuple(mapping[e] for e in cyc) for cyc in d.components)
-    return Diagram(cr, comps, d.names)
-
-
 def _least_labelling(d: Diagram, held=()):
     """The least sorted crossing list over all cycle rotations.
 

@@ -410,6 +410,8 @@ _PARSERS = {
     ".fl": parse_framed_link,
     ".sl": parse_string_link,
 }
+# the suffixes load_path parses: the structured form and each text format
+_SUFFIXES = (".json", *_PARSERS)
 
 
 def load_path(path):

@@ -419,7 +419,6 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
 
 @dataclass(frozen=True)
 class StrongWindingResult:
-    verified: bool
     enumeration: EnumerationResult  # outcome "not-run" when the Smith form refuted
     abelianization: AbelianGroup  # of the quotient presentation
     presentation: GroupPresentation  # the simplified quotient presentation
@@ -427,7 +426,7 @@ class StrongWindingResult:
 
     @property
     def outcome(self) -> str:
-        if self.verified:
+        if self.enumeration.outcome == "trivial":
             return "verified"
         if not self.abelianization.is_trivial or self.enumeration.outcome == "finite":
             return "refuted"
@@ -458,6 +457,5 @@ def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
         raise InternalError(f"quotient abelianization {ab} disagrees with winding number {w}")
     if not ab.is_trivial:
         skipped = EnumerationResult("not-run", None, 0, limit)
-        return StrongWindingResult(False, skipped, ab, q, pres)
-    result = todd_coxeter(q, limit)
-    return StrongWindingResult(result.outcome == "trivial", result, ab, q, pres)
+        return StrongWindingResult(skipped, ab, q, pres)
+    return StrongWindingResult(todd_coxeter(q, limit), ab, q, pres)

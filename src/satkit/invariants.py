@@ -9,7 +9,6 @@ normalized determinant of one minor is the gcd the contract asks for.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
@@ -106,11 +105,6 @@ class Laurent:
             co[e - lo] = v
         self.lo, self.co = lo, tuple(co)
 
-    @property
-    def c(self):
-        """The nonzero coefficients as a dict exponent -> coefficient."""
-        return {self.lo + i: v for i, v in enumerate(self.co) if v}
-
     @staticmethod
     def zero():
         return _raw(0, ())
@@ -122,11 +116,6 @@ class Laurent:
     @staticmethod
     def t(exp=1, coef=1):
         return _raw(exp, (coef,) if coef else ())
-
-    @staticmethod
-    def of(*coeffs):
-        """Polynomial from coefficients of t^0, t^1, ..."""
-        return _trimmed(0, coeffs)
 
     def __bool__(self):
         return bool(self.co)
@@ -187,9 +176,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        return _raw(self.lo + k, self.co)
-
     def max_exp(self):
         return self.lo + len(self.co) - 1 if self.co else 0
 
@@ -206,14 +192,6 @@ class Laurent:
         out = [0] * ((len(co) - 1) * abs(n) + 1)
         out[::abs(n)] = co
         return _raw(self.max_exp() * n if n < 0 else self.lo * n, tuple(out))
-
-    def evaluate(self, x):
-        """Exact value at a nonzero rational point."""
-        total = Fraction(0)
-        fx = Fraction(x)
-        for e, v in self.c.items():
-            total += v * fx**e
-        return total
 
     def normalized(self):
         """Unit normal form: lowest exponent 0, positive constant term."""

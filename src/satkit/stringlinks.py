@@ -21,7 +21,7 @@ from functools import lru_cache
 from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe, embedding_genus
 from .errors import DomainError, InternalError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
-from .wires import Builder, band, braid, braid_permutation, build_cable, swap, twist_chain
+from .wires import Builder, band, build_cable, swap, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
@@ -60,10 +60,6 @@ def _orient_tangle(sl: StringLink) -> _Orientation:
     return _orient_paths(sl.crossings, sl.strands, closed=False)
 
 
-def tangle_crossing_signs(sl: StringLink) -> tuple[int, ...]:
-    return _orient_tangle(sl).signs
-
-
 def strand_of_edge(sl: StringLink, edge: int) -> int:
     return _component_of(_orient_tangle(sl), edge)
 
@@ -74,17 +70,6 @@ def self_writhe(sl: StringLink, strand: int) -> int:
 
 def trivial_string_link(m: int) -> StringLink:
     return StringLink(m, (), tuple((i + 1,) for i in range(m)))
-
-
-def string_link_from_braid(strands, word) -> StringLink:
-    """A braid word as a (pure only if the permutation is trivial) string
-    link is rejected unless each strand returns to its own slot."""
-    b = Builder()
-    bottom, top = braid(b, strands, word)
-    if braid_permutation(strands, word) != list(range(strands)):
-        raise DomainError("braid must induce the identity permutation")
-    sl, _ = _walk_out(b, [(w, True) for w in bottom], (1,) * strands)
-    return sl
 
 
 @dataclass(frozen=True)
@@ -304,10 +289,3 @@ def mirror_reverse(sl: StringLink) -> StringLink:
     new_crossings = tuple((c, bb, a, dd) for (a, bb, c, dd) in sl.crossings)
     new_strands = tuple(tuple(reversed(path)) for path in sl.strands)
     return StringLink(sl.strand_count, new_crossings, new_strands, sl.directions)
-
-
-def as_pattern(op: InfectionOperator) -> Pattern:
-    """Closure of a one-strand operator, keeping the marking."""
-    if op.link.strand_count != 1:
-        raise DomainError("as_pattern needs a one-strand operator")
-    return fuse(op)

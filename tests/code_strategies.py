@@ -1,6 +1,37 @@
-"""Hypothesis strategies for random crossing codes, shared by the tests."""
+"""Helpers shared by the tests: hypothesis strategies for random crossing
+codes, an edge relabelling, and the randomised handle-slide suite."""
+
+import random
 
 from hypothesis import strategies as st
+
+from satkit.catalog import random_framed_links
+from satkit.diagram import Diagram
+from satkit.surgery import BandArc, h1, handle_slide
+
+
+def relabeled(d, mapping):
+    """``d`` with an edge-label bijection applied."""
+    cr = tuple(tuple(mapping[e] for e in x) for x in d.crossings)
+    comps = tuple(tuple(mapping[e] for e in cyc) for cyc in d.components)
+    return Diagram(cr, comps, d.names)
+
+
+def kirby_move_suite(slide_count=200, seed=20260808):
+    """Randomised handle slides preserve the homology exactly: one case
+    dict {"name", "ok", "detail"} per slide, as the property suites give."""
+    rng = random.Random(seed)
+    out = []
+    for index, fl in enumerate(random_framed_links(slide_count, rng)):
+        n = fl.diagram.component_count
+        i = rng.randrange(n)
+        j = (i + rng.randrange(1, n)) % n
+        orientation = rng.choice([1, -1])
+        before = h1(fl).invariant_factors
+        out_fl = handle_slide(fl, i, j, BandArc(orientation=orientation, over=rng.random() < 0.5))
+        after = h1(out_fl).invariant_factors
+        out.append({"name": f"slide-{index}", "ok": before == after, "detail": f"{before} -> {after}"})
+    return out
 
 
 @st.composite

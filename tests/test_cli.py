@@ -46,12 +46,12 @@ def files(tmp_path):
 
 
 def test_round_trip_formats():
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
     from satkit.diagram import Diagram
     from satkit.stringlinks import InfectionOperator, StringLink
     from satkit.surgery import FramedLink, zero_surgery
 
-    h = hopf_link()
+    h = torus_link(2, 2)
     named = FramedLink(Diagram(h.crossings, h.components, ("first", "second")), (1, -2), ("a", "b"))
     # names and roles holding the text blocks' separators, brackets, % and spaces
     odd_names = ("a,b", " c]%(x) ")
@@ -90,10 +90,10 @@ def test_round_trip_formats():
 
 
 def test_named_components_round_trip():
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
     from satkit.diagram import Diagram
 
-    h = hopf_link()
+    h = torus_link(2, 2)
     named = Diagram(h.crossings, h.components, ("first", "second"))
     text = formats.serialize_diagram(named)
     assert "N[first,second]" in text
@@ -377,9 +377,9 @@ def test_exit_codes(files, tmp_path, capsys):
     assert run(["invariants", str(bad)]) == 2
     # domain error: invariants of a two-component link
     hopf = tmp_path / "hopf.pd"
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
 
-    hopf.write_text(formats.serialize_diagram(hopf_link()) + "\n")
+    hopf.write_text(formats.serialize_diagram(torus_link(2, 2)) + "\n")
     assert run(["invariants", str(hopf)]) == 1
     capsys.readouterr()
 
@@ -506,11 +506,11 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, name, text):
 def _walk_out_one_hopf_component():
     # a builder walked out from one seed while the Hopf link has two
     # components: the walk misses wires, a construction bug
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
     from satkit.wires import Builder
 
-    b, wmap = Builder.from_diagram(hopf_link())
-    first = hopf_link().components[0][0]
+    b, wmap = Builder.from_diagram(torus_link(2, 2))
+    first = torus_link(2, 2).components[0][0]
     return b.to_diagram([(b.live(wmap[first]), True)])
 
 
@@ -598,12 +598,12 @@ _PINNED_SHA256 = "db2a4828072ee3ba42e01d351acc83739ff98f0ed8c602f5f32f6e132e0c3d
 
 
 def test_every_command_report_is_pinned(files, tmp_path, capsys, monkeypatch):
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trefoil.json").write_text(json.dumps(formats.to_obj(trefoil())))
     (tmp_path / "core.json").write_text(json.dumps(formats.to_obj(core_pattern())))
-    (tmp_path / "hopf.pd").write_text(formats.serialize(hopf_link()) + "\n")
+    (tmp_path / "hopf.pd").write_text(formats.serialize(torus_link(2, 2)) + "\n")
     (tmp_path / "bad.pd").write_text("X[1,2,3,an] C[(1)]\n")
     for sub, names in (("corpus", ("trefoil.pd", "unknot.pd", "core.pat", "zigzag.pat")),
                        ("badcorpus", ("trefoil.pd",))):

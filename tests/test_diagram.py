@@ -5,17 +5,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from code_strategies import valid_codes
+from code_strategies import relabeled, valid_codes
 from satkit import diagram
 from satkit.catalog import (
     braid_closure,
     both_strands_operator,
     pattern_from_braid,
+    string_link_from_braid,
     corpus_knots,
     corpus_patterns,
     double_kink_unknot,
     figure_eight,
-    hopf_link,
     positive_kink_unknot,
     torus_link,
     trefoil,
@@ -35,14 +35,13 @@ from satkit.diagram import (
     linking_number,
     mirror,
     reverse,
-    relabeled,
     simplify,
     unknot,
     writhe,
 )
 from satkit.errors import DomainError, ValidationError
 from satkit.patterns import Pattern, _pattern_key, to_link
-from satkit.stringlinks import closure, infect, parallel, string_link_from_braid
+from satkit.stringlinks import closure, infect, parallel
 
 
 @pytest.mark.parametrize("build", [braid_closure, pattern_from_braid, string_link_from_braid])
@@ -84,7 +83,7 @@ def test_kink_signs():
 
 
 def test_hopf_linking():
-    h = hopf_link()
+    h = torus_link(2, 2)
     assert h.component_count == 2
     assert linking_number(h, 0, 1) == 1
     assert linking_number(h, 1, 0) == 1
@@ -92,14 +91,14 @@ def test_hopf_linking():
 
 
 def test_reverse_flips_linking():
-    h = hopf_link()
+    h = torus_link(2, 2)
     assert linking_number(reverse(h, 0), 0, 1) == -1
     assert linking_number(reverse(reverse(h, 0), 1), 0, 1) == 1
 
 
 def test_linking_same_component_rejected():
     with pytest.raises(DomainError):
-        linking_number(hopf_link(), 0, 0)
+        linking_number(torus_link(2, 2), 0, 0)
 
 
 def test_torus_link_26():
@@ -118,7 +117,7 @@ def test_split_union_linking():
 
 
 def test_mirror_involution():
-    for d in (trefoil(), figure_eight(), hopf_link()):
+    for d in (trefoil(), figure_eight(), torus_link(2, 2)):
         assert diagrams_equal(mirror(mirror(d)), d)
 
 
@@ -172,7 +171,7 @@ def test_poke_assembles_once(monkeypatch):
     real = diagram._Splice.diagram
     monkeypatch.setattr(diagram._Splice, "diagram", lambda sp, keep: assembled.append(keep) or real(sp, keep))
     pokes = 0
-    for d in (trefoil(), figure_eight(), hopf_link(), braid_closure(3, [1, 1]), torus_link(3, 3)):
+    for d in (trefoil(), figure_eight(), torus_link(2, 2), braid_closure(3, [1, 1]), torus_link(3, 3)):
         for u, v in itertools.permutations(d.edges(), 2):
             try:
                 insert_poke(d, u, v)
@@ -230,7 +229,7 @@ def test_connected_sum_with_unknot_is_identity():
 
 def test_connected_sum_rejects_links():
     with pytest.raises(DomainError):
-        connected_sum(hopf_link(), trefoil())
+        connected_sum(torus_link(2, 2), trefoil())
 
 
 @st.composite
@@ -273,8 +272,8 @@ def test_simplify_preserves_invariants_on_corpus():
         s = simplify(inflated)
         assert alexander_poly(s) == alexander_poly(d)
         assert determinant(s) == determinant(d)
-    h = insert_kink(hopf_link(), 1, 1)
-    assert linking_number(simplify(h), 0, 1) == linking_number(hopf_link(), 0, 1)
+    h = insert_kink(torus_link(2, 2), 1, 1)
+    assert linking_number(simplify(h), 0, 1) == linking_number(torus_link(2, 2), 0, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,7 +355,7 @@ def test_face_record_of_corpus_diagrams():
     diagrams = [d for _, d in corpus_knots()]
     for _, p in corpus_patterns():
         diagrams += [p.base, to_link(p)]
-    diagrams += [hopf_link(), torus_link(3, 3), unknot(), _split_union(trefoil(), 2)]
+    diagrams += [torus_link(2, 2), torus_link(3, 3), unknot(), _split_union(trefoil(), 2)]
     for d in diagrams:
         _check_faces(d)
 

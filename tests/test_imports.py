@@ -2,14 +2,18 @@
 re-exports are exempt.  Every private function, method or class defined in ``src/satkit``
 is referenced in ``src`` or ``tests``.  Every public module-level function
 or class, and every public method, in ``src/satkit`` is referenced outside
-its own definition in ``src``, ``tests``, ``scripts`` or ``perfbench``
-(``__init__.py`` re-exports do not count): a function or class by a bare
-name no enclosing function binds, an import alias, an attribute of an
-imported module or a dotted string, a method by any attribute too.  Every defaulted parameter of
-a ``src/satkit`` function, and every defaulted field of a ``@dataclass``
-or ``NamedTuple`` class, is set by some call there (a call to a class sets
-its ``__init__`` or its fields, a call to an attribute any function of that
-name, and ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
+its own definition in ``src``, ``scripts`` or ``perfbench`` (``__init__.py``
+re-exports do not count): a function or class by a bare name no enclosing
+function binds, an import alias, an attribute of an imported module or a
+dotted string, a method by any attribute too.  ``tests`` count as callers
+of the declared library API alone: the names ``__init__.py`` imports and
+the public module-level definitions of ``catalog.py``, never a method.
+``satkit.__all__`` is exactly the names ``__init__.py`` imports.  Every
+defaulted parameter of a ``src/satkit`` function, and every defaulted field
+of a ``@dataclass`` or ``NamedTuple`` class, is set by some call there, or
+in ``tests`` for the API (a call to a class sets its ``__init__`` or its
+fields, a call to an attribute any function of that name, and
+``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
@@ -21,6 +25,7 @@ tree."""
 import ast
 import pathlib
 import re
+import types
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
@@ -168,11 +173,13 @@ def _public_definitions(tree):
     return [(node.lineno, node.name, node, method) for node, method in found if not node.name.startswith("_")]
 
 
-def _uncalled_public(tree, references, modules):
+def _uncalled_public(tree, references, modules, tested):
     """(line, name) for every public definition in ``tree`` that
-    ``references`` (a Counter over every file) names only inside that
-    definition.  A module-level function or class is named only as a
-    name; a method by any attribute too."""
+    ``references`` (a Counter over the program files) names only inside
+    that definition, nor ``tested`` (a Counter over the tests, of the
+    ``_api`` names alone) anywhere.  A module-level function or class is
+    named only as a name; a method by any attribute too, and never through
+    ``tested``."""
     imports = _imports(tree, modules)
 
     def named(counts, name, method):
@@ -181,8 +188,29 @@ def _uncalled_public(tree, references, modules):
     return sorted(
         (line, name)
         for line, name, node, method in _public_definitions(tree)
-        if named(references, name, method) <= named(_reference_counts(node, imports), name, method)
+        if named(references, name, method) + (0 if method else tested[name])
+        <= named(_reference_counts(node, imports), name, method)
     )
+
+
+def _api(init, catalog):
+    """The declared library API, read from the package's ``__init__`` and
+    ``catalog`` trees: every public name ``init`` imports, and every public
+    module-level definition of ``catalog``, the fixture library.  Tests
+    count as callers of these names only."""
+    imported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    fixtures = {name for _, name, _, method in _public_definitions(catalog) if not method}
+    return {name for name in imported if not name.startswith("_")} | fixtures
+
+
+def _program_and_tests():
+    """The ``src/satkit`` modules (``__init__.py`` left out), the program
+    files outside them (``scripts`` and ``perfbench``) and the tests, each
+    a list of paths, with the declared ``_api``."""
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    programs = sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    api = _api(ast.parse((SRC / "__init__.py").read_text()), ast.parse((SRC / "catalog.py").read_text()))
+    return sources, programs, sorted(TESTS.glob("*.py")), api
 
 
 def test_checker_flags_an_uncalled_public_definition():
@@ -212,20 +240,65 @@ def test_checker_flags_an_uncalled_public_definition():
     )
     tree = ast.parse(src)
     references = _reference_counts(tree, _imports(tree, {"other"}))
-    assert _uncalled_public(tree, references, {"other"}) == [
+    assert _uncalled_public(tree, references, {"other"}, Counter()) == [
         (3, "recursive"), (10, "dead"), (18, "field"), (20, "shadowed")
     ]
 
 
+# A package whose only callers are tests: ``__init__`` exports Shape and
+# exported, and catalog holds one fixture.
+_API_INIT = "from .shapes import Shape, exported\nfrom types import ModuleType as _ModuleType\n"
+_API_CATALOG = "def fixture(size=1):\n    pass\nclass Box:\n    def fill(self, level=0):\n        pass\n"
+_API_SHAPES = (
+    "class Shape:\n"
+    "    def __init__(self, sides=3):\n        pass\n"
+    "    def area(self, scale=1):\n        pass\n"
+    "def exported(n=0):\n    pass\n"
+    "def internal(n=0):\n    pass\n"
+)
+_API_TEST = (
+    "from pkg.shapes import Shape, exported, internal\n"
+    "from pkg.catalog import Box, fixture\n"
+    "Shape(sides=4).area(scale=2)\n"
+    "exported(1)\n"
+    "internal(1)\n"
+    "fixture(2)\n"
+    "Box().fill(1)\n"
+)
+
+
+def test_checker_counts_tests_as_callers_of_the_api_only():
+    init, catalog, shapes, test = map(ast.parse, (_API_INIT, _API_CATALOG, _API_SHAPES, _API_TEST))
+    api = _api(init, catalog)
+    assert api == {"Shape", "exported", "fixture", "Box"}
+    tested = _reference_counts(test, _imports(test, {"shapes", "catalog"}))
+    tested = Counter({name: tested[name] for name in api})
+    assert _uncalled_public(shapes, Counter(), {"shapes", "catalog"}, tested) == [(4, "area"), (8, "internal")]
+    assert _uncalled_public(catalog, Counter(), {"shapes", "catalog"}, tested) == [(4, "fill")]
+
+
+def test_star_import_binds_exactly_the_imported_names():
+    namespace = {}
+    exec("from satkit import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert set(namespace) == _api(ast.parse((SRC / "__init__.py").read_text()), ast.parse(""))
+
+
 def test_every_public_definition_has_a_caller():
-    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    others = sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    sources, programs, tests, api = _program_and_tests()
     modules = {p.stem for p in sources}
-    trees = {path: ast.parse(path.read_text()) for path in sources + others}
-    references = sum((_reference_counts(tree, _imports(tree, modules)) for tree in trees.values()), Counter())
+    trees = {path: ast.parse(path.read_text()) for path in sources + programs + tests}
+
+    def references(paths):
+        return sum((_reference_counts(trees[p], _imports(trees[p], modules)) for p in paths), Counter())
+
+    program, tested = references(sources + programs), references(tests)
+    tested = Counter({name: tested[name] for name in api})
     found = []
     for path in sources:
-        found += [f"{path.name}:{line} {name}" for line, name in _uncalled_public(trees[path], references, modules)]
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _uncalled_public(trees[path], program, modules, tested)]
     assert not found, "public definitions with no caller:\n" + "\n".join(found)
 
 
@@ -236,18 +309,19 @@ def _names(nodes):
 
 
 def _defaulted_parameters(tree):
-    """(line, function, parameter, position) for every parameter with a
-    default of every function in ``tree``; ``position`` counts the
+    """(line, function, parameter, position, method) for every parameter
+    with a default of every function in ``tree``; ``position`` counts the
     arguments a call passes (a method's ``self``/``cls`` skipped), None for
     a keyword-only parameter.  A class's ``__init__`` is listed under the
     class name, as is each defaulted field of a ``@dataclass`` or
-    ``NamedTuple`` class, its position the field order."""
+    ``NamedTuple`` class, its position the field order; ``method`` is true
+    for a parameter of any other function in a class body."""
     owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     found = []
     for c in ast.walk(tree):
         if isinstance(c, ast.ClassDef) and ("dataclass" in _names(c.decorator_list) or "NamedTuple" in _names(c.bases)):
             fields = [a for a in c.body if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
-            found += [(a.lineno, c.name, a.target.id, i) for i, a in enumerate(fields) if a.value is not None]
+            found += [(a.lineno, c.name, a.target.id, i, False) for i, a in enumerate(fields) if a.value is not None]
     for f in ast.walk(tree):
         if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -256,8 +330,10 @@ def _defaulted_parameters(tree):
         skip = cls is not None and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
         positional = f.args.posonlyargs + f.args.args
         first = len(positional) - len(f.args.defaults)
-        found += [(f.lineno, name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
-        found += [(f.lineno, name, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+        method = name == f.name and cls is not None
+        found += [(f.lineno, name, a.arg, i - skip, method) for i, a in enumerate(positional) if i >= first]
+        found += [(f.lineno, name, a.arg, None, method)
+                  for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
     return found
 
 
@@ -278,13 +354,16 @@ def _passed_parameters(tree):
     return found
 
 
-def _unset_defaults(tree, passed):
+def _unset_defaults(tree, passed, tested):
     """(line, function, parameter) for every defaulted parameter in
-    ``tree`` that no call in ``passed`` sets by name or position."""
+    ``tree`` that no call in ``passed`` (the program files) sets by name or
+    position, nor one in ``tested`` (the tests' calls to ``_api`` names)
+    unless it belongs to a method."""
+    either = passed | tested
     return sorted(
         (line, name, param)
-        for line, name, param, position in _defaulted_parameters(tree)
-        if not {(name, param), (name, position), (name, "*")} & passed
+        for line, name, param, position, method in _defaulted_parameters(tree)
+        if not {(name, param), (name, position), (name, "*")} & (passed if method else either)
     )
 
 
@@ -301,7 +380,7 @@ def test_checker_flags_a_default_no_caller_sets():
         "g(*args)\n"
     )
     tree = ast.parse(src)
-    assert _unset_defaults(tree, _passed_parameters(tree)) == [
+    assert _unset_defaults(tree, _passed_parameters(tree), set()) == [
         (1, "f", "c"), (1, "f", "e"), (4, "K", "y"), (6, "m", "z")
     ]
 
@@ -324,17 +403,26 @@ def test_checker_flags_a_field_default_no_caller_sets():
         "N(y=1)\n"
     )
     tree = ast.parse(src)
-    assert _unset_defaults(tree, _passed_parameters(tree)) == [(7, "D", "c"), (9, "N", "x")]
+    assert _unset_defaults(tree, _passed_parameters(tree), set()) == [(7, "D", "c"), (9, "N", "x")]
+
+
+def test_checker_counts_tests_as_setting_defaults_of_the_api_only():
+    init, catalog, shapes, test = map(ast.parse, (_API_INIT, _API_CATALOG, _API_SHAPES, _API_TEST))
+    api = _api(init, catalog)
+    tested = {(callee, key) for callee, key in _passed_parameters(test) if callee in api}
+    assert _unset_defaults(shapes, set(), tested) == [(4, "area", "scale"), (8, "internal", "n")]
+    assert _unset_defaults(catalog, set(), tested) == [(4, "fill", "level")]
 
 
 def test_every_default_is_set_by_some_caller():
-    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    others = sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in sources + others}
-    passed = set().union(*(_passed_parameters(tree) for tree in trees.values()))
+    sources, programs, tests, api = _program_and_tests()
+    trees = {path: ast.parse(path.read_text()) for path in sources + programs + tests}
+    passed = set().union(*(_passed_parameters(trees[p]) for p in sources + programs))
+    tested = {(callee, key) for p in tests for callee, key in _passed_parameters(trees[p]) if callee in api}
     found = []
     for path in sources:
-        found += [f"{path.name}:{line} {name}({param})" for line, name, param in _unset_defaults(trees[path], passed)]
+        found += [f"{path.name}:{line} {name}({param})"
+                  for line, name, param in _unset_defaults(trees[path], passed, tested)]
     assert not found, "defaulted parameters no caller sets:\n" + "\n".join(found)
 
 

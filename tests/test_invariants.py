@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from code_strategies import relabeled
 from satkit.abelian import AbelianGroup, cokernel, smith_normal_form
 from satkit.catalog import (
     braid_closure,
@@ -21,7 +23,6 @@ from satkit.diagram import (
     insert_kink,
     insert_poke,
     mirror,
-    relabeled,
     reverse,
     simplify,
     unknot,
@@ -41,7 +42,20 @@ from satkit.patterns import satellite
 
 
 def lp(*coeffs):
-    return Laurent.of(*coeffs)
+    """The polynomial with coefficients ``coeffs`` of t^0, t^1, ..."""
+    return Laurent(dict(enumerate(coeffs)))
+
+
+def terms(p):
+    """The nonzero coefficients of ``p`` as a dict exponent -> coefficient."""
+    return {p.lo + i: v for i, v in enumerate(p.co) if v}
+
+
+def value(p, x):
+    """``p`` at a nonzero rational point, read off its (lo, co): the oracle
+    for the arithmetic."""
+    x = Fraction(x)
+    return sum((v * x ** (p.lo + i) for i, v in enumerate(p.co)), Fraction(0))
 
 
 # -- Laurent arithmetic -------------------------------------------------------
@@ -49,15 +63,15 @@ def lp(*coeffs):
 
 def test_laurent_basics():
     t = Laurent.t()
-    assert (t * t + t).c == {1: 1, 2: 1}
+    assert terms(t * t + t) == {1: 1, 2: 1}
     assert (t - t) == Laurent.zero()
-    assert lp(1, -1, 1).evaluate(-1) == 3
+    assert value(lp(1, -1, 1), -1) == 3
 
 
 def test_laurent_normalize():
     p = Laurent({-2: -1, 0: -3})
     n = p.normalized()
-    assert n.c == {0: 1, 2: 3}
+    assert terms(n) == {0: 1, 2: 3}
     assert equal_up_to_units(p, Laurent({5: 2 * 1, 7: 6}).exact_div(Laurent({0: 2})))
 
 
@@ -71,9 +85,9 @@ def test_laurent_exact_div():
 
 def test_compose_power():
     p = lp(1, -1, 1)
-    assert p.compose_power(2).c == {0: 1, 2: -1, 4: 1}
-    assert p.compose_power(0).c == {0: 1}
-    assert p.compose_power(-1).c == {0: 1, -1: -1, -2: 1}
+    assert terms(p.compose_power(2)) == {0: 1, 2: -1, 4: 1}
+    assert terms(p.compose_power(0)) == {0: 1}
+    assert terms(p.compose_power(-1)) == {0: 1, -1: -1, -2: 1}
 
 
 coeff = st.integers(min_value=-6, max_value=6)
@@ -83,9 +97,9 @@ coeff = st.integers(min_value=-6, max_value=6)
 @given(st.lists(coeff, min_size=1, max_size=5), st.lists(coeff, min_size=1, max_size=5),
        st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0))
 def test_laurent_mul_matches_evaluation(a, b, x):
-    pa, pb = Laurent.of(*a), Laurent.of(*b)
-    assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
-    assert (pa + pb).evaluate(x) == pa.evaluate(x) + pb.evaluate(x)
+    pa, pb = lp(*a), lp(*b)
+    assert value(pa * pb, x) == value(pa, x) * value(pb, x)
+    assert value(pa + pb, x) == value(pa, x) + value(pb, x)
 
 
 # Schoolbook references for the packed arithmetic, on dicts exponent -> coefficient.
@@ -126,7 +140,7 @@ laurent_dict = st.dictionaries(st.integers(min_value=-12, max_value=24), big_coe
 @settings(max_examples=150, deadline=None)
 @given(laurent_dict, laurent_dict)
 def test_laurent_mul_matches_schoolbook(a, b):
-    assert (Laurent(a) * Laurent(b)).c == school_mul(a, b)
+    assert terms(Laurent(a) * Laurent(b)) == school_mul(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,7 +151,7 @@ def test_laurent_exact_div_matches_schoolbook(a, b, e, nudge):
     assert (pa * pb).exact_div(pb) == pa
     # the product, knocked off exactness at one exponent (or not, for nudge 0)
     num = pa * pb + Laurent.t(e, nudge)
-    expect = school_exact_div(num.c, pb.c)
+    expect = school_exact_div(terms(num), terms(pb))
     if expect is None:
         with pytest.raises(DomainError):
             num.exact_div(pb)
@@ -151,9 +165,9 @@ def test_laurent_mul_at_the_coefficient_bound(n):
     # digit bound max|a| max|b| min(len a, len b) exactly
     for e in range(1, 90):
         for m in (2**e - 1, 2**e, -(2**e)):
-            a = Laurent.of(*[m] * n)
-            for b in (a, -a, Laurent.of(*[m] * (n + 5)).shift(-3)):
-                assert (a * b).c == school_mul(a.c, b.c)
+            a = lp(*[m] * n)
+            for b in (a, -a, Laurent.t(-3) * lp(*[m] * (n + 5))):
+                assert terms(a * b) == school_mul(terms(a), terms(b))
                 assert (a * b).exact_div(b) == a
 
 
@@ -164,10 +178,10 @@ def test_exact_div_when_packed_integers_divide():
     for k in range(1, 200):
         x = 2**k
         assert (2 * x**3 + 3 * x**2 + 3 * x + 2) % (2 * x + 2) == 0
-    assert school_exact_div(a.c, b.c) is None
+    assert school_exact_div(terms(a), terms(b)) is None
     for shift in (0, -7, 5):
         with pytest.raises(DomainError):
-            a.shift(shift).exact_div(b.shift(-shift))
+            (Laurent.t(shift) * a).exact_div(Laurent.t(-shift) * b)
     with pytest.raises(DomainError):
         (a * lp(3, 0, 1)).exact_div(b * lp(3, 0, 1))
 
@@ -206,7 +220,7 @@ def test_snf_against_sympy(rows):
 def test_abelian_group_api():
     g = AbelianGroup((2, 4, 0))
     assert not g.is_trivial
-    assert g.rank == 1
+    assert g.invariant_factors.count(0) == 1
     assert g.order() == 0
     assert AbelianGroup.cyclic(1).is_trivial
     assert AbelianGroup.cyclic(5).order() == 5
@@ -274,7 +288,7 @@ def test_alexander_multiplicative_under_sum():
 
 def test_alexander_at_one_is_unit():
     for d in (trefoil(), figure_eight(), torus_knot(3, 4), connected_sum(trefoil(), trefoil())):
-        assert abs(alexander_poly(d).evaluate(1)) == 1
+        assert abs(value(alexander_poly(d), 1)) == 1
 
 
 def test_alexander_symmetry():
@@ -341,7 +355,7 @@ def test_laurent_det_against_sympy(mat):
 
     t = sympy.Symbol("t")
     n = len(mat)
-    sym = sympy.Matrix([[sum(v * t**e for e, v in x.c.items()) for x in row] for row in mat])
+    sym = sympy.Matrix([[sum(v * t**e for e, v in terms(x).items()) for x in row] for row in mat])
     det = sympy.Poly(sympy.expand(sym.det(method="berkowitz") * t ** (2 * n)), t)
     theirs = Laurent({e: int(v) for (e,), v in det.as_dict().items()})
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat]

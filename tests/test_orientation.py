@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from code_strategies import random_codes
 from satkit.catalog import (
     corpus_knots,
-    hopf_link,
+    string_link_from_braid,
     torus_link,
     winding_two_three_operator,
 )
 from satkit.diagram import Diagram, _orient_paths
 from satkit.errors import ValidationError
-from satkit.stringlinks import StringLink, string_link_from_braid
+from satkit.stringlinks import StringLink
 
 
 # -- references: the two walks the shared one replaced ----------------------------
@@ -265,7 +265,6 @@ def _valid_codes():
     for p, q in ((2, 2), (2, 4), (3, 3), (2, 3), (4, 2)):
         d = torus_link(p, q)
         codes.append((d.crossings, d.components))
-    codes.append((hopf_link().crossings, hopf_link().components))
     codes.append(((), ((1,), (2,))))
     return codes
 

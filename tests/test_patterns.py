@@ -112,10 +112,10 @@ def test_satellite_formula_mixed_sign_pattern():
 
 
 def test_satellite_rejects_links():
-    from satkit.catalog import hopf_link
+    from satkit.catalog import torus_link
 
     with pytest.raises(DomainError):
-        satellite(core_pattern(), hopf_link())
+        satellite(core_pattern(), torus_link(2, 2))
 
 
 def test_compose_with_unknot_is_identity():

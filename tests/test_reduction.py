@@ -28,7 +28,6 @@ from satkit.catalog import (
     corpus_knots,
     corpus_patterns,
     figure_eight,
-    hopf_link,
     torus_link,
     trefoil,
     zigzag_pattern,
@@ -41,6 +40,7 @@ from satkit.diagram import (
     embedding_genus,
     insert_kink,
     insert_poke,
+    mirror,
     simplify,
 )
 from satkit.errors import DomainError
@@ -325,7 +325,7 @@ def _random_inflated(rng):
 def _inputs():
     rng = random.Random(7)
     out = [d for _, d in corpus_knots()]
-    out += [hopf_link(), hopf_link(False), torus_link(2, 4), torus_link(3, 3)]
+    out += [torus_link(2, 2), mirror(torus_link(2, 2)), torus_link(2, 4), torus_link(3, 3)]
     for _, p in corpus_patterns():
         out += [p.base, to_link(p), satellite(p, trefoil()), satellite(p, figure_eight())]
     for k in (trefoil(), figure_eight()):

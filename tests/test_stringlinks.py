@@ -10,11 +10,13 @@ from satkit.catalog import (
     corpus_knots,
     figure_eight,
     strand_meridian_operator,
+    string_link_from_braid,
     trefoil,
     winding_two_three_operator,
 )
 from satkit.diagram import (
     component_subdiagram,
+    crossing_signs,
     diagrams_equal,
     embedding_genus,
     linking_number,
@@ -26,8 +28,8 @@ from satkit.invariants import alexander_poly, determinant, equal_up_to_units, sa
 from satkit.patterns import patterns_equal, satellite, winding_number
 from satkit.stringlinks import (
     InfectionOperator,
+    _orient_tangle,
     StringLink,
-    as_pattern,
     closure,
     fuse,
     infect,
@@ -36,8 +38,6 @@ from satkit.stringlinks import (
     reduce_to_pattern,
     self_writhe,
     stack,
-    string_link_from_braid,
-    tangle_crossing_signs,
     trivial_string_link,
     winding_gcd,
     winding_vector,
@@ -113,7 +113,7 @@ def test_stack_associative_diagrams():
 def test_stack_with_inverse_gives_slice_form():
     s = string_link_from_braid(2, [1, 1])
     inv = mirror_reverse(s)
-    assert tangle_crossing_signs(inv) == (-1, -1)
+    assert crossing_signs(closure(inv)) == (-1, -1)
     d = closure(stack(s, inv))
     assert linking_number(d, 0, 1) == 0
     sub = component_subdiagram(d, [0])
@@ -126,8 +126,15 @@ def test_mirror_reverse_involution():
 
     for s in (string_link_from_braid(2, [1, 1]), w23().link):
         assert serialize_string_link(mirror_reverse(mirror_reverse(s))) == serialize_string_link(s)
-        signs = tangle_crossing_signs(s)
-        assert tangle_crossing_signs(mirror_reverse(s)) == tuple(-x for x in signs)
+        signs = crossing_signs(closure(s))
+        assert crossing_signs(closure(mirror_reverse(s))) == tuple(-x for x in signs)
+
+
+def test_closure_keeps_the_tangle_crossing_signs():
+    # the tests read a string link's crossing signs off its closure
+    operators = (strand_meridian_operator(), both_strands_operator(), w23())
+    for sl in [op.link for op in operators] + [string_link_from_braid(3, [1, -2, 1, 1, -2, 1])]:
+        assert crossing_signs(closure(sl)) == _orient_tangle(sl).signs
 
 
 def test_infect_with_unknot_is_identity():
@@ -274,7 +281,7 @@ def test_commutation_at_alexander_level():
 def test_m1_infect_matches_satellite_bitwise():
     for companion in (trefoil(), figure_eight()):
         op = strand_meridian_operator(1, 0)
-        p = as_pattern(op)
+        p = fuse(op)
         lhs = serialize_diagram(closure(infect(op, companion).link))
         rhs = serialize_diagram(satellite(p, companion))
         assert lhs == rhs
@@ -282,7 +289,7 @@ def test_m1_infect_matches_satellite_bitwise():
 
 def test_m1_winding_matches():
     op = strand_meridian_operator(1, 0)
-    assert winding_vector(op)[0] == winding_number(as_pattern(op))
+    assert winding_vector(op)[0] == winding_number(fuse(op))
 
 
 def test_m1_parallel_noop_matches():
@@ -295,5 +302,5 @@ def test_m1_reduce_matches_compose_route():
     op = strand_meridian_operator(1, 0)
     k = trefoil()
     lhs = serialize_diagram(reduce_to_pattern(infect(op, k), (1,)).base)
-    rhs = serialize_diagram(satellite(as_pattern(op), k))
+    rhs = serialize_diagram(satellite(fuse(op), k))
     assert lhs == rhs

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from satkit import suites, surgery
+import code_strategies
+from code_strategies import relabeled
+from satkit import surgery
 from satkit.abelian import AbelianGroup
 from satkit.catalog import (
     braid_closure,
@@ -12,14 +14,14 @@ from satkit.catalog import (
     corpus_knots,
     corpus_patterns,
     figure_eight,
-    hopf_link,
     kink_base_pattern,
     random_framed_links,
+    torus_link,
     trefoil,
     wiggle_base_pattern,
     zigzag_pattern,
 )
-from satkit.diagram import Diagram, diagrams_equal, embedding_genus, linking_number, relabeled, simplify, unknot
+from satkit.diagram import Diagram, diagrams_equal, embedding_genus, linking_number, simplify, unknot
 from satkit.errors import DomainError
 from satkit.invariants import alexander_poly, equal_up_to_units
 from satkit.patterns import Pattern, satellite, winding_number
@@ -47,18 +49,18 @@ def test_zero_surgery_h1():
 
 def test_zero_surgery_rejects_links():
     with pytest.raises(DomainError):
-        zero_surgery(hopf_link())
+        zero_surgery(torus_link(2, 2))
 
 
 def test_h1_small_matrices():
     assert h1(FramedLink(unknot(), (1,))).is_trivial
     assert h1(FramedLink(unknot(), (-1,))).is_trivial
     assert h1(FramedLink(unknot(), (2,))) == AbelianGroup((2,))
-    assert h1(FramedLink(hopf_link(), (0, 0))).is_trivial  # det = -1
+    assert h1(FramedLink(torus_link(2, 2), (0, 0))).is_trivial  # det = -1
 
 
 def test_linking_matrix_symmetric():
-    fl = FramedLink(hopf_link(), (3, -2))
+    fl = FramedLink(torus_link(2, 2), (3, -2))
     m = linking_matrix(fl)
     assert m == [[3, 1], [1, -2]]
 
@@ -72,21 +74,21 @@ def test_handle_slide_framing_rule():
     assert h1(out).invariant_factors == h1(fl).invariant_factors
 
     # slide over a hopf partner with framing 0, lk 1: f' = f + 2
-    fl2 = FramedLink(hopf_link(), (1, 0))
+    fl2 = FramedLink(torus_link(2, 2), (1, 0))
     out2 = handle_slide(fl2, 0, 1)
     assert out2.framings == (3, 0)
     assert h1(out2).invariant_factors == h1(fl2).invariant_factors
 
 
 def test_handle_slide_reversed_band():
-    fl = FramedLink(hopf_link(), (1, 0))
+    fl = FramedLink(torus_link(2, 2), (1, 0))
     out = handle_slide(fl, 0, 1, BandArc(orientation=-1))
     assert out.framings == (-1, 0)
     assert h1(out).invariant_factors == h1(fl).invariant_factors
 
 
 def test_handle_slide_preserves_planarity():
-    fl = FramedLink(hopf_link(), (2, -1))
+    fl = FramedLink(torus_link(2, 2), (2, -1))
     out = handle_slide(fl, 0, 1)
     assert embedding_genus(out.diagram) == 0
 
@@ -96,7 +98,7 @@ def test_named_band_edges_narrow_the_planar_search():
     # band meets copy 0; copy 1, the first one the old search tried, is
     # not planar.  Edges 1 and 4 (and 2 and 3) share only a face whose walk
     # runs along both the same way: a band between them would cross strands
-    fl = FramedLink(hopf_link(), (0, 1))
+    fl = FramedLink(torus_link(2, 2), (0, 1))
     assert embedding_genus(_slide_assembly(fl, 0, 1, 2, 4, 1, True, -1).diagram) == 1
     out = handle_slide(fl, 0, 1, BandArc(slide_edge=2, handle_edge=4, orientation=-1))
     assert out == _slide_assembly(fl, 0, 1, 2, 4, 0, True, -1)
@@ -112,14 +114,14 @@ def test_band_orientation_must_be_a_sign():
     # orientation 0 and 2 gave framings (1, 0) and (5, 0) instead of a
     # slide's (3, 0) or (-1, 0); H1 cannot see it, as both linking
     # matrices are unimodular
-    fl = FramedLink(hopf_link(), (1, 0))
+    fl = FramedLink(torus_link(2, 2), (1, 0))
     for orientation in (0, 2, -2):
         with pytest.raises(DomainError, match="band orientation must be"):
             handle_slide(fl, 0, 1, BandArc(orientation=orientation))
 
 
 def test_double_slide_preserves_h1():
-    fl = FramedLink(hopf_link(), (1, 2))
+    fl = FramedLink(torus_link(2, 2), (1, 2))
     once = handle_slide(fl, 0, 1)
     twice = handle_slide(once, 0, 1, BandArc(orientation=-1))
     assert h1(twice).invariant_factors == h1(fl).invariant_factors
@@ -150,15 +152,15 @@ def test_slides_keep_the_genus_and_the_framing_formula(monkeypatch):
     # slides 1, 71 and 132 of the suite once came back with genus 1: the
     # band's crossing was drawn with the wrong handedness for their face
     slides, assemblies = [], []
-    real_slide, real_assembly = suites.handle_slide, surgery._slide_assembly
+    real_slide, real_assembly = handle_slide, surgery._slide_assembly
 
     def recorded(fl, i, j, band):
         slides.append((fl, i, j, band, real_slide(fl, i, j, band)))
         return slides[-1][-1]
 
-    monkeypatch.setattr(suites, "handle_slide", recorded)
+    monkeypatch.setattr(code_strategies, "handle_slide", recorded)
     monkeypatch.setattr(surgery, "_slide_assembly", lambda *args: assemblies.append(args) or real_assembly(*args))
-    suites.kirby_move_suite(200, 20260808)
+    code_strategies.kirby_move_suite(200, 20260808)
     # one assembly per slide
     assert len(slides) == len(assemblies) == 200
     slides += [(*draw, handle_slide(*draw)) for draw in _random_slide_draws()]
