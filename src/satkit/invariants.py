@@ -9,6 +9,7 @@ normalized determinant of one minor is the gcd the contract asks for.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
@@ -22,11 +23,11 @@ from .patterns import satellite, winding_number
 
 # Products of at most this many term pairs use the schoolbook loop; larger
 # ones go through one big-integer product, which costs more to set up but
-# far less per term pair.  Measured (CPython 3.11, 2-CPU Xeon): a single
-# product breaks even at about 150-250 pairs, and the Alexander polynomials
-# of 155- and 429-crossing satellites take the same time within noise for
-# any value from 50 to 200, against 10-15% more at 0 and twice as long
-# with no packed products at all.
+# far less per term pair.  Measured with word-packed digits (CPython 3.11,
+# 2-CPU Xeon): a single product breaks even at about 60-100 pairs, and the
+# Alexander polynomials of 155- and 429-crossing satellites take the same
+# time within 5% for any value from 25 to 400, against about 10% more at 0
+# and 3 to 4.6 times as long with no packed products at all.
 _SCHOOLBOOK_PAIRS = 100
 
 
@@ -56,8 +57,14 @@ def _max_abs(co):
 
 def _digit_bytes(bound):
     """Bytes per packed digit so that every |digit| <= bound lies below half
-    the digit's range: 8 kb - 1 >= bits(bound)."""
-    return bound.bit_length() // 8 + 1
+    the digit's range: 8 kb - 1 >= bits(bound).  Up to 8 bytes the width is
+    rounded up to a machine word (1, 2, 4 or 8 bytes), which ``struct``
+    packs in C."""
+    kb = bound.bit_length() // 8 + 1
+    return kb if kb > 8 else 1 << (kb - 1).bit_length()
+
+
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 @lru_cache(maxsize=1024)
@@ -67,18 +74,31 @@ def _bias(n, kb):
 
 
 def _pack(co, kb):
-    """The polynomial with coefficients co evaluated at t = 2^(8 kb)."""
-    half = 1 << (8 * kb - 1)
-    packed = b"".join([(v + half).to_bytes(kb, "little") for v in co])
-    return int.from_bytes(packed, "little") - _bias(len(co), kb)
+    """The polynomial with coefficients co evaluated at t = 2^(8 kb).
+
+    At a word width the digits are packed as signed little-endian words;
+    flipping each word's top bit (XOR with the bias) turns its two's
+    complement into v + half, the byte loop's biased digit."""
+    bias = _bias(len(co), kb)
+    code = _WORD_CODES.get(kb)
+    if code:
+        biased = int.from_bytes(struct.pack(f"<{len(co)}{code}", *co), "little") ^ bias
+    else:
+        half = 1 << (8 * kb - 1)
+        biased = int.from_bytes(b"".join([(v + half).to_bytes(kb, "little") for v in co]), "little")
+    return biased - bias
 
 
 def _unpack(x, n, kb):
-    """The n balanced base-2^(8 kb) digits of x, lowest first.  Raises
-    OverflowError when x has no such n-digit expansion."""
+    """The n balanced base-2^(8 kb) digits of x, lowest first, as a tuple.
+    Raises OverflowError when x has no such n-digit expansion."""
+    bias = _bias(n, kb)
+    code = _WORD_CODES.get(kb)
+    if code:
+        return struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * kb, "little"))
     half = 1 << (8 * kb - 1)
-    bs = (x + _bias(n, kb)).to_bytes(n * kb, "little")
-    return [int.from_bytes(bs[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
+    bs = (x + bias).to_bytes(n * kb, "little")
+    return tuple([int.from_bytes(bs[i:i + kb], "little") - half for i in range(0, n * kb, kb)])
 
 
 class Laurent:
@@ -89,6 +109,9 @@ class Laurent:
     Products and exact quotients of longer polynomials go through single
     big-integer operations at t = 2^k (Kronecker substitution), with k
     taken from a bound that makes the unpacked digits the coefficients.
+    Digits of 1, 2, 4 or 8 bytes (every bound below 2^63 is rounded up to
+    one) are packed and unpacked as machine words by ``struct``; wider
+    ones byte by byte.
     """
 
     __slots__ = ("lo", "co")
@@ -172,7 +195,7 @@ class Laurent:
         # every product coefficient is a sum of len(a) terms |x y|
         kb = _digit_bytes(_max_abs(a) * _max_abs(b) * len(a))
         prod = _pack(a, kb) * _pack(b, kb)
-        return _raw(lo, tuple(_unpack(prod, len(a) + len(b) - 1, kb)))
+        return _raw(lo, _unpack(prod, len(a) + len(b) - 1, kb))
 
     __rmul__ = __mul__
 
@@ -202,9 +225,12 @@ class Laurent:
     def exact_div(self, other):
         """Exact division; raises if the quotient is not a Laurent polynomial.
 
-        The quotient is read off one big-integer division at t = 2^k and is
-        returned only when the remainder is zero and the quotient times the
-        divisor gives back the dividend.
+        The quotient is read off one big-integer division at t = 2^k, tried
+        first with digits as wide as the operands' coefficients and then,
+        if that fails, as wide as Mignotte's bound on a factor's.  A try
+        returns only when the remainder is zero, the quotient unpacks and
+        the quotient times the divisor gives back the dividend; the
+        division is inexact only when the Mignotte-width try fails too.
         """
         b = other.co
         if not b:
@@ -225,21 +251,26 @@ class Laurent:
         n = len(a) - len(b) + 1
         if n < 1 or a[0] % b[0] or a[-1] % b[-1]:
             raise DomainError("inexact Laurent division")
-        # Mignotte: a factor Q of A has sum |q_i| <= 2^deg(Q) ||A||_2, and
-        # ||A||_2 <= (isqrt(len A) + 1) max|a_i|; the divisor's digits must
-        # fit too, so that B(2^k) is nonzero.
-        bound = max((_max_abs(a) * (isqrt(len(a)) + 1)) << (n - 1), _max_abs(b))
-        kb = _digit_bytes(bound)
-        q, r = divmod(_pack(a, kb), _pack(b, kb))
-        if r:
-            raise DomainError("inexact Laurent division")
-        try:
-            quo = _trimmed(lo, _unpack(q, n, kb))
-        except OverflowError:
-            raise DomainError("inexact Laurent division") from None
-        if quo * other != self:
-            raise DomainError("inexact Laurent division")
-        return quo
+        # First at the operands' own digit width, which holds the quotient
+        # whenever its coefficients fit there (in every division of the
+        # Alexander polynomials measured); then at Mignotte's width, which
+        # always does: a factor Q of A has sum |q_i| <= 2^deg(Q) ||A||_2,
+        # and ||A||_2 <= (isqrt(len A) + 1) max|a_i|.  At either width the
+        # divisor's digits fit, so that B(2^k) is nonzero.
+        max_a, max_b = _max_abs(a), _max_abs(b)
+        narrow = _digit_bytes(max(max_a, max_b))
+        wide = _digit_bytes(max((max_a * (isqrt(len(a)) + 1)) << (n - 1), max_b))
+        for kb in (narrow, wide) if wide > narrow else (wide,):
+            q, r = divmod(_pack(a, kb), _pack(b, kb))
+            if r:
+                continue
+            try:
+                quo = _trimmed(lo, _unpack(q, n, kb))
+            except OverflowError:
+                continue
+            if quo * other == self:
+                return quo
+        raise DomainError("inexact Laurent division")
 
     def __repr__(self):
         if not self.co:

@@ -19,12 +19,14 @@ fields, a call to an attribute any function of that name, and
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
 per-type function.  A function-level import in ``src/satkit`` closes a
 cycle among the top-level imports; every other import sits at the top of
-its file.  Standard library only: the checks walk each module's syntax
-tree."""
+its file.  Every import in ``src/satkit`` is relative or names a module of
+the standard library (``sys.stdlib_module_names``).  Standard library
+only: the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
 import re
+import sys
 import types
 from collections import Counter
 
@@ -574,3 +576,40 @@ def test_function_level_imports_close_a_cycle():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = [f"{name}.py:{line} imports {m}" for name, line, m in _acyclic_lazy_imports(trees)]
     assert not found, "function-level imports that no import cycle forces:\n" + "\n".join(found)
+
+
+def _non_stdlib_imports(tree):
+    """(line, module) for every import in ``tree`` that is neither relative
+    nor of a module in ``sys.stdlib_module_names`` (a dotted name counts by
+    its top-level package)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_checker_flags_a_non_stdlib_import():
+    src = (
+        "import struct, os.path\n"
+        "import numpy\n"
+        "from . import diagram\n"
+        "from .errors import DomainError\n"
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    from scipy.linalg import det\n"
+        "    import xml.etree.ElementTree\n"
+    )
+    assert _non_stdlib_imports(ast.parse(src)) == [(2, "numpy"), (7, "scipy.linalg")]
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line} {name}" for line, name in _non_stdlib_imports(ast.parse(path.read_text()))]
+    assert not found, "imports outside the standard library:\n" + "\n".join(found)

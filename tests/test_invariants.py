@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,9 @@ from satkit.errors import DomainError
 from satkit.groups import wirtinger
 from satkit.invariants import (
     Laurent,
+    _digit_bytes,
+    _pack,
+    _unpack,
     alexander_poly,
     determinant,
     equal_up_to_units,
@@ -184,6 +188,42 @@ def test_exact_div_when_packed_integers_divide():
             (Laurent.t(shift) * a).exact_div(Laurent.t(-shift) * b)
     with pytest.raises(DomainError):
         (a * lp(3, 0, 1)).exact_div(b * lp(3, 0, 1))
+
+
+def test_exact_div_retries_at_the_mignotte_width():
+    # the operands' coefficients (binomials up to 70) fit one-byte digits,
+    # the quotient's central coefficient 1107 does not: only the retry at
+    # Mignotte's width can return it
+    a, b, quo = Laurent.one(), Laurent.one(), Laurent.one()
+    for _ in range(8):
+        a, b, quo = a * lp(1, 0, 0, -1), b * lp(1, -1), quo * lp(1, 1, 1)
+    assert _digit_bytes(max(max(a.co), max(b.co))) == 1 and quo.co[8] == 1107
+    assert a.exact_div(b) == quo
+    # inexact: packed remainder nonzero, and packed integers dividing with a
+    # quotient that unpacks (x^2 + x/2 + 1 at every x = 2^k), which only
+    # the multiply-back check refuses
+    for num, den in ((a + Laurent.t(5), b), (lp(2, 3, 3, 2), lp(2, 2))):
+        with pytest.raises(DomainError):
+            num.exact_div(den)
+
+
+@pytest.mark.parametrize("kb", range(1, 17))
+def test_pack_round_trip_at_every_width(kb):
+    # 1, 2, 4 and 8 bytes go through struct words, the others through bytes
+    m = 2 ** (8 * kb - 1) - 1
+    co = (m, -m, 0, 1, -1, m, -m)
+    x = _pack(co, kb)
+    assert x == sum(v * 2 ** (8 * kb * i) for i, v in enumerate(co))
+    assert _unpack(x, len(co), kb) == co
+    # the n-digit expansions run from all digits -(m + 1) to all digits m
+    n = len(co)
+    for out in (_pack((m,) * n, kb) + 1, _pack((-m - 1,) * n, kb) - 1):
+        with pytest.raises(OverflowError):
+            _unpack(out, n, kb)
+    # a digit too wide for its width raises, never wraps
+    for wide in (m + 1, -m - 2):
+        with pytest.raises((OverflowError, struct.error)):
+            _pack((0, wide, 0), kb)
 
 
 # -- Smith normal form ---------------------------------------------------------
