@@ -16,7 +16,9 @@ already refutes normal generation, and only a perfect quotient is enumerated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .abelian import AbelianGroup, cokernel
 from .diagram import Diagram, _orient, crossing_signs
@@ -160,10 +162,11 @@ def _invert(word):
 
 
 def _cyc_reduce(word):
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=6000):
@@ -177,34 +180,78 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
     elimination would take the total relator length past ``length_cap``.
     Marked words are rewritten alongside the relators, so quotients taken
     afterwards stay meaningful.
+
+    The steps are incremental, as in Havas, Kenne, Richardson and
+    Robertson's Tietze program (1984).  The index holds each generator's
+    letter count, the relators and marked words that hold it, the total
+    relator length, and a heap of (score, relator, position, generator)
+    entries that are checked when popped.  A step rewrites only the
+    relators and marked words holding the eliminated generator.  It queues
+    again the candidates of the relators it rewrote and, in the other
+    relators, those of the generators whose count changed.  Relators keep
+    their first numbering, so ties break as in a full rescan.
     """
-    relators = [_cyc_reduce(r) for r in g.relators]
-    relators = [r for r in relators if r]
-    marked = {n: free_reduce(w) for n, w in g.marked_words}
-    live = list(range(1, g.generator_count + 1))
+    n = g.generator_count
+    rels = {}  # relator number -> word; the numbers keep the relators' order
+    letters = {}  # relator number -> {generator: its letters in the word}
+    single = {}  # relator number -> {generator occurring once: its position}
+    holders = [set() for _ in range(n + 1)]  # generator -> numbers of relators holding it
+    marked = {name: free_reduce(w) for name, w in g.marked_words}
+    marking = [set() for _ in range(n + 1)]  # generator -> names of marked words holding it
+    occ = [0] * (n + 1)  # letters +-g over every relator and marked word
+    queue = []
+
+    def recount(key, index, old, new, delta):
+        """Move word ``key``'s letter counts from ``old`` to ``new`` in
+        ``occ``, ``index`` and the per-generator changes ``delta``."""
+        for a, k in old.items():
+            if a not in new:
+                index[a].discard(key)
+                occ[a] -= k
+                delta[a] = delta.get(a, 0) - k
+        for a, k in new.items():
+            d = k - old.get(a, 0)
+            if a not in old:
+                index[a].add(key)
+            if d:
+                occ[a] += d
+                delta[a] = delta.get(a, 0) + d
+
+    def store(rid, word, delta):
+        """Set relator ``rid`` to ``word``; an empty word drops it."""
+        new = Counter(map(abs, word))
+        recount(rid, holders, letters.pop(rid, {}), new, delta)
+        rels.pop(rid, None)
+        single.pop(rid, None)
+        if word:
+            rels[rid], letters[rid] = word, new
+            last = dict(zip(map(abs, word), range(len(word))))
+            single[rid] = {a: last[a] for a, k in new.items() if k == 1}
+
+    def enqueue(rid, gens):
+        m, once = len(rels[rid]) - 1, single[rid]
+        for a in gens:
+            if a in once:
+                heappush(queue, (m * (occ[a] - 1), rid, once[a], a))
+
+    for rid, r in enumerate(g.relators):
+        store(rid, _cyc_reduce(r), {})
+    for name, w in marked.items():
+        recount(name, marking, {}, Counter(map(abs, w)), {})
+    for rid in rels:
+        enqueue(rid, single[rid])
+    total = sum(map(len, rels.values()))
+    live = list(range(1, n + 1))
 
     while len(live) > target_generators:
-        # occ[g]: letters +-g over every relator and marked word
-        occ = [0] * (g.generator_count + 1)
-        for w in relators + list(marked.values()):
-            for x in w:
-                occ[abs(x)] += 1
-        best = None
-        for ri, rel in enumerate(relators):
-            counts = {}
-            for x in rel:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for gen, cnt in counts.items():
-                if cnt != 1:
-                    continue
-                score = (len(rel) - 1) * (occ[gen] - 1)
-                if best is None or score < best[0]:
-                    best = (score, ri, gen)
-        if best is None:
+        while queue:
+            score, rid, pos, gen = queue[0]
+            if single.get(rid, {}).get(gen) == pos and score == (len(rels[rid]) - 1) * (occ[gen] - 1):
+                break
+            heappop(queue)
+        else:
             break
-        _, ri, gen = best
-        rel = relators[ri]
-        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        rel = rels[rid]
         u, v = rel[:pos], rel[pos + 1:]
         # u g v = 1  =>  g = u^-1 v^-1 ; u g^-1 v = 1  =>  g = v u
         if rel[pos] > 0:
@@ -223,16 +270,28 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
                     out.append(x)
             return free_reduce(tuple(out))
 
-        new_relators = [
-            _cyc_reduce(substitute(r)) for i, r in enumerate(relators) if i != ri
-        ]
-        new_relators = [r for r in new_relators if r]
-        total = sum(len(r) for r in new_relators)
-        if total > length_cap:
+        rewritten = {r: _cyc_reduce(substitute(rels[r])) for r in holders[gen] if r != rid}
+        after = total - len(rel) + sum(len(w) - len(rels[r]) for r, w in rewritten.items())
+        if after > length_cap:
             break
-        relators = new_relators
-        marked = {n: substitute(w) for n, w in marked.items()}
+        total = after
+        delta = {}
+        store(rid, (), delta)
+        for r, w in rewritten.items():
+            store(r, w, delta)
+        for name in list(marking[gen]):
+            w = substitute(marked[name])
+            recount(name, marking, Counter(map(abs, marked[name])), Counter(map(abs, w)), delta)
+            marked[name] = w
         live.remove(gen)
+        for r in rewritten:
+            if r in rels:
+                enqueue(r, single[r])
+        for a, d in delta.items():
+            if d:
+                for r in holders[a]:
+                    if r not in rewritten:
+                        enqueue(r, (a,))
 
     # number the surviving generators 1..k in their old order
     remap = {old: new for new, old in enumerate(live, 1)}
@@ -241,8 +300,8 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
         return tuple(remap[x] if x > 0 else -remap[-x] for x in word)
 
     return GroupPresentation(
-        len(live), tuple(renumber(r) for r in relators),
-        tuple(sorted((n, renumber(w)) for n, w in marked.items())),
+        len(live), tuple(renumber(rels[r]) for r in sorted(rels)),
+        tuple(sorted((name, renumber(w)) for name, w in marked.items())),
     )
 
 

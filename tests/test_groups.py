@@ -10,6 +10,7 @@ from satkit.catalog import (
     core_pattern,
     figure_eight,
     kink_base_pattern,
+    torus_knot,
     torus_link,
     trefoil,
     zigzag_pattern,
@@ -18,7 +19,7 @@ from satkit.catalog import (
 )
 from satkit import groups
 from code_strategies import relabeled
-from satkit.diagram import unknot
+from satkit.diagram import connected_sum, unknot
 from satkit.errors import DomainError, InternalError
 from satkit.groups import (
     EnumerationResult,
@@ -562,6 +563,65 @@ def _random_presentation(rng):
 def test_simplify_presentation_matches_rescan(rng, target, cap):
     g = _random_presentation(rng)
     assert simplify_presentation(g, target, cap) == _rescan_simplify(g, target, cap)
+
+
+def _zigzag_quotient(knot):
+    p = compose(zigzag_pattern(), knot)
+    return quotient(wirtinger(p.base), [cut_loop_word(p)])
+
+
+def test_simplify_presentation_matches_rescan_at_workload_size():
+    # the zigzag composites' quotients, 47 and 83 generators, run to the
+    # default target and to none: many moves, stale queue entries, relators
+    # that empty out.  A quotient's relator total falls at every move (189,
+    # 187, ..., 2, 0 for the trefoil's), so a cap could stop it only before
+    # its first move.  Beside it, generators a, b with relators a b^20 and
+    # a^10 b a^10: once the quotient is gone, eliminating a (score 400)
+    # leaves b^-399, the first total above the start (231 and 375).  Cap 398
+    # stops there, after every move of the quotient; cap 399 lets it through
+    for knot in (trefoil(), connected_sum(figure_eight(), trefoil())):
+        q = _zigzag_quotient(knot)
+        for target in (8, 0):
+            assert simplify_presentation(q, target) == _rescan_simplify(q, target)
+        a, b = q.generator_count + 1, q.generator_count + 2
+        g = GroupPresentation(b, q.relators + ((a,) + (b,) * 20, (a,) * 10 + (b,) + (a,) * 10), q.marked_words)
+        for cap, left in ((398, 2), (399, 1)):
+            s = simplify_presentation(g, 0, cap)
+            assert s == _rescan_simplify(g, 0, cap)
+            assert s.generator_count == left
+
+
+def test_zigzag_composite_verdicts_are_pinned():
+    # outcome, cosets used, and the enumerated presentation's generator and
+    # relator counts, for the zigzag composites of the benchmark's verdicts
+    cases = (
+        (trefoil(), ("verified", 4128, 8, 9)),
+        (torus_knot(2, 5), ("verified", 408, 8, 9)),
+        (torus_knot(2, 7), ("verified", 110, 8, 9)),
+        (torus_knot(2, 9), ("verified", 29, 8, 9)),
+        (connected_sum(figure_eight(), trefoil()), ("verified", 52, 8, 9)),
+    )
+    for knot, expected in cases:
+        res = strong_winding_check(compose(zigzag_pattern(), knot))
+        got = (res.outcome, res.enumeration.cosets_used,
+               res.presentation.generator_count, len(res.presentation.relators))
+        assert got == expected
+
+
+def _slicing_cyc_reduce(word):
+    # the earlier trim: one slice per cancelling pair of ends
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=40))
+def test_cyc_reduce_matches_slicing_trim(word):
+    half = tuple(word)
+    for w in (half, half + _invert(half), (1,) + half + _invert(half) + (2,)):
+        assert _cyc_reduce(w) == _slicing_cyc_reduce(w)
 
 
 @settings(max_examples=40, deadline=None)

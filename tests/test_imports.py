@@ -20,8 +20,10 @@ dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
 per-type function.  A function-level import in ``src/satkit`` closes a
 cycle among the top-level imports; every other import sits at the top of
 its file.  Every import in ``src/satkit`` is relative or names a module of
-the standard library (``sys.stdlib_module_names``).  Standard library
-only: the checks walk each module's syntax tree."""
+the standard library (``sys.stdlib_module_names``).  Every
+``functools.lru_cache`` in ``src/satkit`` is called with an integer
+``maxsize``, and ``functools.cache`` is not used.  Standard library only:
+the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
@@ -613,3 +615,60 @@ def test_package_imports_only_the_standard_library():
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.name}:{line} {name}" for line, name in _non_stdlib_imports(ast.parse(path.read_text()))]
     assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+def _unbounded_caches(tree):
+    """(line, source) for every read of ``functools.cache`` and every
+    ``functools.lru_cache`` not called with an integer ``maxsize``, named
+    directly (under any alias) or as an attribute of the imported module;
+    rebinding the name is not a use."""
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "functools"}
+    names = {a.asname or a.name: a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools" for a in node.names}
+
+    def decorator(node):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            return None
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            return node.attr
+        return None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and decorator(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                bounded.add(node.func)
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if decorator(node) in ("cache", "lru_cache") and node not in bounded)
+
+
+def test_checker_flags_an_unbounded_cache():
+    src = (
+        "import functools\n"
+        "from functools import cache, lru_cache, partial\n"
+        "from functools import lru_cache as memo\n"
+        "@lru_cache(maxsize=4096)\ndef a():\n    pass\n"
+        "@functools.lru_cache(256)\ndef b():\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef c():\n    pass\n"
+        "@lru_cache\ndef d():\n    pass\n"
+        "@cache\ndef e():\n    pass\n"
+        "@functools.cache\ndef f():\n    pass\n"
+        "@memo()\ndef g():\n    pass\n"
+        "h = functools.lru_cache(maxsize=True)(partial(len))\n"
+        "cache = {}\n"
+    )
+    assert _unbounded_caches(ast.parse(src)) == [
+        (10, "lru_cache"), (13, "lru_cache"), (16, "cache"), (19, "functools.cache"), (22, "memo"),
+        (25, "functools.lru_cache"),
+    ]
+
+
+def test_every_cache_is_bounded():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line} {text}" for line, text in _unbounded_caches(ast.parse(path.read_text()))]
+    assert not found, "caches without an integer maxsize:\n" + "\n".join(found)
