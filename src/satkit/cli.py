@@ -150,6 +150,8 @@ def cmd_strong_winding(args, p):
         "relators": len(pres.relators),
         "enumerated_generators": res.presentation.generator_count,
         "enumerated_relators": len(res.presentation.relators),
+        "route": res.route,
+        "tietze_steps": len(res.tietze_log),
     }
     # the refutation's certificate: the Smith form, or the closed table's order
     if not res.abelianization.is_trivial:
@@ -328,7 +330,8 @@ COMMANDS = {
 
 def build_parser():
     top = argparse.ArgumentParser(prog="satkit", description=__doc__)
-    top.add_argument("--limit", type=int, default=10**6, help="coset enumeration limit")
+    top.add_argument("--limit", type=int, default=10**6,
+                     help="coset budget, used only when Tietze stalls; the corpus meridian suite always enumerates")
     top.add_argument("--format", choices=("text", "structured"), default="text")
     groups = {"": top.add_subparsers(dest="command", required=True)}
     for path, command in COMMANDS.items():

@@ -11,7 +11,9 @@ Computational Group Theory".  Enumeration of a presentation of the trivial
 group is a proof of triviality, and a table that closes at order n > 1 is a
 proof of nontriviality; hitting the coset limit proves nothing.  The
 strong-winding check asks the Smith form first: a nontrivial abelianization
-already refutes normal generation, and only a perfect quotient is enumerated.
+already refutes normal generation.  A perfect quotient is proved trivial by a
+log of Tietze moves that reaches the empty presentation, and is enumerated
+only where those moves stall.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _cyc_reduce(word):
     return w[i:j + 1]
 
 
-def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=6000):
+def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=6000, log=None):
     """Tietze elimination: repeatedly solve a relator for a generator that
     occurs in it exactly once and substitute it away.
 
@@ -179,7 +181,11 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
     appears first in it.  Stops at ``target_generators``, or when the chosen
     elimination would take the total relator length past ``length_cap``.
     Marked words are rewritten alongside the relators, so quotients taken
-    afterwards stay meaningful.
+    afterwards stay meaningful.  Given a list ``log``, each move is appended
+    to it as (generator, relator, position), numbered as in ``g``: the
+    generator eliminated, the relator solved for it, and the generator's
+    position in that relator as rewritten by the earlier moves and
+    cyclically reduced.
 
     The steps are incremental, as in Havas, Kenne, Richardson and
     Robertson's Tietze program (1984).  The index holds each generator's
@@ -284,6 +290,8 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
             recount(name, marking, Counter(map(abs, marked[name])), Counter(map(abs, w)), delta)
             marked[name] = w
         live.remove(gen)
+        if log is not None:
+            log.append((gen, rid, pos))
         for r in rewritten:
             if r in rels:
                 enqueue(r, single[r])
@@ -478,16 +486,31 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
 
 @dataclass(frozen=True)
 class StrongWindingResult:
-    enumeration: EnumerationResult  # outcome "not-run" when the Smith form refuted
+    """A strong-winding verdict and its evidence.  ``verified`` is a Tietze
+    log that reaches the empty presentation, or a coset table that closes at
+    order 1; ``refuted`` is a nontrivial Smith form, or a perfect quotient
+    whose table closes at order n > 1; ``inconclusive`` is an enumeration
+    that reached its coset budget."""
+
+    enumeration: EnumerationResult  # outcome "not-run" unless Tietze stalled on a perfect quotient
     abelianization: AbelianGroup  # of the quotient presentation
-    presentation: GroupPresentation  # the simplified quotient presentation
+    presentation: GroupPresentation  # the quotient as Tietze left it: empty on the "tietze" route
     wirtinger_presentation: GroupPresentation  # of the pattern's base, before the quotient
+    # (generator, relator, position) per Tietze move, numbered as in the unsimplified quotient
+    tietze_log: tuple[tuple[int, int, int], ...]
+
+    @property
+    def route(self) -> str:
+        """The evidence that decided: "smith", "tietze" or "enumeration"."""
+        if not self.abelianization.is_trivial:
+            return "smith"
+        return "tietze" if self.presentation.generator_count == 0 else "enumeration"
 
     @property
     def outcome(self) -> str:
-        if self.enumeration.outcome == "trivial":
+        if self.route == "tietze" or self.enumeration.outcome == "trivial":
             return "verified"
-        if not self.abelianization.is_trivial or self.enumeration.outcome == "finite":
+        if self.route == "smith" or self.enumeration.outcome == "finite":
             return "refuted"
         return "inconclusive"
 
@@ -499,22 +522,33 @@ def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
     normal closure is trivial.
 
     The quotient abelianizes to the cyclic group of order |w| (Z when
-    w = 0), w the winding number; the Smith form is checked against the cut
-    signs before anything else.  A nontrivial abelianization is ``refuted``
-    with no enumeration.  A perfect quotient is enumerated: a table closing
-    at order 1 is ``verified``, at order n > 1 ``refuted`` (a nontrivial
-    perfect finite quotient); reaching ``limit`` cosets is ``inconclusive``.
-    Every outcome but ``inconclusive`` is a proof.
+    w = 0), w the winding number read from the cut signs.  When |w| != 1,
+    Tietze elimination stops at the default target and the Smith form
+    refutes with no enumeration.  When |w| = 1, elimination runs towards
+    the empty presentation, and the Smith form of what it leaves must be
+    trivial.  Reaching the empty presentation is ``verified``, and the move
+    log is the proof.  Only a stalled presentation is enumerated,
+    within ``limit`` cosets: a table closing at order 1 is ``verified``, at
+    order n > 1 ``refuted`` (a nontrivial perfect finite quotient), and
+    reaching ``limit`` cosets is ``inconclusive``.  Every outcome but
+    ``inconclusive`` is a proof.  A Smith form that disagrees with the cut
+    signs is an ``InternalError``.
     """
     if limit < 1:
         raise DomainError("coset limit must be at least 1")
     pres = wirtinger(pattern.base)
-    q = simplify_presentation(quotient(pres, [cut_loop_word(pattern)]))
-    ab = abelianization(q)
     w = winding_number(pattern)
+    log = []
+    # the cut signs make the quotient perfect exactly when |w| = 1, so only
+    # then does elimination run to the end.  The Smith form checks this on
+    # what elimination leaves: on the unsimplified quotient it would cost
+    # more than the elimination
+    q = simplify_presentation(quotient(pres, [cut_loop_word(pattern)]), 0 if abs(w) == 1 else 8, log=log)
+    ab = abelianization(q)
     if ab != AbelianGroup.cyclic(w):
         raise InternalError(f"quotient abelianization {ab} disagrees with winding number {w}")
-    if not ab.is_trivial:
-        skipped = EnumerationResult("not-run", None, 0, limit)
-        return StrongWindingResult(skipped, ab, q, pres)
-    return StrongWindingResult(todd_coxeter(q, limit), ab, q, pres)
+    if ab.is_trivial and q.generator_count:
+        enumeration = todd_coxeter(q, limit)
+    else:
+        enumeration = EnumerationResult("not-run", None, 0, limit)
+    return StrongWindingResult(enumeration, ab, q, pres, tuple(log))

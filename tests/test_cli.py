@@ -21,7 +21,7 @@ from satkit.catalog import (
 )
 from satkit.cli import build_parser, run
 from satkit.diagram import unknot
-from satkit.patterns import Pattern, compose, misframed_satellite
+from satkit.patterns import Pattern, compose, difference_pattern, misframed_satellite
 
 
 @pytest.fixture
@@ -227,6 +227,19 @@ def test_satellite_command_structured_output(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _write_pattern(tmp_path, name, p):
+    path = tmp_path / name
+    path.write_text(formats.serialize_pattern(p) + "\n")
+    return str(path)
+
+
+def _stalled_file(tmp_path):
+    # a perfect quotient where Tietze elimination stalls (at 10 generators as
+    # read back from the file)
+    p = difference_pattern(zigzag_pattern(), figure_eight())
+    return _write_pattern(tmp_path, "zigzag-fig8-difference.pat", p)
+
+
 def test_winding_and_strong_winding(files, tmp_path, capsys):
     assert run(["winding", files["cable23.pat"]]) == 0
     assert "winding: 2" in capsys.readouterr().out
@@ -235,15 +248,20 @@ def test_winding_and_strong_winding(files, tmp_path, capsys):
     assert "verified" in out
     assert run(["--limit", "300", "strong-winding", files["clasp.pat"]]) == 0
     assert "outcome: refuted" in capsys.readouterr().out
-    # a perfect quotient past the budget: 4 128 cosets close this composition
-    path = tmp_path / "zigzag-trefoil.pat"
-    path.write_text(formats.serialize_pattern(compose(zigzag_pattern(), trefoil())) + "\n")
-    assert run(["--limit", "300", "strong-winding", str(path)]) == 0
+    # enumerating this composition's target-8 quotient needs 4 128 cosets;
+    # Tietze elimination verifies it, so the budget is never used
+    path = _write_pattern(tmp_path, "zigzag-trefoil.pat", compose(zigzag_pattern(), trefoil()))
+    assert run(["--limit", "300", "strong-winding", path]) == 0
+    out = capsys.readouterr().out
+    assert "outcome: verified" in out and "# route: tietze" in out and "# enumeration: not-run" in out
+    # a perfect quotient where Tietze stalls, past the budget
+    assert run(["--limit", "300", "strong-winding", _stalled_file(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "outcome: inconclusive" in out and "# enumeration: exceeded" in out
+    assert "# route: enumeration" in out
 
 
-def test_strong_winding_reports_its_certificate(files, capsys, monkeypatch):
+def test_strong_winding_reports_its_certificate(files, tmp_path, capsys, monkeypatch):
     from satkit import groups
 
     assert run(["--format", "structured", "strong-winding", files["cable23.pat"]]) == 0
@@ -252,13 +270,21 @@ def test_strong_winding_reports_its_certificate(files, capsys, monkeypatch):
     stats = rep["stats"]
     assert (stats["abelianization"], stats["enumeration"], stats["cosets_used"]) == ("Z/2", "not-run", 0)
     assert stats["limit"] == 10**6 and "order" not in stats
+    assert (stats["route"], stats["tietze_steps"]) == ("smith", 0)
+    # a verified quotient's certificate is its Tietze log
+    assert run(["--format", "structured", "strong-winding", files["zigzag.pat"]]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    stats = rep["stats"]
+    assert rep["outputs"]["outcome"] == "verified"
+    assert (stats["route"], stats["tietze_steps"], stats["enumeration"]) == ("tietze", 2, "not-run")
     # a perfect quotient whose table closes at order 60 is refuted by the order
     monkeypatch.setattr(groups, "todd_coxeter", lambda g, limit: groups.EnumerationResult("finite", 60, 60, limit))
-    assert run(["--format", "structured", "strong-winding", files["core.pat"]]) == 0
+    assert run(["--format", "structured", "strong-winding", _stalled_file(tmp_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
+    stats = rep["stats"]
     assert rep["outputs"]["outcome"] == "refuted"
-    assert (rep["stats"]["order"], rep["stats"]["enumeration"]) == (60, "finite")
-    assert "abelianization" not in rep["stats"]
+    assert (stats["order"], stats["enumeration"], stats["route"]) == (60, "finite", "enumeration")
+    assert "abelianization" not in stats
 
 
 def test_strong_winding_reports_enumerated_presentation(files, capsys):
@@ -594,7 +620,7 @@ _PINNED_RUNS = [
 ]
 # sha256 of the records below: a changed report, message, exit code or written
 # file changes it
-_PINNED_SHA256 = "db2a4828072ee3ba42e01d351acc83739ff98f0ed8c602f5f32f6e132e0c3dd0"
+_PINNED_SHA256 = "3871a3938545d41e4009ed06703ea9714ac94d7d7867e6f8dd0d5ca8394e286b"
 
 
 def test_every_command_report_is_pinned(files, tmp_path, capsys, monkeypatch):

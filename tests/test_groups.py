@@ -36,7 +36,7 @@ from satkit.groups import (
     wirtinger,
     word_to_text,
 )
-from satkit.patterns import Pattern, compose, winding_number
+from satkit.patterns import Pattern, compose, difference_pattern, winding_number
 
 
 def test_wirtinger_unknot():
@@ -233,6 +233,12 @@ def test_winding_other_than_one_is_refuted_by_the_smith_form_alone(monkeypatch):
             assert res.enumeration == EnumerationResult("not-run", None, 0, 10**6)
 
 
+def _stalled_pattern():
+    # a perfect quotient that Tietze elimination leaves at 9 generators and 10
+    # relators, so only enumeration can decide it
+    return difference_pattern(zigzag_pattern(), figure_eight())
+
+
 def test_perfect_quotient_closing_above_one_is_refuted(monkeypatch):
     seen = []
 
@@ -241,21 +247,57 @@ def test_perfect_quotient_closing_above_one_is_refuted(monkeypatch):
         return EnumerationResult("finite", 60, 60, limit)
 
     monkeypatch.setattr(groups, "todd_coxeter", order_60)
-    res = strong_winding_check(core_pattern(), 100)
-    assert res.outcome == "refuted"
+    res = strong_winding_check(_stalled_pattern(), 100)
+    assert (res.outcome, res.route) == ("refuted", "enumeration")
     assert res.abelianization.is_trivial
     assert (res.enumeration.order, res.enumeration.limit) == (60, 100)
     assert seen == [res.presentation]
 
 
 def test_exceeded_enumeration_is_inconclusive_with_its_budget():
-    res = strong_winding_check(compose(zigzag_pattern(), trefoil()), 300)
-    assert res.outcome == "inconclusive"
+    res = strong_winding_check(_stalled_pattern(), 300)
+    assert (res.outcome, res.route) == ("inconclusive", "enumeration")
     assert res.abelianization.is_trivial
     assert res.enumeration == EnumerationResult("exceeded", None, 300, 300)
+    assert (res.presentation.generator_count, len(res.presentation.relators)) == (9, 10)
 
 
-def test_every_verified_result_enumerated_to_trivial():
+def _cyclic_reduction(word):
+    w = free_reduce(word)
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+def _replay_tietze_log(pattern, log):
+    """Replay a strong-winding Tietze log on the unsimplified quotient and
+    fail unless it ends at no generators and no relators.  Written apart
+    from ``simplify_presentation``, sharing only ``free_reduce``: each step
+    (generator, relator, position) must name a live relator in which the
+    generator occurs exactly once, at that position; the generator is
+    solved for, substituted everywhere, and empty relators are dropped."""
+    q = quotient(wirtinger(pattern.base), [cut_loop_word(pattern)])
+    gens = set(range(1, q.generator_count + 1))
+    live = {i: _cyclic_reduction(r) for i, r in enumerate(q.relators)}
+    live = {i: r for i, r in live.items() if r}
+    for step, (gen, rid, pos) in enumerate(log):
+        assert gen in gens and rid in live, f"step {step}: generator {gen} or relator {rid} is gone"
+        rel = live.pop(rid)
+        assert [i for i, x in enumerate(rel) if abs(x) == gen] == [pos], f"step {step}: {gen} in {rel}"
+        # rel = u x v = 1 gives x = u^-1 v^-1, with x = gen or gen^-1
+        x = tuple(-y for y in reversed(rel[:pos])) + tuple(-y for y in reversed(rel[pos + 1:]))
+        image = {rel[pos]: x, -rel[pos]: tuple(-y for y in reversed(x))}
+        gens.remove(gen)
+        for i, r in list(live.items()):
+            r = _cyclic_reduction(tuple(z for y in r for z in image.get(y, (y,))))
+            if r:
+                live[i] = r
+            else:
+                del live[i]
+    assert not gens and not live, f"left over: generators {sorted(gens)}, relators {sorted(live)}"
+
+
+def test_every_verified_result_carries_a_log_that_replays():
     patterns = [p for _, p in corpus_patterns()]
     patterns += [compose(zigzag_pattern(), k) for k in (trefoil(), figure_eight())]
     rng = random.Random(7)
@@ -265,10 +307,64 @@ def test_every_verified_result_enumerated_to_trivial():
         assert res.outcome in ("verified", "refuted")
         if res.outcome == "verified":
             verified += 1
-            assert res.enumeration.outcome == "trivial"
-            assert res.enumeration.order == 1 and res.abelianization.is_trivial
+            assert res.route == "tietze" and res.abelianization.is_trivial
+            assert res.enumeration == EnumerationResult("not-run", None, 0, 10**5)
+            assert res.presentation == GroupPresentation(0, (), res.presentation.marked_words)
+            _replay_tietze_log(p, res.tietze_log)
+            # the coset table of the simplified quotient agrees with the log
+            q0 = quotient(wirtinger(p.base), [cut_loop_word(p)])
+            enumeration = todd_coxeter(simplify_presentation(q0), 10**5)
+            assert (enumeration.outcome, enumeration.order) == ("trivial", 1)
             assert abs(winding_number(p)) == 1
     assert verified == 12
+
+
+def test_log_replayer_rejects_broken_logs():
+    p = compose(zigzag_pattern(), trefoil())
+    log = strong_winding_check(p).tietze_log
+    _replay_tietze_log(p, log)
+    gen, rid, pos = log[0]
+    # an over-arc generator occurs twice in its crossing's relator
+    twice = next((g, r, [abs(x) for x in rel].index(g))
+                 for r, rel in enumerate(quotient(wirtinger(p.base), [cut_loop_word(p)]).relators)
+                 for g in {abs(x) for x in rel} if sum(abs(x) == g for x in rel) == 2)
+    broken = (
+        (log[:20] + log[21:], r"step \d+: "),  # one step dropped
+        (log[:-1], "left over: generators "),  # the last step dropped
+        ((twice,) + log, "step 0: "),  # a generator that occurs twice
+        (((gen, rid, pos + 1),) + log[1:], "step 0: "),  # a wrong position
+        (log + (log[-1],), "step 47: "),  # a step repeated
+    )
+    for mutant, reason in broken:
+        with pytest.raises(AssertionError, match=reason):
+            _replay_tietze_log(p, mutant)
+
+
+def _zigzag_composites():
+    return [compose(zigzag_pattern(), k) for k in (
+        trefoil(), torus_knot(2, 5), torus_knot(2, 7), torus_knot(2, 9),
+        connected_sum(figure_eight(), trefoil()))]
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def test_no_perfect_workload_quotient_enumerates(monkeypatch):
+    def refuse(g, limit):
+        raise _Enumerated
+
+    monkeypatch.setattr(groups, "todd_coxeter", refuse)
+    perfect = [p for _, p in corpus_patterns() if abs(winding_number(p)) == 1]
+    assert len(perfect) == 4
+    perfect += _zigzag_composites()
+    for limit in (10**6, 1):
+        for p in perfect:
+            res = strong_winding_check(p, limit)
+            assert (res.outcome, res.route) == ("verified", "tietze")
+            assert res.enumeration == EnumerationResult("not-run", None, 0, limit)
+    with pytest.raises(_Enumerated):
+        strong_winding_check(_stalled_pattern(), 1)
 
 
 def test_coset_limit_is_checked_before_any_route():
@@ -288,8 +384,6 @@ def test_verified_implies_winding_one():
 
 def test_difference_operator_inherits_strong_winding():
     # the inverse-sum operator built from a verified pattern verifies too
-    from satkit.patterns import difference_pattern
-
     r = difference_pattern(kink_base_pattern(), trefoil())
     res = strong_winding_check(r, 10**5)
     assert res.outcome == "verified"
@@ -592,20 +686,25 @@ def test_simplify_presentation_matches_rescan_at_workload_size():
 
 
 def test_zigzag_composite_verdicts_are_pinned():
-    # outcome, cosets used, and the enumerated presentation's generator and
-    # relator counts, for the zigzag composites of the benchmark's verdicts
-    cases = (
-        (trefoil(), ("verified", 4128, 8, 9)),
-        (torus_knot(2, 5), ("verified", 408, 8, 9)),
-        (torus_knot(2, 7), ("verified", 110, 8, 9)),
-        (torus_knot(2, 9), ("verified", 29, 8, 9)),
-        (connected_sum(figure_eight(), trefoil()), ("verified", 52, 8, 9)),
-    )
-    for knot, expected in cases:
-        res = strong_winding_check(compose(zigzag_pattern(), knot))
-        got = (res.outcome, res.enumeration.cosets_used,
-               res.presentation.generator_count, len(res.presentation.relators))
-        assert got == expected
+    # Tietze log length, and the cosets that enumerating the target-8
+    # presentation uses with its generator and relator counts, for the
+    # zigzag composites of the benchmark's verdicts; each verdict is
+    # reached with no enumeration, and its log replays on relabelled copies
+    expected = ((47, 4128, 8, 9), (77, 408, 8, 9), (107, 110, 8, 9), (137, 29, 8, 9), (83, 52, 8, 9))
+    rng = random.Random(23)
+    for p, (steps, cosets, gens, rels) in zip(_zigzag_composites(), expected):
+        res = strong_winding_check(p)
+        assert (res.outcome, res.route, len(res.tietze_log)) == ("verified", "tietze", steps)
+        assert res.enumeration == EnumerationResult("not-run", None, 0, 10**6)
+        _replay_tietze_log(p, res.tietze_log)
+        q = simplify_presentation(quotient(wirtinger(p.base), [cut_loop_word(p)]))
+        enumeration = todd_coxeter(q)
+        assert (enumeration.outcome, enumeration.cosets_used) == ("trivial", cosets)
+        assert (q.generator_count, len(q.relators)) == (gens, rels)
+        r = _relabelled_pattern(p, rng)
+        res = strong_winding_check(r)
+        assert res.route == "tietze"
+        _replay_tietze_log(r, res.tietze_log)
 
 
 def _slicing_cyc_reduce(word):
