@@ -100,15 +100,6 @@ class AbelianGroup:
     def is_infinite_cyclic(self) -> bool:
         return self.invariant_factors == (0,)
 
-    def order(self) -> int:
-        """Group order, with 0 meaning infinite."""
-        n = 1
-        for f in self.invariant_factors:
-            if f == 0:
-                return 0
-            n *= f
-        return n
-
     @staticmethod
     def cyclic(n: int) -> "AbelianGroup":
         n = abs(n)

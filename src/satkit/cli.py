@@ -281,7 +281,8 @@ SLINK = {
 
 def cmd_slink(args):
     """Check the arity and ``--copies`` of the SLINK command named by the
-    first positional, then execute it."""
+    first positional (only parallel and reduce take a copy vector), then
+    execute it."""
     sub = args.slink_command
     command = SLINK[sub]
     takes_copies = sub in ("parallel", "reduce")
@@ -289,7 +290,7 @@ def cmd_slink(args):
         args.copy_vector = tuple(int(x) for x in args.copies.split(",")) if takes_copies else ()
     except ValueError:
         args.copy_vector = None
-    if len(args.inputs) != len(command.inputs) or args.copy_vector is None:
+    if len(args.inputs) != len(command.inputs) or args.copy_vector is None or (args.copies and not takes_copies):
         copies = " --copies=K1,K2,..." if takes_copies else ""
         raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * len(command.inputs))}{copies}")
     return _execute(args, command, args.inputs)

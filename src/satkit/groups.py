@@ -1,19 +1,20 @@
 """Finitely presented groups from diagrams: Wirtinger presentations,
-quotients, abelianization, and coset enumeration.
+quotients, abelianization, Tietze elimination and coset enumeration.
 
-Words are tuples of nonzero signed generator indices (1-based); the text
-rendering writes generators as letters with capitals for inverses, e.g.
-``a b A b``.
+A presentation is a generator count and a tuple of relators.  Words are
+tuples of nonzero signed generator indices (1-based); the text rendering
+writes generators as letters with capitals for inverses, e.g. ``a b A b``.
 
 The enumerator is a relator-based (HLT) Todd-Coxeter with a union-find
 coincidence queue and periodic lookahead, after Holt's "Handbook of
 Computational Group Theory".  Enumeration of a presentation of the trivial
 group is a proof of triviality, and a table that closes at order n > 1 is a
 proof of nontriviality; hitting the coset limit proves nothing.  The
-strong-winding check asks the Smith form first: a nontrivial abelianization
-already refutes normal generation.  A perfect quotient is proved trivial by a
-log of Tietze moves that reaches the empty presentation, and is enumerated
-only where those moves stall.
+strong-winding check runs Tietze elimination until no move applies and asks
+the Smith form of what is left: a nontrivial abelianization already refutes
+normal generation.  A perfect quotient is proved trivial by a log of Tietze
+moves that reaches the empty presentation, and is enumerated only where those
+moves stall.
 """
 
 from __future__ import annotations
@@ -32,19 +33,12 @@ from .patterns import winding_number
 class GroupPresentation:
     generator_count: int
     relators: tuple[tuple[int, ...], ...]
-    marked_words: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
-        for w in list(self.relators) + [w for _, w in self.marked_words]:
+        for w in self.relators:
             for x in w:
                 if x == 0 or abs(x) > self.generator_count:
                     raise DomainError(f"letter {x} out of range in word {w}")
-
-    def marked(self, name):
-        for n, w in self.marked_words:
-            if n == name:
-                return w
-        raise KeyError(name)
 
 
 def word_to_text(word):
@@ -77,15 +71,13 @@ def free_reduce(word):
 def arc_data(d: Diagram):
     """Arcs of a diagram: maximal runs of edges between under-passages.
 
-    Returns (arc_of_edge, arc_count, first_arc_of_component) with arcs
-    numbered deterministically component by component.
+    Returns (arc_of_edge, arc_count) with arcs numbered deterministically
+    component by component.
     """
     orient = _orient(d)
     arc_of_edge = {}
     arc_count = 0
-    first_arc = []
     for cyc in d.components:
-        first_arc.append(arc_count)
         if cyc[0] in orient.free:
             arc_of_edge[cyc[0]] = arc_count
             arc_count += 1
@@ -107,14 +99,14 @@ def arc_data(d: Diagram):
                     break
                 i = (i + 1) % n
             arc_count += 1
-    return arc_of_edge, arc_count, first_arc
+    return arc_of_edge, arc_count
 
 
 def wirtinger(d: Diagram) -> GroupPresentation:
-    """One generator per arc, one conjugation relator per crossing, and a
-    marked meridian (the first arc's generator) per component."""
+    """One generator per arc and one conjugation relator per crossing.
+    Every generator is a meridian of its arc's component."""
     signs = crossing_signs(d)
-    arc_of_edge, arc_count, first_arc = arc_data(d)
+    arc_of_edge, arc_count = arc_data(d)
     relators = []
     for ci, x in enumerate(d.crossings):
         g_in = arc_of_edge[x[0]] + 1
@@ -126,10 +118,7 @@ def wirtinger(d: Diagram) -> GroupPresentation:
         rel = free_reduce((-g_out, s * g_over, g_in, -s * g_over))
         if rel:
             relators.append(rel)
-    marks = tuple(
-        (f"meridian_{k}", (first_arc[k] + 1,)) for k in range(len(d.components))
-    )
-    return GroupPresentation(arc_count, tuple(relators), marks)
+    return GroupPresentation(arc_count, tuple(relators))
 
 
 def cut_loop_word(pattern) -> tuple[int, ...]:
@@ -144,9 +133,7 @@ def cut_loop_word(pattern) -> tuple[int, ...]:
 
 def quotient(g: GroupPresentation, extra_words) -> GroupPresentation:
     extra = tuple(free_reduce(tuple(w)) for w in extra_words)
-    return GroupPresentation(
-        g.generator_count, g.relators + tuple(w for w in extra if w), g.marked_words
-    )
+    return GroupPresentation(g.generator_count, g.relators + tuple(w for w in extra if w))
 
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:
@@ -171,62 +158,57 @@ def _cyc_reduce(word):
     return w[i:j + 1]
 
 
-def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=6000, log=None):
+def simplify_presentation(g: GroupPresentation, length_cap=6000, log=None):
     """Tietze elimination: repeatedly solve a relator for a generator that
-    occurs in it exactly once and substitute it away.
+    occurs in it exactly once and substitute it away, until no relator
+    holds a generator exactly once.
 
     Each step eliminates the pair (relator r, generator g) of least score
-    ``(len(r) - 1) * (occurrences of +-g in every relator and marked word,
-    less one)``; ties go to the first relator, then to the generator that
-    appears first in it.  Stops at ``target_generators``, or when the chosen
-    elimination would take the total relator length past ``length_cap``.
-    Marked words are rewritten alongside the relators, so quotients taken
-    afterwards stay meaningful.  Given a list ``log``, each move is appended
-    to it as (generator, relator, position), numbered as in ``g``: the
-    generator eliminated, the relator solved for it, and the generator's
-    position in that relator as rewritten by the earlier moves and
-    cyclically reduced.
+    ``(len(r) - 1) * (occurrences of +-g in every relator, less one)``; ties
+    go to the first relator, then to the generator that appears first in
+    it.  It also stops when the chosen elimination would take the total
+    relator length past ``length_cap``.  The surviving generators are
+    numbered 1..k in their old order.  Given a list ``log``, each move is
+    appended to it as (generator, relator, position), numbered as in ``g``:
+    the generator eliminated, the relator solved for it, and the
+    generator's position in that relator as rewritten by the earlier moves
+    and cyclically reduced.
 
     The steps are incremental, as in Havas, Kenne, Richardson and
     Robertson's Tietze program (1984).  The index holds each generator's
-    letter count, the relators and marked words that hold it, the total
-    relator length, and a heap of (score, relator, position, generator)
-    entries that are checked when popped.  A step rewrites only the
-    relators and marked words holding the eliminated generator.  It queues
-    again the candidates of the relators it rewrote and, in the other
-    relators, those of the generators whose count changed.  Relators keep
-    their first numbering, so ties break as in a full rescan.
+    letter count, the relators that hold it, the total relator length, and
+    a heap of (score, relator, position, generator) entries that are
+    checked when popped.  A step rewrites only the relators holding the
+    eliminated generator.  It queues again the candidates of the relators
+    it rewrote and, in the other relators, those of the generators whose
+    count changed.  Relators keep their first numbering, so ties break as
+    in a full rescan.
     """
     n = g.generator_count
     rels = {}  # relator number -> word; the numbers keep the relators' order
     letters = {}  # relator number -> {generator: its letters in the word}
     single = {}  # relator number -> {generator occurring once: its position}
     holders = [set() for _ in range(n + 1)]  # generator -> numbers of relators holding it
-    marked = {name: free_reduce(w) for name, w in g.marked_words}
-    marking = [set() for _ in range(n + 1)]  # generator -> names of marked words holding it
-    occ = [0] * (n + 1)  # letters +-g over every relator and marked word
+    occ = [0] * (n + 1)  # letters +-g over every relator
     queue = []
 
-    def recount(key, index, old, new, delta):
-        """Move word ``key``'s letter counts from ``old`` to ``new`` in
-        ``occ``, ``index`` and the per-generator changes ``delta``."""
+    def store(rid, word, delta):
+        """Set relator ``rid`` to ``word``, an empty word dropping it, and
+        move its letter counts into ``occ``, ``holders`` and the
+        per-generator changes ``delta``."""
+        old, new = letters.pop(rid, {}), Counter(map(abs, word))
         for a, k in old.items():
             if a not in new:
-                index[a].discard(key)
+                holders[a].discard(rid)
                 occ[a] -= k
                 delta[a] = delta.get(a, 0) - k
         for a, k in new.items():
             d = k - old.get(a, 0)
             if a not in old:
-                index[a].add(key)
+                holders[a].add(rid)
             if d:
                 occ[a] += d
                 delta[a] = delta.get(a, 0) + d
-
-    def store(rid, word, delta):
-        """Set relator ``rid`` to ``word``; an empty word drops it."""
-        new = Counter(map(abs, word))
-        recount(rid, holders, letters.pop(rid, {}), new, delta)
         rels.pop(rid, None)
         single.pop(rid, None)
         if word:
@@ -242,21 +224,15 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
 
     for rid, r in enumerate(g.relators):
         store(rid, _cyc_reduce(r), {})
-    for name, w in marked.items():
-        recount(name, marking, {}, Counter(map(abs, w)), {})
     for rid in rels:
         enqueue(rid, single[rid])
     total = sum(map(len, rels.values()))
     live = list(range(1, n + 1))
 
-    while len(live) > target_generators:
-        while queue:
-            score, rid, pos, gen = queue[0]
-            if single.get(rid, {}).get(gen) == pos and score == (len(rels[rid]) - 1) * (occ[gen] - 1):
-                break
-            heappop(queue)
-        else:
-            break
+    while queue:
+        score, rid, pos, gen = heappop(queue)
+        if single.get(rid, {}).get(gen) != pos or score != (len(rels[rid]) - 1) * (occ[gen] - 1):
+            continue  # stale: the relator or the generator's count changed since it was queued
         rel = rels[rid]
         u, v = rel[:pos], rel[pos + 1:]
         # u g v = 1  =>  g = u^-1 v^-1 ; u g^-1 v = 1  =>  g = v u
@@ -274,9 +250,9 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
                     out.extend(_invert(replacement))
                 else:
                     out.append(x)
-            return free_reduce(tuple(out))
+            return _cyc_reduce(tuple(out))
 
-        rewritten = {r: _cyc_reduce(substitute(rels[r])) for r in holders[gen] if r != rid}
+        rewritten = {r: substitute(rels[r]) for r in holders[gen] if r != rid}
         after = total - len(rel) + sum(len(w) - len(rels[r]) for r, w in rewritten.items())
         if after > length_cap:
             break
@@ -285,10 +261,6 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
         store(rid, (), delta)
         for r, w in rewritten.items():
             store(r, w, delta)
-        for name in list(marking[gen]):
-            w = substitute(marked[name])
-            recount(name, marking, Counter(map(abs, marked[name])), Counter(map(abs, w)), delta)
-            marked[name] = w
         live.remove(gen)
         if log is not None:
             log.append((gen, rid, pos))
@@ -301,15 +273,9 @@ def simplify_presentation(g: GroupPresentation, target_generators=8, length_cap=
                     if r not in rewritten:
                         enqueue(r, (a,))
 
-    # number the surviving generators 1..k in their old order
     remap = {old: new for new, old in enumerate(live, 1)}
-
-    def renumber(word):
-        return tuple(remap[x] if x > 0 else -remap[-x] for x in word)
-
     return GroupPresentation(
-        len(live), tuple(renumber(rels[r]) for r in sorted(rels)),
-        tuple(sorted((name, renumber(w)) for name, w in marked.items())),
+        len(live), tuple(tuple(remap[x] if x > 0 else -remap[-x] for x in rels[r]) for r in sorted(rels))
     )
 
 
@@ -496,7 +462,7 @@ class StrongWindingResult:
     abelianization: AbelianGroup  # of the quotient presentation
     presentation: GroupPresentation  # the quotient as Tietze left it: empty on the "tietze" route
     wirtinger_presentation: GroupPresentation  # of the pattern's base, before the quotient
-    # (generator, relator, position) per Tietze move, numbered as in the unsimplified quotient
+    # (generator, relator, position) per Tietze move on every route, numbered as in the unsimplified quotient
     tietze_log: tuple[tuple[int, int, int], ...]
 
     @property
@@ -522,12 +488,11 @@ def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
     normal closure is trivial.
 
     The quotient abelianizes to the cyclic group of order |w| (Z when
-    w = 0), w the winding number read from the cut signs.  When |w| != 1,
-    Tietze elimination stops at the default target and the Smith form
-    refutes with no enumeration.  When |w| = 1, elimination runs towards
-    the empty presentation, and the Smith form of what it leaves must be
-    trivial.  Reaching the empty presentation is ``verified``, and the move
-    log is the proof.  Only a stalled presentation is enumerated,
+    w = 0), w the winding number read from the cut signs.  Tietze
+    elimination runs until no move applies, and the Smith form of what it
+    leaves must be that group: when |w| != 1 it refutes with no
+    enumeration.  Reaching the empty presentation is ``verified``, and the
+    move log is the proof.  Only a stalled perfect presentation is enumerated,
     within ``limit`` cosets: a table closing at order 1 is ``verified``, at
     order n > 1 ``refuted`` (a nontrivial perfect finite quotient), and
     reaching ``limit`` cosets is ``inconclusive``.  Every outcome but
@@ -539,11 +504,9 @@ def strong_winding_check(pattern, limit: int = 10**6) -> StrongWindingResult:
     pres = wirtinger(pattern.base)
     w = winding_number(pattern)
     log = []
-    # the cut signs make the quotient perfect exactly when |w| = 1, so only
-    # then does elimination run to the end.  The Smith form checks this on
-    # what elimination leaves: on the unsimplified quotient it would cost
-    # more than the elimination
-    q = simplify_presentation(quotient(pres, [cut_loop_word(pattern)]), 0 if abs(w) == 1 else 8, log=log)
+    # the Smith form is taken on what elimination leaves: on the
+    # unsimplified quotient it would cost more than the elimination
+    q = simplify_presentation(quotient(pres, [cut_loop_word(pattern)]), log=log)
     ab = abelianization(q)
     if ab != AbelianGroup.cyclic(w):
         raise InternalError(f"quotient abelianization {ab} disagrees with winding number {w}")

@@ -270,7 +270,7 @@ def test_strong_winding_reports_its_certificate(files, tmp_path, capsys, monkeyp
     stats = rep["stats"]
     assert (stats["abelianization"], stats["enumeration"], stats["cosets_used"]) == ("Z/2", "not-run", 0)
     assert stats["limit"] == 10**6 and "order" not in stats
-    assert (stats["route"], stats["tietze_steps"]) == ("smith", 0)
+    assert (stats["route"], stats["tietze_steps"]) == ("smith", 2)
     # a verified quotient's certificate is its Tietze log
     assert run(["--format", "structured", "strong-winding", files["zigzag.pat"]]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -418,6 +418,12 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         ["slink", "parallel", sl],
         ["slink", "reduce", sl, "--copies", "2,x"],
         ["slink", "closure", sl, sl],
+        # only parallel and reduce take a copy vector
+        ["slink", "closure", sl, "--copies=1,2"],
+        ["slink", "stack", sl, sl, "--copies=1,2"],
+        ["slink", "infect", sl, files["trefoil.pd"], "--copies=1,2"],
+        ["slink", "winding", sl, "--copies=1,2"],
+        ["slink", "fuse", sl, "--copies=1,2"],
     ):
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -620,7 +626,7 @@ _PINNED_RUNS = [
 ]
 # sha256 of the records below: a changed report, message, exit code or written
 # file changes it
-_PINNED_SHA256 = "3871a3938545d41e4009ed06703ea9714ac94d7d7867e6f8dd0d5ca8394e286b"
+_PINNED_SHA256 = "752d59488aa6fb2af1f8e30d964d50b6d889897884755980d0631be0bd4ed5f0"
 
 
 def test_every_command_report_is_pinned(files, tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from satkit.catalog import (
     trefoil,
     zigzag_pattern,
     cable_pattern,
+    corpus_knots,
     corpus_patterns,
 )
 from satkit import groups
@@ -77,8 +78,7 @@ def test_quotient_free_by_generator():
 
 def test_quotient_knot_group_by_meridian_is_trivial():
     for d in (trefoil(), figure_eight()):
-        g = wirtinger(d)
-        q = quotient(g, [g.marked("meridian_0")])
+        q = quotient(wirtinger(d), [(1,)])
         res = todd_coxeter(q, 10**4)
         assert res.outcome == "trivial"
         assert res.cosets_used <= 10**4
@@ -93,8 +93,7 @@ def test_quotient_rejects_out_of_range_letters():
 
 
 def test_quotient_hopf_by_meridian():
-    g = wirtinger(torus_link(2, 2))
-    q = quotient(g, [g.marked("meridian_0")])
+    q = quotient(wirtinger(torus_link(2, 2)), [(1,)])
     assert abelianization(q).is_infinite_cyclic
 
 
@@ -154,17 +153,21 @@ def test_todd_coxeter_deterministic():
 
 def test_simplify_presentation_keeps_abelianization():
     g = wirtinger(braid_closure(3, [1, -2, 1, -2]))
-    s = simplify_presentation(g, target_generators=2)
+    s = simplify_presentation(g)
     assert abelianization(s).invariant_factors == abelianization(g).invariant_factors
-    assert s.generator_count <= max(2, g.generator_count)
+    assert s.generator_count < g.generator_count
 
 
-def test_simplify_presentation_preserves_marked_quotient():
-    d = trefoil()
-    g = wirtinger(d)
-    s = simplify_presentation(g, target_generators=2)
-    q = quotient(s, [s.marked("meridian_0")])
-    assert todd_coxeter(q, 10**4).outcome == "trivial"
+def test_every_wirtinger_generator_of_a_knot_is_a_meridian():
+    # killing any one generator kills the knot group, and Tietze elimination
+    # proves it by reaching the empty presentation
+    pairs = 0
+    for _, d in corpus_knots():
+        g = wirtinger(d)
+        for gen in range(1, g.generator_count + 1):
+            assert simplify_presentation(quotient(g, [(gen,)])) == GroupPresentation(0, ())
+            pairs += 1
+    assert pairs == 198
 
 
 def test_cut_loop_word_exponent_sum_is_winding():
@@ -309,11 +312,11 @@ def test_every_verified_result_carries_a_log_that_replays():
             verified += 1
             assert res.route == "tietze" and res.abelianization.is_trivial
             assert res.enumeration == EnumerationResult("not-run", None, 0, 10**5)
-            assert res.presentation == GroupPresentation(0, (), res.presentation.marked_words)
+            assert res.presentation == GroupPresentation(0, ())
             _replay_tietze_log(p, res.tietze_log)
-            # the coset table of the simplified quotient agrees with the log
+            # the coset table of the quotient, eliminated to 8 generators, agrees with the log
             q0 = quotient(wirtinger(p.base), [cut_loop_word(p)])
-            enumeration = todd_coxeter(simplify_presentation(q0), 10**5)
+            enumeration = todd_coxeter(_rescan_simplify(q0, 8), 10**5)
             assert (enumeration.outcome, enumeration.order) == ("trivial", 1)
             assert abs(winding_number(p)) == 1
     assert verified == 12
@@ -439,13 +442,14 @@ def test_todd_coxeter_against_sympy(p, q):
 # _rescan_simplify and _row_todd_coxeter are the earlier implementations: the
 # Tietze step recounted every relator for each candidate generator, and the
 # coset table held one row list per coset.  The kernels in ``groups`` must
-# give the same presentations and the same enumeration results.
+# give the same presentations (the engine against a rescan to no generator
+# target) and the same enumeration results.  The rescan's generator target
+# gives the tests a presentation left at 8 generators to enumerate.
 
 
-def _rescan_simplify(g, target_generators=8, length_cap=6000):
+def _rescan_simplify(g, target_generators, length_cap=6000):
     relators = [_cyc_reduce(r) for r in g.relators]
     relators = [r for r in relators if r]
-    marked = {n: free_reduce(w) for n, w in g.marked_words}
     ngens = g.generator_count
 
     def occurrences(rel, gen):
@@ -461,7 +465,6 @@ def _rescan_simplify(g, target_generators=8, length_cap=6000):
                 if cnt != 1:
                     continue
                 elsewhere = sum(occurrences(r, gen) for r in relators) - 1
-                elsewhere += sum(occurrences(w, gen) for w in marked.values())
                 score = (len(rel) - 1) * elsewhere
                 if best is None or score < best[0]:
                     best = (score, ri, gen)
@@ -500,9 +503,8 @@ def _rescan_simplify(g, target_generators=8, length_cap=6000):
             return tuple((1 if x > 0 else -1) * remap[abs(x)] for x in word)
 
         relators = [renumber(r) for r in new_relators]
-        marked = {n: renumber(substitute(w)) for n, w in marked.items()}
         ngens -= 1
-    return GroupPresentation(ngens, tuple(relators), tuple(sorted(marked.items())))
+    return GroupPresentation(ngens, tuple(relators))
 
 
 class _RowOverflow(Exception):
@@ -635,8 +637,8 @@ def _row_todd_coxeter(g, limit):
 
 
 def _random_presentation(rng):
-    """2-6 generators, up to n + 2 relators of length 1-8 and up to three
-    marked words; about half the words carry a cancelling pair."""
+    """2-6 generators and up to n + 2 relators of length 1-8; about half the
+    relators carry a cancelling pair."""
     n = rng.randint(2, 6)
 
     def word(max_len):
@@ -648,15 +650,14 @@ def _random_presentation(rng):
         return tuple(w)
 
     relators = tuple(word(8) for _ in range(rng.randint(1, n + 2)))
-    marked = tuple((f"m{k}", word(4)) for k in range(rng.randint(0, 3)))
-    return GroupPresentation(n, relators, marked)
+    return GroupPresentation(n, relators)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=4), st.sampled_from((6000, 12)))
-def test_simplify_presentation_matches_rescan(rng, target, cap):
+@given(st.randoms(use_true_random=False), st.sampled_from((6000, 12)))
+def test_simplify_presentation_matches_rescan(rng, cap):
     g = _random_presentation(rng)
-    assert simplify_presentation(g, target, cap) == _rescan_simplify(g, target, cap)
+    assert simplify_presentation(g, length_cap=cap) == _rescan_simplify(g, 0, cap)
 
 
 def _zigzag_quotient(knot):
@@ -666,21 +667,20 @@ def _zigzag_quotient(knot):
 
 def test_simplify_presentation_matches_rescan_at_workload_size():
     # the zigzag composites' quotients, 47 and 83 generators, run to the
-    # default target and to none: many moves, stale queue entries, relators
-    # that empty out.  A quotient's relator total falls at every move (189,
-    # 187, ..., 2, 0 for the trefoil's), so a cap could stop it only before
+    # end: many moves, stale queue entries, relators that empty out.  A
+    # quotient's relator total falls at every move (189, 187, ..., 2, 0 for
+    # the trefoil's), so a cap could stop it only before
     # its first move.  Beside it, generators a, b with relators a b^20 and
     # a^10 b a^10: once the quotient is gone, eliminating a (score 400)
     # leaves b^-399, the first total above the start (231 and 375).  Cap 398
     # stops there, after every move of the quotient; cap 399 lets it through
     for knot in (trefoil(), connected_sum(figure_eight(), trefoil())):
         q = _zigzag_quotient(knot)
-        for target in (8, 0):
-            assert simplify_presentation(q, target) == _rescan_simplify(q, target)
+        assert simplify_presentation(q) == _rescan_simplify(q, 0)
         a, b = q.generator_count + 1, q.generator_count + 2
-        g = GroupPresentation(b, q.relators + ((a,) + (b,) * 20, (a,) * 10 + (b,) + (a,) * 10), q.marked_words)
+        g = GroupPresentation(b, q.relators + ((a,) + (b,) * 20, (a,) * 10 + (b,) + (a,) * 10))
         for cap, left in ((398, 2), (399, 1)):
-            s = simplify_presentation(g, 0, cap)
+            s = simplify_presentation(g, length_cap=cap)
             assert s == _rescan_simplify(g, 0, cap)
             assert s.generator_count == left
 
@@ -697,7 +697,7 @@ def test_zigzag_composite_verdicts_are_pinned():
         assert (res.outcome, res.route, len(res.tietze_log)) == ("verified", "tietze", steps)
         assert res.enumeration == EnumerationResult("not-run", None, 0, 10**6)
         _replay_tietze_log(p, res.tietze_log)
-        q = simplify_presentation(quotient(wirtinger(p.base), [cut_loop_word(p)]))
+        q = _rescan_simplify(quotient(wirtinger(p.base), [cut_loop_word(p)]), 8)
         enumeration = todd_coxeter(q)
         assert (enumeration.outcome, enumeration.cosets_used) == ("trivial", cosets)
         assert (q.generator_count, len(q.relators)) == (gens, rels)
@@ -728,7 +728,7 @@ def test_cyc_reduce_matches_slicing_trim(word):
 def test_todd_coxeter_matches_row_table(rng):
     # limits below the first lookahead (4096 cosets) and past it
     g = _random_presentation(rng)
-    s = simplify_presentation(g, 2)
+    s = simplify_presentation(g)
     for limit in (7, 60, 4100, 9000):
         assert todd_coxeter(g, limit) == _row_todd_coxeter(g, limit)
         assert todd_coxeter(s, limit) == _row_todd_coxeter(s, limit)
@@ -737,8 +737,8 @@ def test_todd_coxeter_matches_row_table(rng):
 def test_todd_coxeter_matches_row_table_on_knot_quotients_and_large_groups():
     for p in (cable_pattern(2, 3), cable_pattern(3, 2), zigzag_pattern(), clasp_pattern()):
         q = quotient(wirtinger(p.base), [cut_loop_word(p)])
-        s = simplify_presentation(q)
-        assert s == _rescan_simplify(q)
+        assert simplify_presentation(q) == _rescan_simplify(q, 0)
+        s = _rescan_simplify(q, 8)
         assert todd_coxeter(s, 5000) == _row_todd_coxeter(s, 5000)
     # Z/70 x Z/80 closes only after lookahead passes
     g = GroupPresentation(2, ((1,) * 70, (2,) * 80, (1, 2, -1, -2)))

@@ -239,7 +239,7 @@ def test_cokernel():
     assert cokernel([[2]], 1) == AbelianGroup((2,))
     assert cokernel([], 2) == AbelianGroup((0, 0))
     assert cokernel([[1, 0]], 2) == AbelianGroup((0,))
-    assert cokernel([[2, 0], [0, 3]], 2).order() == 6
+    assert cokernel([[2, 0], [0, 3]], 2) == AbelianGroup((6,))
 
 
 @settings(max_examples=50, deadline=None)
@@ -261,9 +261,8 @@ def test_abelian_group_api():
     g = AbelianGroup((2, 4, 0))
     assert not g.is_trivial
     assert g.invariant_factors.count(0) == 1
-    assert g.order() == 0
     assert AbelianGroup.cyclic(1).is_trivial
-    assert AbelianGroup.cyclic(5).order() == 5
+    assert AbelianGroup.cyclic(-5) == AbelianGroup((5,))
     assert AbelianGroup((0,)).is_infinite_cyclic
     with pytest.raises(ValueError):
         AbelianGroup((4, 2))
