@@ -222,7 +222,7 @@ _SUITES = ("satellite-formula", "meridian", "pipeline")
 
 
 def cmd_corpus(args):
-    wanted = set((args.suites or ",".join(_SUITES)).split(","))
+    wanted = set((",".join(_SUITES) if args.suites is None else args.suites).split(","))
     if not wanted <= set(_SUITES):
         raise _UsageError(f"satkit corpus DIR --suites=NAME,... with each NAME one of {', '.join(_SUITES)}")
     knots, patterns, fixtures, skipped = _corpus_load(args.directory)
@@ -281,16 +281,16 @@ SLINK = {
 
 def cmd_slink(args):
     """Check the arity and ``--copies`` of the SLINK command named by the
-    first positional (only parallel and reduce take a copy vector), then
-    execute it."""
+    first positional (parallel and reduce need ``--copies``; the others
+    refuse it, even empty), then execute it."""
     sub = args.slink_command
     command = SLINK[sub]
     takes_copies = sub in ("parallel", "reduce")
     try:
-        args.copy_vector = tuple(int(x) for x in args.copies.split(",")) if takes_copies else ()
+        args.copy_vector = tuple(int(x) for x in (args.copies or "").split(",")) if takes_copies else ()
     except ValueError:
         args.copy_vector = None
-    if len(args.inputs) != len(command.inputs) or args.copy_vector is None or (args.copies and not takes_copies):
+    if len(args.inputs) != len(command.inputs) or args.copy_vector is None or (args.copies is not None) != takes_copies:
         copies = " --copies=K1,K2,..." if takes_copies else ""
         raise _UsageError(f"satkit slink {sub} {' '.join(['INPUT'] * len(command.inputs))}{copies}")
     return _execute(args, command, args.inputs)
@@ -318,7 +318,7 @@ COMMANDS = {
     "slink": Command((), cmd_slink, options=(
         (("slink_command",), {"choices": tuple(SLINK)}),
         (("inputs",), {"nargs": "+"}),
-        (("--copies",), {"default": "", "help": "comma-separated copy vector"}),
+        (("--copies",), {"default": None, "help": "comma-separated copy vector"}),
         _OUT)),
     "corpus": Command((), cmd_corpus, options=(
         (("directory",), {}),
@@ -332,7 +332,7 @@ COMMANDS = {
 def build_parser():
     top = argparse.ArgumentParser(prog="satkit", description=__doc__)
     top.add_argument("--limit", type=int, default=10**6,
-                     help="coset budget, used only when Tietze stalls; the corpus meridian suite always enumerates")
+                     help="coset budget, used only when Tietze elimination stalls")
     top.add_argument("--format", choices=("text", "structured"), default="text")
     groups = {"": top.add_subparsers(dest="command", required=True)}
     for path, command in COMMANDS.items():

@@ -6,8 +6,9 @@ suite passes when every case is ok.
 
 from __future__ import annotations
 
+from .catalog import knot_pattern
 from .errors import SatkitError
-from .groups import quotient, todd_coxeter, wirtinger
+from .groups import strong_winding_check
 from .invariants import satellite_formula_report
 from .surgery import build_pipeline
 
@@ -45,18 +46,16 @@ def declared_satellite_suite(fixtures):
     return _formula_cases(fixtures, lambda ok, rep: f"declared={rep['lhs']!r} expected={rep['rhs']!r}")
 
 
-def meridian_suite(diagrams, limit=10**4):
-    """Every knot group dies when one meridian is killed; the enumeration
-    must close within the limit."""
+def meridian_suite(diagrams, limit):
+    """Every knot group dies when one meridian is killed: the strong-winding
+    check of each knot's one-strand pattern (its cut curve a meridian) verifies."""
     out = []
     for name, d in diagrams:
         if not d.is_knot():
             continue
-        # every Wirtinger generator is a meridian; kill the first
-        q = quotient(wirtinger(d), [(1,)])
-        res = todd_coxeter(q, limit)
-        ok = res.outcome == "trivial"
-        out.append(_case(name, ok, f"{res.outcome}, cosets {res.cosets_used}"))
+        res = strong_winding_check(knot_pattern(d), limit)
+        ok = res.outcome == "verified"
+        out.append(_case(name, ok, f"{res.outcome} by {res.route}"))
     return out
 
 

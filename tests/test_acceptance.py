@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from code_strategies import kirby_move_suite
+from code_strategies import kirby_move_suite, relabeled
 from satkit.abelian import AbelianGroup
 from satkit.catalog import (
     cable_pattern,
@@ -20,6 +20,7 @@ from satkit.catalog import (
     corpus_knots,
     figure_eight,
     kink_base_pattern,
+    knot_pattern,
     random_framed_links,
     strand_meridian_operator,
     trefoil,
@@ -35,7 +36,6 @@ from satkit.groups import (
     cut_loop_word,
     quotient,
     strong_winding_check,
-    todd_coxeter,
     wirtinger,
 )
 from satkit.invariants import alexander_poly, determinant, equal_up_to_units
@@ -125,8 +125,17 @@ def test_criterion_3_meridian_triviality_suite():
     corpus = [(n, d) for n, d in corpus_knots() if d.is_knot()]
     assert len(corpus) >= 30
     assert all(d.crossing_count <= 12 for _, d in corpus)
-    # still coset enumeration, not Tietze: the corpus report pins each case's cosets
+    # killing the cut meridian of each knot's one-strand pattern is a
+    # strong-winding check: a Tietze log to the empty presentation, no cosets
     cases = meridian_suite(corpus, limit=10**4)
+    assert [c["detail"] for c in cases] == ["verified by tietze"] * len(corpus)
+    # Tietze ties break by relator number and position, so relabelled copies take other moves
+    rng = random.Random(3)
+    for _, d in corpus:
+        edges = d.edges()
+        r = relabeled(d, dict(zip(edges, rng.sample(range(1, 4 * len(edges) + 1), len(edges)))))
+        res = strong_winding_check(knot_pattern(r), 10**4)
+        assert (res.outcome, res.route) == ("verified", "tietze")
     ok = suite_ok(cases) and len(cases) >= 30
     _announce(3, ok, f"meridian quotient trivial on {summarize(cases)} (limit 10^4)")
 

@@ -424,6 +424,11 @@ def test_misuse_exits_with_one_line_message(files, capsys):
         ["slink", "infect", sl, files["trefoil.pd"], "--copies=1,2"],
         ["slink", "winding", sl, "--copies=1,2"],
         ["slink", "fuse", sl, "--copies=1,2"],
+        # an explicit empty vector is not an absent one
+        ["slink", "parallel", sl, "--copies="],
+        ["slink", "reduce", sl, "--copies="],
+        ["slink", "closure", sl, "--copies="],
+        ["slink", "winding", sl, "--copies="],
     ):
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -435,9 +440,10 @@ def test_misuse_exits_with_one_line_message(files, capsys):
     # the coset limit is checked before the Smith form could refute clasp
     assert run(["--limit", "0", "strong-winding", files["clasp.pat"]]) == 1
     assert capsys.readouterr().err == "error: coset limit must be at least 1\n"
-    assert run(["corpus", str(pathlib.Path(sl).parent), "--suites", "formula"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: satkit corpus DIR --suites=") and err.count("\n") == 1
+    for suites in ("--suites=formula", "--suites="):
+        assert run(["corpus", str(pathlib.Path(sl).parent), suites]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: satkit corpus DIR --suites=") and err.count("\n") == 1
 
 
 def test_unreadable_paths_are_user_errors(files, tmp_path, capsys):

@@ -17,10 +17,12 @@ fields, a call to an attribute any function of that name, and
 ``src/satkit`` function is read in that function.  Outside ``formats.py``,
 ``src/satkit`` and ``scripts`` reach the formats through their one
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
-per-type function.  A function-level import in ``src/satkit`` closes a
-cycle among the top-level imports; every other import sits at the top of
-its file.  Every import in ``src/satkit`` is relative or names a module of
-the standard library (``sys.stdlib_module_names``).  Every
+per-type function.  Outside ``groups.py``, ``src/satkit`` and ``scripts``
+never read ``todd_coxeter``: only ``strong_winding_check`` enumerates
+cosets.  A function-level import in ``src/satkit`` closes a cycle among
+the top-level imports; every other import sits at the top of its file.
+Every import in ``src/satkit`` is relative or names a module of the
+standard library (``sys.stdlib_module_names``).  Every
 ``functools.lru_cache`` in ``src/satkit`` is called with an integer
 ``maxsize``, and ``functools.cache`` is not used.  Standard library only:
 the checks walk each module's syntax tree."""
@@ -528,6 +530,39 @@ def test_one_serializer_dispatch():
             continue
         found += [f"{path.name}:{line} {name}" for line, name in _per_type_format_uses(ast.parse(path.read_text()))]
     assert not found, "per-type formats functions outside formats.py:\n" + "\n".join(found)
+
+
+def _reads(tree, name):
+    """(line, source) for every read of ``name`` in ``tree``: the bare
+    name, an alias a from-import gives it, or an attribute of that name."""
+    aliases = {name} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for a in node.names if a.name == name and a.asname}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(getattr(node, "ctx", None), ast.Load)
+                  and (getattr(node, "id", None) in aliases or getattr(node, "attr", None) == name))
+
+
+def test_checker_flags_a_read_of_a_name():
+    src = (
+        "from satkit.groups import todd_coxeter as tc, wirtinger\n"
+        "from satkit import groups\n"
+        "todd_coxeter = None\n"
+        "groups.todd_coxeter(g, 10)\n"
+        "tc(g)\n"
+        "wirtinger(d)\n"
+        "f = todd_coxeter\n"
+        "groups.todd_coxeter = f\n"
+    )
+    assert _reads(ast.parse(src), "todd_coxeter") == [(4, "groups.todd_coxeter"), (5, "tc"), (7, "todd_coxeter")]
+
+
+def test_one_triviality_decision():
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        if path.name == "groups.py" and path.parent == SRC:
+            continue
+        found += [f"{path.name}:{line} {text}" for line, text in _reads(ast.parse(path.read_text()), "todd_coxeter")]
+    assert not found, "todd_coxeter read outside groups.py:\n" + "\n".join(found)
 
 
 def _relative_imports(nodes, modules):
