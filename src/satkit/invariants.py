@@ -4,7 +4,11 @@ Alexander polynomials and determinants.
 Everything here is exact integer arithmetic.  The Alexander polynomial is
 computed as a maximal minor of the abelianized Fox Jacobian of a Wirtinger
 presentation; for a knot all such minors agree up to units, so the
-normalized determinant of one minor is the gcd the contract asks for.
+normalized determinant of one minor is the gcd the contract asks for.  The
+determinant takes Laurent rows in and gives a normalized Laurent out; in
+between, both of its phases (unit pivots, then fraction-free elimination of
+the dense core) hold each entry as one packed integer with proved bounds on
+its coefficients.
 """
 
 from __future__ import annotations
@@ -12,10 +16,9 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import isqrt
 
 from .diagram import embedding_genus
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .groups import wirtinger
 from .patterns import satellite, winding_number
 
@@ -24,10 +27,7 @@ from .patterns import satellite, winding_number
 # Products of at most this many term pairs use the schoolbook loop; larger
 # ones go through one big-integer product, which costs more to set up but
 # far less per term pair.  Measured with word-packed digits (CPython 3.11,
-# 2-CPU Xeon): a single product breaks even at about 60-100 pairs, and the
-# Alexander polynomials of 155- and 429-crossing satellites take the same
-# time within 5% for any value from 25 to 400, against about 10% more at 0
-# and 3 to 4.6 times as long with no packed products at all.
+# 2-CPU Xeon): a single product breaks even at about 60-100 pairs.
 _SCHOOLBOOK_PAIRS = 100
 
 
@@ -106,12 +106,11 @@ class Laurent:
 
     Stored as the lowest exponent ``lo`` and the coefficients ``co`` of
     t^lo, t^(lo+1), ..., with no zero at either end; zero is ``(0, ())``.
-    Products and exact quotients of longer polynomials go through single
-    big-integer operations at t = 2^k (Kronecker substitution), with k
-    taken from a bound that makes the unpacked digits the coefficients.
-    Digits of 1, 2, 4 or 8 bytes (every bound below 2^63 is rounded up to
-    one) are packed and unpacked as machine words by ``struct``; wider
-    ones byte by byte.
+    Products of longer polynomials go through one big-integer product at
+    t = 2^k (Kronecker substitution), with k taken from a bound that makes
+    the unpacked digits the coefficients.  Digits of 1, 2, 4 or 8 bytes
+    (every bound below 2^63 is rounded up to one) are packed and unpacked
+    as machine words by ``struct``; wider ones byte by byte.
     """
 
     __slots__ = ("lo", "co")
@@ -202,9 +201,6 @@ class Laurent:
     def max_exp(self):
         return self.lo + len(self.co) - 1 if self.co else 0
 
-    def is_unit(self):
-        return len(self.co) == 1 and (self.co[0] == 1 or self.co[0] == -1)
-
     def compose_power(self, n):
         """Substitute t -> t^n (n may be zero or negative)."""
         if not self.co:
@@ -221,56 +217,6 @@ class Laurent:
         if self.co and self.co[0] < 0:
             return _raw(0, tuple([-v for v in self.co]))
         return _raw(0, self.co)
-
-    def exact_div(self, other):
-        """Exact division; raises if the quotient is not a Laurent polynomial.
-
-        The quotient is read off one big-integer division at t = 2^k, tried
-        first with digits as wide as the operands' coefficients and then,
-        if that fails, as wide as Mignotte's bound on a factor's.  A try
-        returns only when the remainder is zero, the quotient unpacks and
-        the quotient times the divisor gives back the dividend; the
-        division is inexact only when the Mignotte-width try fails too.
-        """
-        b = other.co
-        if not b:
-            raise ZeroDivisionError("Laurent division by zero")
-        a = self.co
-        if not a:
-            return Laurent.zero()
-        lo = self.lo - other.lo
-        if len(b) == 1:
-            d = b[0]
-            if d == 1:
-                return _raw(lo, a)
-            if d == -1:
-                return _raw(lo, tuple([-v for v in a]))
-            if any(v % d for v in a):
-                raise DomainError("inexact Laurent division")
-            return _raw(lo, tuple([v // d for v in a]))
-        n = len(a) - len(b) + 1
-        if n < 1 or a[0] % b[0] or a[-1] % b[-1]:
-            raise DomainError("inexact Laurent division")
-        # First at the operands' own digit width, which holds the quotient
-        # whenever its coefficients fit there (in every division of the
-        # Alexander polynomials measured); then at Mignotte's width, which
-        # always does: a factor Q of A has sum |q_i| <= 2^deg(Q) ||A||_2,
-        # and ||A||_2 <= (isqrt(len A) + 1) max|a_i|.  At either width the
-        # divisor's digits fit, so that B(2^k) is nonzero.
-        max_a, max_b = _max_abs(a), _max_abs(b)
-        narrow = _digit_bytes(max(max_a, max_b))
-        wide = _digit_bytes(max((max_a * (isqrt(len(a)) + 1)) << (n - 1), max_b))
-        for kb in (narrow, wide) if wide > narrow else (wide,):
-            q, r = divmod(_pack(a, kb), _pack(b, kb))
-            if r:
-                continue
-            try:
-                quo = _trimmed(lo, _unpack(q, n, kb))
-            except OverflowError:
-                continue
-            if quo * other == self:
-                return quo
-        raise DomainError("inexact Laurent division")
 
     def __repr__(self):
         if not self.co:
@@ -317,50 +263,58 @@ def fox_row_abelian(word, ngens):
 
 # -- determinants of sparse Laurent matrices ----------------------------------
 
-
-def _bareiss(mat):
-    """Fraction-free determinant of a dense square Laurent matrix."""
-    n = len(mat)
-    if n == 0:
-        return Laurent.one()
-    m = [row[:] for row in mat]
-    prev = Laurent.one()
-    sign = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Laurent.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Laurent.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+# Both elimination phases hold a nonzero entry t^lo (c_0 + c_1 t + ...), c_0
+# != 0, as a tuple (lo, x, top, l1) at a digit width of W = 8 kb bits:
+# x = c_0 + c_1 2^W + ..., the polynomial at t = 2^W with its low zero digits
+# stripped, and bounds top >= max|c_i| and l1 >= sum |c_i|.  The integer is
+# exact at any width; its digits are the coefficients, and zero, unit and
+# low exponent can be read off it, only while top < 2^(W-1).  A product's
+# coefficients are bounded by min(top_a l1_b, top_b l1_a), a difference's
+# by the sum of both bounds; when a bound reaches 2^(W-1), the phase starts
+# again at twice the width.  A failed bound is never tightened from the
+# digits: past 2^(W-1) they prove nothing.
 
 
-def laurent_det_up_to_units(rows):
-    """Determinant, up to a unit, of a square sparse Laurent matrix.
+class _TooNarrow(Exception):
+    """A coefficient bound reached half the digit range."""
 
-    ``rows`` is a list of {column: Laurent}.  Unit entries are eliminated
-    first, which keeps Wirtinger-style matrices sparse; whatever dense core
-    remains goes through fraction-free elimination.
 
+def _entry(lo, co, kb):
+    """The packed entry of the polynomial t^lo (co[0] + co[1] t + ...)."""
+    top = _max_abs(co)
+    if top >> (8 * kb - 1):
+        raise _TooNarrow
+    return lo, _pack(co, kb), top, sum(map(abs, co))
+
+
+def _digits(x, kb):
+    """The balanced digits of a packed entry.  With n digits, each below
+    2^(W-1) and the top one nonzero, x has between W(n-1) and Wn - 1 bits."""
+    return _unpack(x, x.bit_length() // (8 * kb) + 1, kb)
+
+
+def _widening(phase, arg, kb):
+    """phase(arg, kb), started again at twice the width while a bound fails."""
+    while True:
+        try:
+            return phase(arg, kb)
+        except _TooNarrow:
+            kb *= 2
+
+
+def _eliminate_units(rows, kb):
+    """Eliminate unit pivots at kb-byte digits.
+
+    Returns None when a row empties (the determinant is zero), else the
+    dense core left over, as rows of (lo, co) entries with None for zero.
     Each step pivots on the unit entry of least Markowitz score
     (row entries - 1) * (column entries - 1), the first such entry in
     row order and then in the row's own column order.
     """
-    rows = [dict(r) for r in rows]
+    w = 8 * kb
+    rows = [{c: _entry(v.lo, v.co, kb) for c, v in r.items()} for r in rows]
     live = set(range(len(rows)))
     live_cols = {c for r in rows for c in r}
-    if len(live) != len(live_cols) or not all(rows):
-        return Laurent.zero()
 
     col_rows = {}
     for i in live:
@@ -368,7 +322,7 @@ def laurent_det_up_to_units(rows):
             col_rows.setdefault(c, set()).add(i)
 
     def unit_cols(row):
-        return [c for c, v in row.items() if v.is_unit()]
+        return [c for c, v in row.items() if v[1] == 1 or v[1] == -1]
 
     def score(i, c):
         return (len(rows[i]) - 1) * (len(col_rows[c]) - 1)
@@ -395,26 +349,47 @@ def laurent_det_up_to_units(rows):
         cols = units.get(pi)
         if cols is None or pos >= len(cols) or cols[pos] != pc or s != score(pi, pc):
             continue
-        pivot = rows[pi][pc]
+        plo, px = rows[pi][pc][:2]
+        pivot_row = [(c, v) for c, v in rows[pi].items() if c != pc]
         modified = col_rows[pc] - {pi}
         for i in modified:
-            factor = rows[i][pc].exact_div(pivot)
-            for c, v in rows[pi].items():
-                if c == pc:
-                    continue
-                cur = rows[i].get(c, Laurent.zero()) - factor * v
-                if cur:
-                    rows[i][c] = cur
-                    col_rows.setdefault(c, set()).add(i)
+            row = rows[i]
+            # minus the factor row[pc] / pivot: row[pc]'s integer up to sign
+            flo, fx, ftop, fl1 = row.pop(pc)
+            flo -= plo
+            if px == 1:
+                fx = -fx
+            for c, (vlo, vx, vtop, vl1) in pivot_row:
+                # row[c] + (-factor) v; only equal low exponents can cancel
+                lo, x = flo + vlo, fx * vx
+                top, l1 = min(ftop * vl1, vtop * fl1), fl1 * vl1
+                cur = row.get(c)
+                if cur is not None:
+                    alo, ax, atop, al1 = cur
+                    top, l1 = top + atop, l1 + al1
+                if top >> (w - 1):
+                    raise _TooNarrow
+                if cur is None:
+                    col_rows[c].add(i)
+                elif alo > lo:
+                    x += ax << w * (alo - lo)
+                elif alo < lo:
+                    x, lo = ax + (x << w * (lo - alo)), alo
                 else:
-                    rows[i].pop(c, None)
-                    col_rows[c].discard(i)
-            del rows[i][pc]
+                    x += ax
+                    if not x:
+                        del row[c]
+                        col_rows[c].discard(i)
+                        continue
+                    strip = ((x & -x).bit_length() - 1) // w
+                    x >>= w * strip
+                    lo += strip
+                row[c] = lo, x, top, l1
             col_rows[pc].discard(i)
-            if not rows[i]:
-                return Laurent.zero()
+            if not row:
+                return None
             units.pop(i, None)
-            cols = unit_cols(rows[i])
+            cols = unit_cols(row)
             if cols:
                 units[i] = cols
         live.discard(pi)
@@ -430,16 +405,110 @@ def laurent_det_up_to_units(rows):
                 if c in units.get(i, ()):
                     heappush(queue, (score(i, c), i, units[i].index(c), c))
 
-    if not live:
-        return Laurent.one()
-    idx = sorted(live)
-    cols = sorted(live_cols)
-    colpos = {c: j for j, c in enumerate(cols)}
-    dense = [[Laurent.zero()] * len(cols) for _ in idx]
-    for a, i in enumerate(idx):
-        for c, v in rows[i].items():
-            dense[a][colpos[c]] = v
-    return _bareiss(dense)
+    colpos = {c: j for j, c in enumerate(sorted(live_cols))}
+    core = []
+    for i in sorted(live):
+        dense = [None] * len(colpos)
+        for c, (lo, x, _, _) in rows[i].items():
+            dense[colpos[c]] = lo, _digits(x, kb)
+        core.append(dense)
+    return core
+
+
+def _bareiss_at(mat, kb):
+    """Fraction-free elimination at kb-byte digits; the determinant's
+    coefficients up to a unit, () for zero.
+
+    Each new entry is (a b - c d) / p, p the previous pivot, and Sylvester's
+    identity makes it a polynomial.  Below 2^(W-1) the numerator's digits
+    are its coefficients, so the quotient divides exactly as integers; and
+    once the quotient's digits q satisfy max|q| l1(p) < 2^(W-1) (or
+    max|p| l1(q)), q p and the numerator have the same digits, so q is the
+    quotient polynomial.
+    """
+    w = 8 * kb
+    n = len(mat)
+    m = [[e and _entry(*e, kb) for e in row] for row in mat]
+    plo, px, ptop, pl1 = 0, 1, 1, 1
+    for k in range(n - 1):
+        if m[k][k] is None:
+            for i in range(k + 1, n):
+                if m[i][k] is not None:
+                    m[k], m[i] = m[i], m[k]
+                    break
+            else:
+                return ()
+        pivot_row = m[k]
+        blo, bx, btop, bl1 = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            c = row[k]
+            for j in range(k + 1, n):
+                # (a b - c d) / p: a = row[j], b the pivot, d = pivot_row[j]
+                a, d = row[j], pivot_row[j]
+                if c is None or d is None:
+                    if a is None:
+                        continue
+                    lo, x, top = a[0] + blo, a[1] * bx, min(a[2] * bl1, btop * a[3])
+                else:
+                    clo, cx, ctop, cl1 = c
+                    dlo, dx, dtop, dl1 = d
+                    lo, x, top = clo + dlo, -cx * dx, min(ctop * dl1, dtop * cl1)
+                    if a is not None:
+                        alo, ax, atop, al1 = a
+                        top += min(atop * bl1, btop * al1)
+                        if alo + blo > lo:
+                            x += ax * bx << w * (alo + blo - lo)
+                        else:
+                            x, lo = ax * bx + (x << w * (lo - alo - blo)), alo + blo
+                if top >> (w - 1):
+                    raise _TooNarrow
+                if not x:
+                    row[j] = None
+                    continue
+                strip = ((x & -x).bit_length() - 1) // w
+                x, r = divmod(x >> w * strip, px)
+                if r:
+                    raise InternalError("fraction-free elimination met an inexact division")
+                try:
+                    co = _digits(x, kb)
+                except OverflowError:
+                    raise _TooNarrow from None
+                qtop, ql1 = _max_abs(co), sum(map(abs, co))
+                if min(qtop * pl1, ptop * ql1) >> (w - 1):
+                    raise _TooNarrow
+                row[j] = lo + strip - plo, x, qtop, ql1
+            row[k] = None
+        plo, px, ptop, pl1 = pivot_row[k]
+    det = m[n - 1][n - 1]
+    return _digits(det[1], kb) if det else ()
+
+
+def _bareiss(mat):
+    """The determinant's coefficients, up to a unit, of a dense square
+    matrix of (lo, co) entries (None for zero): fraction-free elimination
+    at the digit width of the largest coefficient, restarted at twice the
+    width while a bound fails."""
+    if not mat:
+        return (1,)
+    return _widening(_bareiss_at, mat, _digit_bytes(max(_max_abs(e[1]) for row in mat for e in row if e)))
+
+
+def laurent_det_up_to_units(rows):
+    """Normalized determinant, up to a unit, of a square sparse Laurent
+    matrix.
+
+    ``rows`` is a list of {column: Laurent}.  Unit entries are eliminated
+    first, which keeps Wirtinger-style matrices sparse, at 8-byte digits
+    (restarted at twice the width while a bound fails); whatever dense core
+    remains goes through fraction-free elimination.
+    """
+    if len(rows) != len({c for r in rows for c in r}) or not all(rows):
+        return Laurent.zero()
+    core = _widening(_eliminate_units, rows, 8)
+    if core is None:
+        return Laurent.zero()
+    return _raw(0, _bareiss(core)).normalized()
 
 
 # -- knot invariants -----------------------------------------------------------
@@ -468,7 +537,7 @@ def alexander_poly(d) -> Laurent:
     det = laurent_det_up_to_units(rows)
     if not det:
         raise DomainError("degenerate Alexander matrix; input is not a knot diagram")
-    return det.normalized()
+    return det
 
 
 def determinant(d) -> int:

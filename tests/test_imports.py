@@ -19,7 +19,9 @@ fields, a call to an attribute any function of that name, and
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
 per-type function.  Outside ``groups.py``, ``src/satkit`` and ``scripts``
 never read ``todd_coxeter``: only ``strong_winding_check`` enumerates
-cosets.  A function-level import in ``src/satkit`` closes a cycle among
+cosets.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
+``to_bytes``, ``from_bytes`` or a ``struct`` packing function: one packing
+path.  A function-level import in ``src/satkit`` closes a cycle among
 the top-level imports; every other import sits at the top of its file.
 Every import in ``src/satkit`` is relative or names a module of the
 standard library (``sys.stdlib_module_names``).  Every
@@ -564,6 +566,70 @@ def test_one_triviality_decision():
         found += [f"{path.name}:{line} {text}" for line, text in _reads(ast.parse(path.read_text()), "todd_coxeter")]
     assert not found, "todd_coxeter read outside groups.py:\n" + "\n".join(found)
 
+
+_BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}
+_STRUCT_FUNCTIONS = {"pack", "unpack", "pack_into", "unpack_from", "iter_unpack", "Struct"}
+_PACKERS = {"_pack", "_unpack", "_bias"}
+
+
+def _packing_reads(tree):
+    """(line, scope, source) for every read of ``to_bytes`` or ``from_bytes``
+    (as any attribute) and of a ``struct`` packing function (an attribute of
+    the module under any alias, or a from-import under any alias) whose
+    innermost enclosing function is not ``_pack``, ``_unpack`` or
+    ``_bias``; the scope of top-level code is ``<module>``."""
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "struct"}
+    names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "struct" for a in node.names if a.name in _STRUCT_FUNCTIONS}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if scope not in _PACKERS and isinstance(getattr(child, "ctx", None), ast.Load) and (
+                    isinstance(child, ast.Attribute) and (
+                        child.attr in _BYTE_CONVERSIONS
+                        or child.attr in _STRUCT_FUNCTIONS and getattr(child.value, "id", None) in modules)
+                    or isinstance(child, ast.Name) and child.id in names):
+                found.append((child.lineno, scope, ast.unparse(child)))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_checker_flags_packing_outside_the_packers():
+    src = (
+        "import struct as s\n"
+        "from struct import unpack as up, calcsize\n"
+        "def _pack(co, kb):\n"
+        "    return int.from_bytes(s.pack('<2b', *co), 'little') + calcsize('b')\n"
+        "def _bias(n, kb):\n"
+        "    return int.from_bytes(bytes(n * kb), 'little')\n"
+        "def _digits(x, n):\n"
+        "    return up('<2b', x.to_bytes(n, 'little'))\n"
+        "def _unpack(x):\n"
+        "    def inner():\n"
+        "        return s.unpack('<b', x)\n"
+        "    return inner()\n"
+        "to_int = int.from_bytes\n"
+        "pack = s.calcsize\n"
+    )
+    assert _packing_reads(ast.parse(src)) == [
+        (8, "_digits", "up"), (8, "_digits", "x.to_bytes"), (11, "inner", "s.unpack"),
+        (13, "<module>", "int.from_bytes"),
+    ]
+
+
+def test_one_packing_path():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line} in {scope}: {text}"
+                  for line, scope, text in _packing_reads(ast.parse(path.read_text()))]
+    assert not found, "byte or struct packing outside _pack, _unpack and _bias:\n" + "\n".join(found)
 
 def _relative_imports(nodes, modules):
     """The modules among ``modules`` that these import statements name."""

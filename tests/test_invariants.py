@@ -1,11 +1,13 @@
 import random
 import struct
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from code_strategies import relabeled
+from satkit import invariants
 from satkit.abelian import AbelianGroup, cokernel, smith_normal_form
 from satkit.catalog import (
     braid_closure,
@@ -28,12 +30,14 @@ from satkit.diagram import (
     simplify,
     unknot,
 )
-from satkit.errors import DomainError
+from satkit.errors import DomainError, InternalError
 from satkit.groups import wirtinger
 from satkit.invariants import (
     Laurent,
     _digit_bytes,
+    _max_abs,
     _pack,
+    _trimmed,
     _unpack,
     alexander_poly,
     determinant,
@@ -62,6 +66,120 @@ def value(p, x):
     return sum((v * x ** (p.lo + i) for i, v in enumerate(p.co)), Fraction(0))
 
 
+# -- the Laurent determinant: the reference for the packed kernel --------------
+
+
+def exact_div(a, b):
+    """Exact division of Laurent polynomials; raises if the quotient is not
+    a Laurent polynomial.
+
+    The quotient is read off one big-integer division at t = 2^k, tried
+    first with digits as wide as the operands' coefficients and then, if
+    that fails, as wide as Mignotte's bound on a factor's.  A try returns
+    only when the remainder is zero, the quotient unpacks and the quotient
+    times the divisor gives back the dividend; the division is inexact only
+    when the Mignotte-width try fails too.
+    """
+    if not b.co:
+        raise ZeroDivisionError("Laurent division by zero")
+    if not a.co:
+        return Laurent.zero()
+    lo = a.lo - b.lo
+    if len(b.co) == 1:
+        d = b.co[0]
+        if any(v % d for v in a.co):
+            raise DomainError("inexact Laurent division")
+        return Laurent.t(lo) * Laurent(dict(enumerate(v // d for v in a.co)))
+    n = len(a.co) - len(b.co) + 1
+    if n < 1 or a.co[0] % b.co[0] or a.co[-1] % b.co[-1]:
+        raise DomainError("inexact Laurent division")
+    # Mignotte: a factor Q of A has sum |q_i| <= 2^deg(Q) ||A||_2, and
+    # ||A||_2 <= (isqrt(len A) + 1) max|a_i|.  At either width the divisor's
+    # digits fit, so that B(2^k) is nonzero.
+    max_a, max_b = _max_abs(a.co), _max_abs(b.co)
+    narrow = _digit_bytes(max(max_a, max_b))
+    wide = _digit_bytes(max((max_a * (isqrt(len(a.co)) + 1)) << (n - 1), max_b))
+    for kb in (narrow, wide) if wide > narrow else (wide,):
+        q, r = divmod(_pack(a.co, kb), _pack(b.co, kb))
+        if r:
+            continue
+        try:
+            quo = _trimmed(lo, _unpack(q, n, kb))
+        except OverflowError:
+            continue
+        if quo * b == a:
+            return quo
+    raise DomainError("inexact Laurent division")
+
+
+def is_unit(p):
+    return len(p.co) == 1 and p.co[0] in (1, -1)
+
+
+def reference_bareiss(mat):
+    """Fraction-free determinant of a dense square Laurent matrix."""
+    n = len(mat)
+    if n == 0:
+        return Laurent.one()
+    m = [row[:] for row in mat]
+    prev = Laurent.one()
+    sign = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Laurent.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+            m[i][k] = Laurent.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def reference_det(rows):
+    """Determinant, up to a unit, of a square sparse Laurent matrix: unit
+    pivots of least Markowitz score first (then row order, then the row's
+    own column order), found by a scan of every live entry at each step,
+    then fraction-free elimination of the dense core left."""
+    rows = [dict(r) for r in rows]
+    live = set(range(len(rows)))
+    live_cols = {c for r in rows for c in r}
+    if len(live) != len(live_cols) or not all(rows):
+        return Laurent.zero()
+    while True:
+        col_rows = {}
+        for i in live:
+            for c in rows[i]:
+                col_rows.setdefault(c, set()).add(i)
+        candidates = [((len(rows[i]) - 1) * (len(col_rows[c]) - 1), i, pos, c)
+                      for i in live for pos, c in enumerate(rows[i]) if is_unit(rows[i][c])]
+        if not candidates:
+            break
+        _, pi, _, pc = min(candidates)
+        pivot = rows[pi][pc]
+        for i in col_rows[pc] - {pi}:
+            factor = exact_div(rows[i][pc], pivot)
+            for c, v in rows[pi].items():
+                if c != pc:
+                    cur = rows[i].get(c, Laurent.zero()) - factor * v
+                    if cur:
+                        rows[i][c] = cur
+                    else:
+                        rows[i].pop(c, None)
+            del rows[i][pc]
+            if not rows[i]:
+                return Laurent.zero()
+        live.discard(pi)
+        live_cols.discard(pc)
+    return reference_bareiss([[rows[i].get(c, Laurent.zero()) for c in sorted(live_cols)] for i in sorted(live)])
+
+
 # -- Laurent arithmetic -------------------------------------------------------
 
 
@@ -76,15 +194,15 @@ def test_laurent_normalize():
     p = Laurent({-2: -1, 0: -3})
     n = p.normalized()
     assert terms(n) == {0: 1, 2: 3}
-    assert equal_up_to_units(p, Laurent({5: 2 * 1, 7: 6}).exact_div(Laurent({0: 2})))
+    assert equal_up_to_units(p, exact_div(Laurent({5: 2 * 1, 7: 6}), Laurent({0: 2})))
 
 
 def test_laurent_exact_div():
     a = lp(1, 2, 1)
     b = lp(1, 1)
-    assert a.exact_div(b) == b
+    assert exact_div(a, b) == b
     with pytest.raises(Exception):
-        lp(1, 0, 1).exact_div(lp(1, 1))
+        exact_div(lp(1, 0, 1), lp(1, 1))
 
 
 def test_compose_power():
@@ -152,15 +270,15 @@ def test_laurent_mul_matches_schoolbook(a, b):
        st.integers(min_value=-2, max_value=2))
 def test_laurent_exact_div_matches_schoolbook(a, b, e, nudge):
     pa, pb = Laurent(a), Laurent(b)
-    assert (pa * pb).exact_div(pb) == pa
+    assert exact_div(pa * pb, pb) == pa
     # the product, knocked off exactness at one exponent (or not, for nudge 0)
     num = pa * pb + Laurent.t(e, nudge)
     expect = school_exact_div(terms(num), terms(pb))
     if expect is None:
         with pytest.raises(DomainError):
-            num.exact_div(pb)
+            exact_div(num, pb)
     else:
-        assert num.exact_div(pb) == Laurent(expect)
+        assert exact_div(num, pb) == Laurent(expect)
 
 
 @pytest.mark.parametrize("n", [11, 16])
@@ -172,7 +290,7 @@ def test_laurent_mul_at_the_coefficient_bound(n):
             a = lp(*[m] * n)
             for b in (a, -a, Laurent.t(-3) * lp(*[m] * (n + 5))):
                 assert terms(a * b) == school_mul(terms(a), terms(b))
-                assert (a * b).exact_div(b) == a
+                assert exact_div(a * b, b) == a
 
 
 def test_exact_div_when_packed_integers_divide():
@@ -185,9 +303,9 @@ def test_exact_div_when_packed_integers_divide():
     assert school_exact_div(terms(a), terms(b)) is None
     for shift in (0, -7, 5):
         with pytest.raises(DomainError):
-            (Laurent.t(shift) * a).exact_div(Laurent.t(-shift) * b)
+            exact_div(Laurent.t(shift) * a, Laurent.t(-shift) * b)
     with pytest.raises(DomainError):
-        (a * lp(3, 0, 1)).exact_div(b * lp(3, 0, 1))
+        exact_div(a * lp(3, 0, 1), b * lp(3, 0, 1))
 
 
 def test_exact_div_retries_at_the_mignotte_width():
@@ -198,13 +316,13 @@ def test_exact_div_retries_at_the_mignotte_width():
     for _ in range(8):
         a, b, quo = a * lp(1, 0, 0, -1), b * lp(1, -1), quo * lp(1, 1, 1)
     assert _digit_bytes(max(max(a.co), max(b.co))) == 1 and quo.co[8] == 1107
-    assert a.exact_div(b) == quo
+    assert exact_div(a, b) == quo
     # inexact: packed remainder nonzero, and packed integers dividing with a
     # quotient that unpacks (x^2 + x/2 + 1 at every x = 2^k), which only
     # the multiply-back check refuses
     for num, den in ((a + Laurent.t(5), b), (lp(2, 3, 3, 2), lp(2, 2))):
         with pytest.raises(DomainError):
-            num.exact_div(den)
+            exact_div(num, den)
 
 
 @pytest.mark.parametrize("kb", range(1, 17))
@@ -402,6 +520,106 @@ def test_laurent_det_against_sympy(mat):
     assert ours.normalized() == theirs.normalized()
 
 
+# -- the packed kernel against the Laurent reference ---------------------------
+
+
+def wirtinger_row(n, i, j, k):
+    """The abelianized Fox row of x_i x_j x_i^-1 x_k^-1 over generators
+    1..n+1, the last one's column dropped, as in a Wirtinger minor."""
+    return {g: v for g, v in fox_row_abelian((i, j, -i, -k), n + 1).items() if g != n + 1}
+
+
+kernel_entry = st.one_of(
+    small_entry.filter(bool),
+    st.builds(lambda e, k: Laurent.t(e) * lp(1, 1, 1) * lp(1, 1) * lp(*[1] * k),
+              st.integers(-3, 3), st.integers(1, 12)),
+    st.builds(lambda v, e: Laurent.t(e, v), st.integers(-2**70, 2**70).filter(bool), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def sparse_laurent_matrix(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    gens = st.integers(min_value=1, max_value=n + 1)
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            rows.append(wirtinger_row(n, draw(gens), draw(gens), draw(gens)))
+        else:
+            cols = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=n, unique=True))
+            rows.append({c: draw(kernel_entry) for c in cols})
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_laurent_matrix())
+def test_kernel_matches_the_laurent_reference(rows):
+    assert laurent_det_up_to_units(rows) == reference_det(rows).normalized()
+
+
+def widths_of(monkeypatch, name):
+    """The digit widths, in bytes, each call of the kernel phase ``name`` runs at."""
+    widths = []
+    phase = getattr(invariants, name)
+    monkeypatch.setattr(invariants, name, lambda m, kb: widths.append(kb) or phase(m, kb))
+    return widths
+
+
+@pytest.mark.parametrize("n, widths, middle", [(2, [1, 2], 252), (4, [1, 2, 4], 184_756)])
+def test_dense_core_widens_until_its_bounds_hold(monkeypatch, n, widths, middle):
+    # no unit pivots: the core is diag(d, ..., d), d = (1+t)^5, whose
+    # coefficients (at most 10) fit one-byte digits; its determinant
+    # (1+t)^(5n) has the middle coefficient C(10, 5) = 252 at n = 2, which
+    # needs 16 bits, and C(20, 10) = 184 756 at n = 4, which needs 32
+    core, sparse = widths_of(monkeypatch, "_bareiss_at"), widths_of(monkeypatch, "_eliminate_units")
+    d = lp(1, 5, 10, 10, 5, 1)
+    rows = [{i: d} for i in range(n)]
+    det = laurent_det_up_to_units(rows)
+    assert det == reference_det(rows).normalized()
+    assert det.co[5 * n // 2] == middle
+    assert sparse == [8] and core == widths
+
+
+def test_core_widens_where_only_the_quotient_outgrows_the_digits(monkeypatch):
+    # the determinant, the last quotient, has the coefficient -132; the last
+    # numerator's bound is 119, so only the quotient's bound, max|q| l1(p)
+    # with the previous pivot p = 1 - t, finds one-byte digits too narrow
+    core = widths_of(monkeypatch, "_bareiss_at")
+    tri = lp(1, 1, 1)
+    mat = [[lp(1, -1), lp(1), lp(-1)],
+           [tri * tri * tri * tri, lp(1), lp(1, -2, 1)],
+           [Laurent.zero(), tri * tri, lp(-1)]]
+    det = lp(*invariants._bareiss([[(e.lo, e.co) if e else None for e in row] for row in mat]))
+    assert det.normalized() == reference_bareiss(mat).normalized()
+    assert min(det.co) == -132 and core == [1, 2]
+
+
+def test_unit_pivot_chain_widens_past_eight_byte_digits(monkeypatch):
+    # rows e_i + (1+t) e_(i+1), i < 69, and (1+t) e_0: each unit pivot
+    # multiplies the last row's entry by 1 + t, so its tracked bound passes
+    # 2^63 and so does (1+t)^70's coefficient C(70, 35)
+    sparse = widths_of(monkeypatch, "_eliminate_units")
+    p = lp(1, 1)
+    rows = [{i: Laurent.one(), i + 1: p} for i in range(69)] + [{0: p}]
+    expect = Laurent.one()
+    for _ in range(70):
+        expect = expect * p
+    assert max(expect.co) > 2**63
+    assert laurent_det_up_to_units(rows) == expect
+    assert sparse == [8, 16]
+
+
+def test_inexact_fraction_free_division_is_internal(monkeypatch):
+    # by Sylvester's identity every Bareiss division is exact: a remainder
+    # is a bug in satkit, not a property of the input
+    d = lp(1, 1)
+    rows = [{0: d, 1: lp(0, 1, 1)}, {0: lp(2, 0, 1), 1: d}]
+    assert laurent_det_up_to_units(rows) == reference_det(rows).normalized()
+    monkeypatch.setattr(invariants, "divmod", lambda x, y: (x // y, 1), raising=False)
+    with pytest.raises(InternalError, match="inexact"):
+        laurent_det_up_to_units(rows)
+
+
 def test_alexander_independent_of_companion_labels():
     # the sparse elimination's pivot order follows edge labels; the
     # polynomial of the 211-crossing cable(4,5) satellite of T(2,7) must not
@@ -427,6 +645,6 @@ def test_unit_pivoting_leaves_the_same_dense_core(monkeypatch):
     sizes = []
     bareiss = invariants._bareiss
     monkeypatch.setattr(invariants, "_bareiss", lambda m: sizes.append(len(m)) or bareiss(m))
-    for (p, q), k in (((4, 5), 5), ((3, 4), 7)):
+    for (p, q), k in (((4, 5), 5), ((3, 4), 7), ((5, 6), 9)):
         alexander_poly.__wrapped__(satellite(cable_pattern(p, q), torus_knot(2, k)))
-    assert sizes == [11, 8]
+    assert sizes == [11, 8, 14]
