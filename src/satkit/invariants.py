@@ -24,12 +24,6 @@ from .patterns import satellite, winding_number
 
 # -- Laurent polynomials -----------------------------------------------------
 
-# Products of at most this many term pairs use the schoolbook loop; larger
-# ones go through one big-integer product, which costs more to set up but
-# far less per term pair.  Measured with word-packed digits (CPython 3.11,
-# 2-CPU Xeon): a single product breaks even at about 60-100 pairs.
-_SCHOOLBOOK_PAIRS = 100
-
 
 def _raw(lo, co):
     """Laurent from a low exponent and a coefficient tuple whose first and
@@ -55,62 +49,13 @@ def _max_abs(co):
     return max(max(co), -min(co))
 
 
-def _digit_bytes(bound):
-    """Bytes per packed digit so that every |digit| <= bound lies below half
-    the digit's range: 8 kb - 1 >= bits(bound).  Up to 8 bytes the width is
-    rounded up to a machine word (1, 2, 4 or 8 bytes), which ``struct``
-    packs in C."""
-    kb = bound.bit_length() // 8 + 1
-    return kb if kb > 8 else 1 << (kb - 1).bit_length()
-
-
-_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-@lru_cache(maxsize=1024)
-def _bias(n, kb):
-    """Half of each digit's range, in each of n digits of kb bytes."""
-    return int.from_bytes((b"\0" * (kb - 1) + b"\x80") * n, "little")
-
-
-def _pack(co, kb):
-    """The polynomial with coefficients co evaluated at t = 2^(8 kb).
-
-    At a word width the digits are packed as signed little-endian words;
-    flipping each word's top bit (XOR with the bias) turns its two's
-    complement into v + half, the byte loop's biased digit."""
-    bias = _bias(len(co), kb)
-    code = _WORD_CODES.get(kb)
-    if code:
-        biased = int.from_bytes(struct.pack(f"<{len(co)}{code}", *co), "little") ^ bias
-    else:
-        half = 1 << (8 * kb - 1)
-        biased = int.from_bytes(b"".join([(v + half).to_bytes(kb, "little") for v in co]), "little")
-    return biased - bias
-
-
-def _unpack(x, n, kb):
-    """The n balanced base-2^(8 kb) digits of x, lowest first, as a tuple.
-    Raises OverflowError when x has no such n-digit expansion."""
-    bias = _bias(n, kb)
-    code = _WORD_CODES.get(kb)
-    if code:
-        return struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * kb, "little"))
-    half = 1 << (8 * kb - 1)
-    bs = (x + bias).to_bytes(n * kb, "little")
-    return tuple([int.from_bytes(bs[i:i + kb], "little") - half for i in range(0, n * kb, kb)])
-
-
 class Laurent:
     """Integer Laurent polynomial in one variable.
 
     Stored as the lowest exponent ``lo`` and the coefficients ``co`` of
     t^lo, t^(lo+1), ..., with no zero at either end; zero is ``(0, ())``.
-    Products of longer polynomials go through one big-integer product at
-    t = 2^k (Kronecker substitution), with k taken from a bound that makes
-    the unpacked digits the coefficients.  Digits of 1, 2, 4 or 8 bytes
-    (every bound below 2^63 is rounded up to one) are packed and unpacked
-    as machine words by ``struct``; wider ones byte by byte.
+    Products are schoolbook: the determinant, which does the heavy
+    arithmetic, works on packed integers instead (see below).
     """
 
     __slots__ = ("lo", "co")
@@ -185,16 +130,11 @@ class Laurent:
         if len(a) == 1:
             s = a[0]
             return _raw(lo, b if s == 1 else tuple([s * v for v in b]))
-        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-            return _raw(lo, tuple(out))
-        # every product coefficient is a sum of len(a) terms |x y|
-        kb = _digit_bytes(_max_abs(a) * _max_abs(b) * len(a))
-        prod = _pack(a, kb) * _pack(b, kb)
-        return _raw(lo, _unpack(prod, len(a) + len(b) - 1, kb))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return _raw(lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -263,28 +203,81 @@ def fox_row_abelian(word, ngens):
 
 # -- determinants of sparse Laurent matrices ----------------------------------
 
+
+def _digit_bytes(bound):
+    """Bytes per packed digit so that every |digit| <= bound lies below half
+    the digit's range: 8 kb - 1 >= bits(bound).  Up to 8 bytes the width is
+    rounded up to a machine word (1, 2, 4 or 8 bytes), which ``struct``
+    packs in C."""
+    kb = bound.bit_length() // 8 + 1
+    return kb if kb > 8 else 1 << (kb - 1).bit_length()
+
+
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+@lru_cache(maxsize=1024)
+def _bias(n, kb):
+    """Half of each digit's range, in each of n digits of kb bytes."""
+    return int.from_bytes((b"\0" * (kb - 1) + b"\x80") * n, "little")
+
+
+def _pack(co, kb):
+    """The polynomial with coefficients co evaluated at t = 2^(8 kb).
+
+    At a word width the digits are packed as signed little-endian words;
+    flipping each word's top bit (XOR with the bias) turns its two's
+    complement into v + half, the byte loop's biased digit."""
+    bias = _bias(len(co), kb)
+    code = _WORD_CODES.get(kb)
+    if code:
+        biased = int.from_bytes(struct.pack(f"<{len(co)}{code}", *co), "little") ^ bias
+    else:
+        half = 1 << (8 * kb - 1)
+        biased = int.from_bytes(b"".join([(v + half).to_bytes(kb, "little") for v in co]), "little")
+    return biased - bias
+
+
+def _unpack(x, n, kb):
+    """The n balanced base-2^(8 kb) digits of x, lowest first, as a tuple.
+    Raises OverflowError when x has no such n-digit expansion."""
+    bias = _bias(n, kb)
+    code = _WORD_CODES.get(kb)
+    if code:
+        return struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * kb, "little"))
+    half = 1 << (8 * kb - 1)
+    bs = (x + bias).to_bytes(n * kb, "little")
+    return tuple([int.from_bytes(bs[i:i + kb], "little") - half for i in range(0, n * kb, kb)])
+
+
 # Both elimination phases hold a nonzero entry t^lo (c_0 + c_1 t + ...), c_0
 # != 0, as a tuple (lo, x, top, l1) at a digit width of W = 8 kb bits:
 # x = c_0 + c_1 2^W + ..., the polynomial at t = 2^W with its low zero digits
 # stripped, and bounds top >= max|c_i| and l1 >= sum |c_i|.  The integer is
 # exact at any width; its digits are the coefficients, and zero, unit and
-# low exponent can be read off it, only while top < 2^(W-1).  A product's
-# coefficients are bounded by min(top_a l1_b, top_b l1_a), a difference's
-# by the sum of both bounds; when a bound reaches 2^(W-1), the phase starts
-# again at twice the width.  A failed bound is never tightened from the
-# digits: past 2^(W-1) they prove nothing.
+# low exponent can be read off it, only while top < 2^(W-1), and every
+# stored entry has passed that check.  A product's coefficients are bounded
+# by min(top_a l1_b, top_b l1_a), a difference's by the sum of both bounds.
+# When an update's bound reaches 2^(W-1), the sparse phase first bounds its
+# operands by their digits, which are exact.  A bound that still fails
+# repacks the stored entries at twice the width (``_widened``) and the
+# update goes on there; nothing already computed is recomputed.  A failed
+# result is never tightened from its own digits: past 2^(W-1) they prove
+# nothing.
 
 
 class _TooNarrow(Exception):
-    """A coefficient bound reached half the digit range."""
+    """A coefficient bound in the dense core reached half the digit range."""
+
+
+def _norms(co):
+    """max|c| and sum |c| over the coefficients co."""
+    return _max_abs(co), sum(map(abs, co))
 
 
 def _entry(lo, co, kb):
     """The packed entry of the polynomial t^lo (co[0] + co[1] t + ...)."""
-    top = _max_abs(co)
-    if top >> (8 * kb - 1):
-        raise _TooNarrow
-    return lo, _pack(co, kb), top, sum(map(abs, co))
+    return (lo, _pack(co, kb), *_norms(co))
 
 
 def _digits(x, kb):
@@ -293,17 +286,16 @@ def _digits(x, kb):
     return _unpack(x, x.bit_length() // (8 * kb) + 1, kb)
 
 
-def _widening(phase, arg, kb):
-    """phase(arg, kb), started again at twice the width while a bound fails."""
-    while True:
-        try:
-            return phase(arg, kb)
-        except _TooNarrow:
-            kb *= 2
+def _widened(e, kb):
+    """A stored entry at kb-byte digits, repacked at twice the width: it
+    passed its check, so its digits are its coefficients."""
+    lo, x, top, l1 = e
+    return lo, _pack(_digits(x, kb), 2 * kb), top, l1
 
 
-def _eliminate_units(rows, kb):
-    """Eliminate unit pivots at kb-byte digits.
+def _eliminate_units(rows):
+    """Eliminate unit pivots, at 8-byte digits or wider if a coefficient
+    needs it, widening in place when a bound fails.
 
     Returns None when a row empties (the determinant is zero), else the
     dense core left over, as rows of (lo, co) entries with None for zero.
@@ -311,6 +303,7 @@ def _eliminate_units(rows, kb):
     (row entries - 1) * (column entries - 1), the first such entry in
     row order and then in the row's own column order.
     """
+    kb = max(8, _digit_bytes(max((_max_abs(v.co) for r in rows for v in r.values()), default=0)))
     w = 8 * kb
     rows = [{c: _entry(v.lo, v.co, kb) for c, v in r.items()} for r in rows]
     live = set(range(len(rows)))
@@ -354,8 +347,9 @@ def _eliminate_units(rows, kb):
         modified = col_rows[pc] - {pi}
         for i in modified:
             row = rows[i]
-            # minus the factor row[pc] / pivot: row[pc]'s integer up to sign
-            flo, fx, ftop, fl1 = row.pop(pc)
+            # minus the factor row[pc] / pivot: row[pc]'s integer up to sign;
+            # row[pc] stays stored, and so repacked, until the row is done
+            flo, fx, ftop, fl1 = row[pc]
             flo -= plo
             if px == 1:
                 fx = -fx
@@ -368,7 +362,27 @@ def _eliminate_units(rows, kb):
                     alo, ax, atop, al1 = cur
                     top, l1 = top + atop, l1 + al1
                 if top >> (w - 1):
-                    raise _TooNarrow
+                    # the operands passed their checks: bound them by their digits
+                    ftop, fl1 = _norms(_digits(fx, kb))
+                    vtop, vl1 = _norms(_digits(vx, kb))
+                    top, l1 = min(ftop * vl1, vtop * fl1), fl1 * vl1
+                    if cur is not None:
+                        atop, al1 = _norms(_digits(ax, kb))
+                        top, l1 = top + atop, l1 + al1
+                    if top >> (w - 1):
+                        # true growth: repack every live row at twice the
+                        # width until the bound holds, and read the operands
+                        # (and the rest of the pivot row, in place) from them
+                        while top >> (w - 1):
+                            for r in live:
+                                rows[r] = {c2: _widened(e, kb) for c2, e in rows[r].items()}
+                            kb, w = 2 * kb, 2 * w
+                        row = rows[i]
+                        pivot_row[:] = [(c2, rows[pi][c2]) for c2, _ in pivot_row]
+                        fx, vx = -px * row[pc][1], rows[pi][c][1]
+                        x = fx * vx
+                        if cur is not None:
+                            ax = row[c][1]
                 if cur is None:
                     col_rows[c].add(i)
                 elif alo > lo:
@@ -385,6 +399,7 @@ def _eliminate_units(rows, kb):
                     x >>= w * strip
                     lo += strip
                 row[c] = lo, x, top, l1
+            del row[pc]
             col_rows[pc].discard(i)
             if not row:
                 return None
@@ -415,21 +430,73 @@ def _eliminate_units(rows, kb):
     return core
 
 
-def _bareiss_at(mat, kb):
-    """Fraction-free elimination at kb-byte digits; the determinant's
-    coefficients up to a unit, () for zero.
+def _bareiss_row(pivot_row, row, k, prev, kb):
+    """``row`` after step k of fraction-free elimination at kb-byte digits,
+    as a new list: entry j > k becomes (a b - c d) / p, with a = row[j],
+    b = pivot_row[k], c = row[k], d = pivot_row[j] and p = prev, the
+    previous pivot.  Raises _TooNarrow when a bound fails."""
+    w = 8 * kb
+    n = len(row)
+    blo, bx, btop, bl1 = pivot_row[k]
+    plo, px, ptop, pl1 = prev
+    c = row[k]
+    out = [None] * n
+    for j in range(k + 1, n):
+        a, d = row[j], pivot_row[j]
+        if c is None or d is None:
+            if a is None:
+                continue
+            lo, x, top = a[0] + blo, a[1] * bx, min(a[2] * bl1, btop * a[3])
+        else:
+            clo, cx, ctop, cl1 = c
+            dlo, dx, dtop, dl1 = d
+            lo, x, top = clo + dlo, -cx * dx, min(ctop * dl1, dtop * cl1)
+            if a is not None:
+                alo, ax, atop, al1 = a
+                top += min(atop * bl1, btop * al1)
+                if alo + blo > lo:
+                    x += ax * bx << w * (alo + blo - lo)
+                else:
+                    x, lo = ax * bx + (x << w * (lo - alo - blo)), alo + blo
+        if top >> (w - 1):
+            raise _TooNarrow
+        if not x:
+            continue
+        strip = ((x & -x).bit_length() - 1) // w
+        x, r = divmod(x >> w * strip, px)
+        if r:
+            raise InternalError("fraction-free elimination met an inexact division")
+        try:
+            qtop, ql1 = _norms(_digits(x, kb))
+        except OverflowError:
+            raise _TooNarrow from None
+        if min(qtop * pl1, ptop * ql1) >> (w - 1):
+            raise _TooNarrow
+        out[j] = lo + strip - plo, x, qtop, ql1
+    return out
+
+
+def _bareiss(mat):
+    """The determinant's coefficients, up to a unit, of a dense square
+    matrix of (lo, co) entries (None for zero), () for zero: fraction-free
+    elimination from the digit width of the largest coefficient.
 
     Each new entry is (a b - c d) / p, p the previous pivot, and Sylvester's
     identity makes it a polynomial.  Below 2^(W-1) the numerator's digits
     are its coefficients, so the quotient divides exactly as integers; and
     once the quotient's digits q satisfy max|q| l1(p) < 2^(W-1) (or
     max|p| l1(q)), q p and the numerator have the same digits, so q is the
-    quotient polynomial.
+    quotient polynomial.  When a bound fails at step k, row i, the rows k
+    to n - 1 and the previous pivot are repacked at twice the width and
+    step k goes on at row i: the rows above it are done, and row i is
+    left as it was until all of it passes.
     """
-    w = 8 * kb
+    if not mat:
+        return (1,)
     n = len(mat)
+    kb = _digit_bytes(max(_max_abs(e[1]) for row in mat for e in row if e))
     m = [[e and _entry(*e, kb) for e in row] for row in mat]
-    plo, px, ptop, pl1 = 0, 1, 1, 1
+    prev = 0, 1, 1, 1
     for k in range(n - 1):
         if m[k][k] is None:
             for i in range(k + 1, n):
@@ -438,60 +505,19 @@ def _bareiss_at(mat, kb):
                     break
             else:
                 return ()
-        pivot_row = m[k]
-        blo, bx, btop, bl1 = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            c = row[k]
-            for j in range(k + 1, n):
-                # (a b - c d) / p: a = row[j], b the pivot, d = pivot_row[j]
-                a, d = row[j], pivot_row[j]
-                if c is None or d is None:
-                    if a is None:
-                        continue
-                    lo, x, top = a[0] + blo, a[1] * bx, min(a[2] * bl1, btop * a[3])
-                else:
-                    clo, cx, ctop, cl1 = c
-                    dlo, dx, dtop, dl1 = d
-                    lo, x, top = clo + dlo, -cx * dx, min(ctop * dl1, dtop * cl1)
-                    if a is not None:
-                        alo, ax, atop, al1 = a
-                        top += min(atop * bl1, btop * al1)
-                        if alo + blo > lo:
-                            x += ax * bx << w * (alo + blo - lo)
-                        else:
-                            x, lo = ax * bx + (x << w * (lo - alo - blo)), alo + blo
-                if top >> (w - 1):
-                    raise _TooNarrow
-                if not x:
-                    row[j] = None
-                    continue
-                strip = ((x & -x).bit_length() - 1) // w
-                x, r = divmod(x >> w * strip, px)
-                if r:
-                    raise InternalError("fraction-free elimination met an inexact division")
-                try:
-                    co = _digits(x, kb)
-                except OverflowError:
-                    raise _TooNarrow from None
-                qtop, ql1 = _max_abs(co), sum(map(abs, co))
-                if min(qtop * pl1, ptop * ql1) >> (w - 1):
-                    raise _TooNarrow
-                row[j] = lo + strip - plo, x, qtop, ql1
-            row[k] = None
-        plo, px, ptop, pl1 = pivot_row[k]
+        i = k + 1
+        while i < n:
+            try:
+                m[i] = _bareiss_row(m[k], m[i], k, prev, kb)
+            except _TooNarrow:
+                m[k:] = [[e and _widened(e, kb) for e in row] for row in m[k:]]
+                prev = _widened(prev, kb)
+                kb *= 2
+            else:
+                i += 1
+        prev = m[k][k]
     det = m[n - 1][n - 1]
     return _digits(det[1], kb) if det else ()
-
-
-def _bareiss(mat):
-    """The determinant's coefficients, up to a unit, of a dense square
-    matrix of (lo, co) entries (None for zero): fraction-free elimination
-    at the digit width of the largest coefficient, restarted at twice the
-    width while a bound fails."""
-    if not mat:
-        return (1,)
-    return _widening(_bareiss_at, mat, _digit_bytes(max(_max_abs(e[1]) for row in mat for e in row if e)))
 
 
 def laurent_det_up_to_units(rows):
@@ -499,13 +525,14 @@ def laurent_det_up_to_units(rows):
     matrix.
 
     ``rows`` is a list of {column: Laurent}.  Unit entries are eliminated
-    first, which keeps Wirtinger-style matrices sparse, at 8-byte digits
-    (restarted at twice the width while a bound fails); whatever dense core
-    remains goes through fraction-free elimination.
+    first, which keeps Wirtinger-style matrices sparse, at 8-byte digits;
+    whatever dense core remains goes through fraction-free elimination from
+    the width of its largest coefficient.  Each phase runs once: a failed
+    bound widens the digits of the entries it holds, in place.
     """
     if len(rows) != len({c for r in rows for c in r}) or not all(rows):
         return Laurent.zero()
-    core = _widening(_eliminate_units, rows, 8)
+    core = _eliminate_units(rows)
     if core is None:
         return Laurent.zero()
     return _raw(0, _bareiss(core)).normalized()

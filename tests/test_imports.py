@@ -21,8 +21,11 @@ per-type function.  Outside ``groups.py``, ``src/satkit`` and ``scripts``
 never read ``todd_coxeter``: only ``strong_winding_check`` enumerates
 cosets.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
 ``to_bytes``, ``from_bytes`` or a ``struct`` packing function: one packing
-path.  A function-level import in ``src/satkit`` closes a cycle among
-the top-level imports; every other import sits at the top of its file.
+path.  Only ``_entry`` and ``_widened`` call ``_pack``, and only
+``_digits`` calls ``_unpack``; ``_widened`` packs ``_digits(...)`` and
+holds no loop: one repacking path.  A function-level import in
+``src/satkit`` closes a cycle among the top-level imports; every other
+import sits at the top of its file.
 Every import in ``src/satkit`` is relative or names a module of the
 standard library (``sys.stdlib_module_names``).  Every
 ``functools.lru_cache`` in ``src/satkit`` is called with an integer
@@ -630,6 +633,66 @@ def test_one_packing_path():
         found += [f"{path.name}:{line} in {scope}: {text}"
                   for line, scope, text in _packing_reads(ast.parse(path.read_text()))]
     assert not found, "byte or struct packing outside _pack, _unpack and _bias:\n" + "\n".join(found)
+
+
+# Which function may call each packer: input coefficients are packed in
+# ``_entry``, stored entries repacked at a new width in ``_widened``, and
+# packed integers read back to digits in ``_digits`` alone.
+_PACKER_CALLERS = {"_pack": {"_entry", "_widened"}, "_unpack": {"_digits"}}
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _repacking_faults(tree):
+    """(line, scope, source) for every call of ``_pack`` or ``_unpack`` from
+    a function other than its ``_PACKER_CALLERS``, every ``_pack`` call in
+    ``_widened`` that packs anything but a ``_digits(...)`` call, and every
+    loop or comprehension in ``_widened``: repacking at a new width reads
+    an entry's digits through ``_digits`` and packs them through ``_pack``,
+    with no digit loop of its own."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            callee = getattr(child.func, "id", None) if isinstance(child, ast.Call) else None
+            if callee in _PACKER_CALLERS and scope not in _PACKER_CALLERS[callee]:
+                found.append((child.lineno, scope, ast.unparse(child)))
+            elif scope == "_widened" and (
+                    isinstance(child, _LOOPS)
+                    or callee == "_pack" and not (isinstance(child.args[0], ast.Call)
+                                                  and getattr(child.args[0].func, "id", None) == "_digits")):
+                found.append((child.lineno, scope, ast.unparse(child)))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_checker_flags_repacking_outside_digits_and_pack():
+    src = (
+        "def _entry(lo, co, kb):\n    return lo, _pack(co, kb)\n"
+        "def _digits(x, kb):\n    return _unpack(x, 3, kb)\n"
+        "def _widened(e, kb):\n    return _pack(_digits(e, kb), 2 * kb)\n"
+        "def _bareiss(m, kb):\n    return [_pack(_digits(x, kb), 2 * kb) for x in m], _unpack(m, 2, kb)\n"
+        "def _widened(e, kb):\n"
+        "    co = [e >> 8 * kb * i & 255 for i in range(4)]\n"
+        "    return _pack(co, 2 * kb)\n"
+    )
+    assert _repacking_faults(ast.parse(src)) == [
+        (8, "_bareiss", "_pack(_digits(x, kb), 2 * kb)"), (8, "_bareiss", "_unpack(m, 2, kb)"),
+        (10, "_widened", "[e >> 8 * kb * i & 255 for i in range(4)]"), (11, "_widened", "_pack(co, 2 * kb)"),
+    ]
+
+
+def test_one_repacking_path():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line} in {scope}: {text}"
+                  for line, scope, text in _repacking_faults(ast.parse(path.read_text()))]
+    assert not found, "packing or repacking outside _entry, _widened and _digits:\n" + "\n".join(found)
+
 
 def _relative_imports(nodes, modules):
     """The modules among ``modules`` that these import statements name."""

@@ -13,6 +13,8 @@ from satkit.catalog import (
     braid_closure,
     cable_pattern,
     core_pattern,
+    corpus_knots,
+    corpus_patterns,
     double_kink_unknot,
     figure_eight,
     positive_kink_unknot,
@@ -492,6 +494,7 @@ def test_determinant_of_sum_with_inverse_is_square():
 
 def test_laurent_det_small():
     one, t = Laurent.one(), Laurent.t()
+    assert laurent_det_up_to_units([]) == one
     rows = [{0: one, 1: t}, {1: one}]
     assert equal_up_to_units(laurent_det_up_to_units(rows), one)
     rows = [{0: t + one}, ]
@@ -557,12 +560,54 @@ def test_kernel_matches_the_laurent_reference(rows):
     assert laurent_det_up_to_units(rows) == reference_det(rows).normalized()
 
 
-def widths_of(monkeypatch, name):
-    """The digit widths, in bytes, each call of the kernel phase ``name`` runs at."""
-    widths = []
-    phase = getattr(invariants, name)
-    monkeypatch.setattr(invariants, name, lambda m, kb: widths.append(kb) or phase(m, kb))
-    return widths
+def phase_runs(monkeypatch):
+    """Watch the kernel phases ``_eliminate_units`` and ``_bareiss``.
+
+    Returns {phase name: [one record per call]}.  A record holds ``inputs``,
+    the nonzero entries the call was given; ``packed``, the entries it
+    packed from its inputs (``_entry``); ``widths``, the digit widths in
+    bytes it held them at, the one it packed at and then each one it widened
+    to (``_widened``); and ``digits``, its reads of an entry's digits."""
+    calls = {"_eliminate_units": [], "_bareiss": []}
+    running = []
+    for name, runs in calls.items():
+        phase = getattr(invariants, name)
+
+        def traced(mat, phase=phase, runs=runs):
+            entries = [e for row in mat for e in (row.values() if isinstance(row, dict) else row)]
+            runs.append({"inputs": sum(e is not None for e in entries), "packed": 0, "widths": [], "digits": 0})
+            running.append(runs[-1])
+            try:
+                return phase(mat)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(invariants, name, traced)
+
+    def held_at(kb):
+        if running and running[-1]["widths"][-1:] != [kb]:
+            running[-1]["widths"].append(kb)
+
+    entry, widened, digits = invariants._entry, invariants._widened, invariants._digits
+
+    def traced_entry(lo, co, kb):
+        held_at(kb)
+        running[-1]["packed"] += 1
+        return entry(lo, co, kb)
+
+    def traced_widened(e, kb):
+        held_at(2 * kb)
+        return widened(e, kb)
+
+    def traced_digits(x, kb):
+        if running:
+            running[-1]["digits"] += 1
+        return digits(x, kb)
+
+    monkeypatch.setattr(invariants, "_entry", traced_entry)
+    monkeypatch.setattr(invariants, "_widened", traced_widened)
+    monkeypatch.setattr(invariants, "_digits", traced_digits)
+    return calls
 
 
 @pytest.mark.parametrize("n, widths, middle", [(2, [1, 2], 252), (4, [1, 2, 4], 184_756)])
@@ -571,34 +616,54 @@ def test_dense_core_widens_until_its_bounds_hold(monkeypatch, n, widths, middle)
     # coefficients (at most 10) fit one-byte digits; its determinant
     # (1+t)^(5n) has the middle coefficient C(10, 5) = 252 at n = 2, which
     # needs 16 bits, and C(20, 10) = 184 756 at n = 4, which needs 32
-    core, sparse = widths_of(monkeypatch, "_bareiss_at"), widths_of(monkeypatch, "_eliminate_units")
+    runs = phase_runs(monkeypatch)
     d = lp(1, 5, 10, 10, 5, 1)
     rows = [{i: d} for i in range(n)]
     det = laurent_det_up_to_units(rows)
     assert det == reference_det(rows).normalized()
     assert det.co[5 * n // 2] == middle
-    assert sparse == [8] and core == widths
+    (sparse,), (core,) = runs["_eliminate_units"], runs["_bareiss"]
+    assert sparse["widths"] == [8] and core["widths"] == widths
+    assert sparse["packed"] == core["packed"] == n
 
 
 def test_core_widens_where_only_the_quotient_outgrows_the_digits(monkeypatch):
     # the determinant, the last quotient, has the coefficient -132; the last
     # numerator's bound is 119, so only the quotient's bound, max|q| l1(p)
     # with the previous pivot p = 1 - t, finds one-byte digits too narrow
-    core = widths_of(monkeypatch, "_bareiss_at")
+    runs = phase_runs(monkeypatch)
     tri = lp(1, 1, 1)
     mat = [[lp(1, -1), lp(1), lp(-1)],
            [tri * tri * tri * tri, lp(1), lp(1, -2, 1)],
            [Laurent.zero(), tri * tri, lp(-1)]]
     det = lp(*invariants._bareiss([[(e.lo, e.co) if e else None for e in row] for row in mat]))
     assert det.normalized() == reference_bareiss(mat).normalized()
-    assert min(det.co) == -132 and core == [1, 2]
+    assert min(det.co) == -132 and [run["widths"] for run in runs["_bareiss"]] == [[1, 2]]
+
+
+def test_core_widens_in_place_and_goes_on_at_the_failed_row(monkeypatch):
+    # the rows swap (no pivot in column 0), so step 1 divides by the pivot
+    # 3 + 3t, a two-digit integer; at step 1 row 2 fits one-byte digits and
+    # row 3 does not.  Rows 1 to 3 and that pivot are repacked at two bytes
+    # and step 1 goes on at row 3: row 2, already eliminated, is not
+    # eliminated again, and each input entry is packed once
+    runs = phase_runs(monkeypatch)
+    t3 = lp(3, 3)
+    mat = [[Laurent.zero(), lp(-3, 3), lp(1, 2, -1), lp(-1, -3)],
+           [t3, lp(-2, -1), Laurent.zero(), lp(-3, -2, -2)],
+           [Laurent.zero(), Laurent.zero(), Laurent.zero(), lp(2)],
+           [Laurent.zero(), t3, t3, Laurent.zero()]]
+    det = lp(*invariants._bareiss([[(e.lo, e.co) if e else None for e in row] for row in mat]))
+    assert det.normalized() == reference_bareiss(mat).normalized()
+    (core,) = runs["_bareiss"]
+    assert core["widths"] == [1, 2] and core["packed"] == core["inputs"] == 9
 
 
 def test_unit_pivot_chain_widens_past_eight_byte_digits(monkeypatch):
     # rows e_i + (1+t) e_(i+1), i < 69, and (1+t) e_0: each unit pivot
     # multiplies the last row's entry by 1 + t, so its tracked bound passes
     # 2^63 and so does (1+t)^70's coefficient C(70, 35)
-    sparse = widths_of(monkeypatch, "_eliminate_units")
+    runs = phase_runs(monkeypatch)
     p = lp(1, 1)
     rows = [{i: Laurent.one(), i + 1: p} for i in range(69)] + [{0: p}]
     expect = Laurent.one()
@@ -606,7 +671,50 @@ def test_unit_pivot_chain_widens_past_eight_byte_digits(monkeypatch):
         expect = expect * p
     assert max(expect.co) > 2**63
     assert laurent_det_up_to_units(rows) == expect
-    assert sparse == [8, 16]
+    assert [run["widths"] for run in runs["_eliminate_units"]] == [[8, 16]]
+
+
+def test_sparse_bound_lost_to_cancellation_stays_at_eight_bytes(monkeypatch):
+    # rows e_i - (1+t) e_(i+1) + t e_(i+2): eliminating them one by one
+    # sends the last row's entry through a_(i+1) = (1+t) a_i - t a_(i-1),
+    # whose tracked bounds grow like (1 + sqrt 2)^i and pass 2^63 while
+    # a_i = 1 + t + ... + t^i.  Bounding the operands by their digits keeps
+    # the phase at 8 bytes
+    runs = phase_runs(monkeypatch)
+    n, t = 64, Laurent.t()
+    rows = [{i: Laurent.one(), i + 1: -lp(1, 1), i + 2: t} for i in range(n - 2)]
+    rows += [{n - 2: Laurent.one(), n - 1: -lp(1, 1)}, {0: lp(1, 1)}]
+    det = laurent_det_up_to_units(rows)
+    assert det == reference_det(rows).normalized()
+    assert max(map(abs, det.co)) <= 2
+    (sparse,) = runs["_eliminate_units"]
+    core = sum(run["inputs"] for run in runs["_bareiss"])
+    # digits read beyond the dense core handed on: the bound failed and was tightened
+    assert sparse["widths"] == [8] and sparse["digits"] > core
+
+
+# the benchmark's formula ladder: (cable p, q), companion T(2, k)
+LADDER = (((2, 3), 3), ((3, 2), 5), ((3, 4), 7), ((4, 5), 5), ((4, 5), 7), ((5, 6), 9))
+
+
+def test_no_phase_runs_twice_on_the_ladder_or_the_corpus(monkeypatch):
+    # every determinant of the ladder (21 to 429 crossings), the corpus knots
+    # and their satellites by the corpus patterns: each phase packs each input
+    # entry once, the sparse phase stays at 8-byte digits (at 429 crossings
+    # its tracked bound passes 2^63, no true coefficient does), and each
+    # core widens in place, to a wider width each time
+    runs = phase_runs(monkeypatch)
+    knots = [d for _, d in corpus_knots()]
+    diagrams = [satellite(cable_pattern(p, q), torus_knot(2, k)) for (p, q), k in LADDER]
+    diagrams += knots + [satellite(p, d) for _, p in corpus_patterns() for d in knots]
+    for d in diagrams:
+        alexander_poly.__wrapped__(d)
+    sparse, core = runs["_eliminate_units"], runs["_bareiss"]
+    assert len(diagrams) == 303 and len(sparse) == len(core) == 297  # six have no Wirtinger relator
+    assert all(run["packed"] == run["inputs"] for run in sparse + core)
+    assert all(run["widths"] == [8] for run in sparse)
+    assert all(run["widths"] == sorted(set(run["widths"])) for run in core)
+    assert max(len(run["widths"]) for run in core) == 3
 
 
 def test_inexact_fraction_free_division_is_internal(monkeypatch):
