@@ -251,33 +251,29 @@ def _unpack(x, n, kb):
 
 
 # Both elimination phases hold a nonzero entry t^lo (c_0 + c_1 t + ...), c_0
-# != 0, as a tuple (lo, x, top, l1) at a digit width of W = 8 kb bits:
+# != 0, as a tuple (lo, x, l1) at a digit width of W = 8 kb bits:
 # x = c_0 + c_1 2^W + ..., the polynomial at t = 2^W with its low zero digits
-# stripped, and bounds top >= max|c_i| and l1 >= sum |c_i|.  The integer is
-# exact at any width; its digits are the coefficients, and zero, unit and
-# low exponent can be read off it, only while top < 2^(W-1), and every
-# stored entry has passed that check.  A product's coefficients are bounded
-# by min(top_a l1_b, top_b l1_a), a difference's by the sum of both bounds.
+# stripped, and a bound l1 >= sum |c_i|.  The integer is exact at any width;
+# its digits are the coefficients, and zero, unit and low exponent can be
+# read off it, only while every |c_i| < 2^(W-1), and every stored entry has
+# l1 < 2^(W-1).  A product is bounded by l1_a l1_b, a sum by l1_a + l1_b.
 # When an update's bound reaches 2^(W-1), the sparse phase first bounds its
 # operands by their digits, which are exact.  A bound that still fails
 # repacks the stored entries at twice the width (``_widened``) and the
 # update goes on there; nothing already computed is recomputed.  A failed
 # result is never tightened from its own digits: past 2^(W-1) they prove
-# nothing.
+# nothing.  Every stored entry is, up to a unit, a minor of the phase's
+# input, so no correct bound fails past ``_width_limit``.
 
 
 class _TooNarrow(Exception):
-    """A coefficient bound in the dense core reached half the digit range."""
-
-
-def _norms(co):
-    """max|c| and sum |c| over the coefficients co."""
-    return _max_abs(co), sum(map(abs, co))
+    """A coefficient bound in the dense core reached half the digit range;
+    its argument names the check, "numerator" or "quotient"."""
 
 
 def _entry(lo, co, kb):
     """The packed entry of the polynomial t^lo (co[0] + co[1] t + ...)."""
-    return (lo, _pack(co, kb), *_norms(co))
+    return lo, _pack(co, kb), sum(map(abs, co))
 
 
 def _digits(x, kb):
@@ -286,11 +282,29 @@ def _digits(x, kb):
     return _unpack(x, x.bit_length() // (8 * kb) + 1, kb)
 
 
+def _norm(x, kb):
+    """sum |c| over the digits of a packed entry."""
+    return sum(map(abs, _digits(x, kb)))
+
+
 def _widened(e, kb):
-    """A stored entry at kb-byte digits, repacked at twice the width: it
-    passed its check, so its digits are its coefficients."""
-    lo, x, top, l1 = e
-    return lo, _pack(_digits(x, kb), 2 * kb), top, l1
+    """A stored entry at kb-byte digits, repacked at twice the width: its
+    bound is below 2^(W-1), so its digits are its coefficients."""
+    lo, x, l1 = e
+    return lo, _pack(_digits(x, kb), 2 * kb), l1
+
+
+def _width_limit(rows):
+    """Digit width in bits past which no bound of a correct kernel fails,
+    for rows of packed entries (None for zero).
+
+    Each entry a phase stores is, up to a unit, a minor of its input: unit
+    pivots divide only by units, and a Bareiss entry is a minor by
+    Sylvester's identity.  So its sum |c| is at most H, the product over
+    rows of the row's sum of sum |c|, and H < 2^b with b the sum of those
+    row totals' bit lengths.  Every bound checked after tightening is at
+    most 2 H^2 + H < 2^(2b + 2), so below 2^(W-1) once W >= 2b + 3."""
+    return 2 * sum(sum(e[2] for e in row if e).bit_length() for row in rows) + 3
 
 
 def _eliminate_units(rows):
@@ -306,6 +320,7 @@ def _eliminate_units(rows):
     kb = max(8, _digit_bytes(max((_max_abs(v.co) for r in rows for v in r.values()), default=0)))
     w = 8 * kb
     rows = [{c: _entry(v.lo, v.co, kb) for c, v in r.items()} for r in rows]
+    limit = _width_limit([r.values() for r in rows])
     live = set(range(len(rows)))
     live_cols = {c for r in rows for c in r}
 
@@ -349,31 +364,28 @@ def _eliminate_units(rows):
             row = rows[i]
             # minus the factor row[pc] / pivot: row[pc]'s integer up to sign;
             # row[pc] stays stored, and so repacked, until the row is done
-            flo, fx, ftop, fl1 = row[pc]
+            flo, fx, fl1 = row[pc]
             flo -= plo
             if px == 1:
                 fx = -fx
-            for c, (vlo, vx, vtop, vl1) in pivot_row:
+            for c, (vlo, vx, vl1) in pivot_row:
                 # row[c] + (-factor) v; only equal low exponents can cancel
-                lo, x = flo + vlo, fx * vx
-                top, l1 = min(ftop * vl1, vtop * fl1), fl1 * vl1
+                lo, x, l1 = flo + vlo, fx * vx, fl1 * vl1
                 cur = row.get(c)
                 if cur is not None:
-                    alo, ax, atop, al1 = cur
-                    top, l1 = top + atop, l1 + al1
-                if top >> (w - 1):
+                    alo, ax, al1 = cur
+                    l1 += al1
+                if l1 >> (w - 1):
                     # the operands passed their checks: bound them by their digits
-                    ftop, fl1 = _norms(_digits(fx, kb))
-                    vtop, vl1 = _norms(_digits(vx, kb))
-                    top, l1 = min(ftop * vl1, vtop * fl1), fl1 * vl1
-                    if cur is not None:
-                        atop, al1 = _norms(_digits(ax, kb))
-                        top, l1 = top + atop, l1 + al1
-                    if top >> (w - 1):
+                    fl1, vl1 = _norm(fx, kb), _norm(vx, kb)
+                    l1 = fl1 * vl1 + (_norm(ax, kb) if cur is not None else 0)
+                    if l1 >> (w - 1):
                         # true growth: repack every live row at twice the
                         # width until the bound holds, and read the operands
                         # (and the rest of the pivot row, in place) from them
-                        while top >> (w - 1):
+                        while l1 >> (w - 1):
+                            if w >= limit:
+                                raise InternalError("unit elimination's coefficient bound fails past its ceiling")
                             for r in live:
                                 rows[r] = {c2: _widened(e, kb) for c2, e in rows[r].items()}
                             kb, w = 2 * kb, 2 * w
@@ -398,7 +410,7 @@ def _eliminate_units(rows):
                     strip = ((x & -x).bit_length() - 1) // w
                     x >>= w * strip
                     lo += strip
-                row[c] = lo, x, top, l1
+                row[c] = lo, x, l1
             del row[pc]
             col_rows[pc].discard(i)
             if not row:
@@ -424,7 +436,7 @@ def _eliminate_units(rows):
     core = []
     for i in sorted(live):
         dense = [None] * len(colpos)
-        for c, (lo, x, _, _) in rows[i].items():
+        for c, (lo, x, _) in rows[i].items():
             dense[colpos[c]] = lo, _digits(x, kb)
         core.append(dense)
     return core
@@ -437,8 +449,8 @@ def _bareiss_row(pivot_row, row, k, prev, kb):
     previous pivot.  Raises _TooNarrow when a bound fails."""
     w = 8 * kb
     n = len(row)
-    blo, bx, btop, bl1 = pivot_row[k]
-    plo, px, ptop, pl1 = prev
+    blo, bx, bl1 = pivot_row[k]
+    plo, px, pl1 = prev
     c = row[k]
     out = [None] * n
     for j in range(k + 1, n):
@@ -446,20 +458,20 @@ def _bareiss_row(pivot_row, row, k, prev, kb):
         if c is None or d is None:
             if a is None:
                 continue
-            lo, x, top = a[0] + blo, a[1] * bx, min(a[2] * bl1, btop * a[3])
+            lo, x, l1 = a[0] + blo, a[1] * bx, a[2] * bl1
         else:
-            clo, cx, ctop, cl1 = c
-            dlo, dx, dtop, dl1 = d
-            lo, x, top = clo + dlo, -cx * dx, min(ctop * dl1, dtop * cl1)
+            clo, cx, cl1 = c
+            dlo, dx, dl1 = d
+            lo, x, l1 = clo + dlo, -cx * dx, cl1 * dl1
             if a is not None:
-                alo, ax, atop, al1 = a
-                top += min(atop * bl1, btop * al1)
+                alo, ax, al1 = a
+                l1 += al1 * bl1
                 if alo + blo > lo:
                     x += ax * bx << w * (alo + blo - lo)
                 else:
                     x, lo = ax * bx + (x << w * (lo - alo - blo)), alo + blo
-        if top >> (w - 1):
-            raise _TooNarrow
+        if l1 >> (w - 1):
+            raise _TooNarrow("numerator")
         if not x:
             continue
         strip = ((x & -x).bit_length() - 1) // w
@@ -467,12 +479,12 @@ def _bareiss_row(pivot_row, row, k, prev, kb):
         if r:
             raise InternalError("fraction-free elimination met an inexact division")
         try:
-            qtop, ql1 = _norms(_digits(x, kb))
+            ql1 = _norm(x, kb)
         except OverflowError:
-            raise _TooNarrow from None
-        if min(qtop * pl1, ptop * ql1) >> (w - 1):
-            raise _TooNarrow
-        out[j] = lo + strip - plo, x, qtop, ql1
+            raise _TooNarrow("quotient") from None
+        if ql1 * pl1 >> (w - 1):
+            raise _TooNarrow("quotient")
+        out[j] = lo + strip - plo, x, ql1
     return out
 
 
@@ -482,13 +494,13 @@ def _bareiss(mat):
     elimination from the digit width of the largest coefficient.
 
     Each new entry is (a b - c d) / p, p the previous pivot, and Sylvester's
-    identity makes it a polynomial.  Below 2^(W-1) the numerator's digits
-    are its coefficients, so the quotient divides exactly as integers; and
-    once the quotient's digits q satisfy max|q| l1(p) < 2^(W-1) (or
-    max|p| l1(q)), q p and the numerator have the same digits, so q is the
-    quotient polynomial.  When a bound fails at step k, row i, the rows k
-    to n - 1 and the previous pivot are repacked at twice the width and
-    step k goes on at row i: the rows above it are done, and row i is
+    identity makes it a polynomial.  Once l1(a) l1(b) + l1(c) l1(d) <
+    2^(W-1), the numerator's digits are its coefficients, so the quotient
+    divides exactly as integers; and once the quotient's digits q satisfy
+    l1(q) l1(p) < 2^(W-1), q p and the numerator have the same digits, so
+    q is the quotient polynomial.  When a bound fails at step k, row i, the
+    rows k to n - 1 and the previous pivot are repacked at twice the width
+    and step k goes on at row i: the rows above it are done, and row i is
     left as it was until all of it passes.
     """
     if not mat:
@@ -496,7 +508,8 @@ def _bareiss(mat):
     n = len(mat)
     kb = _digit_bytes(max(_max_abs(e[1]) for row in mat for e in row if e))
     m = [[e and _entry(*e, kb) for e in row] for row in mat]
-    prev = 0, 1, 1, 1
+    limit = _width_limit(m)
+    prev = 0, 1, 1
     for k in range(n - 1):
         if m[k][k] is None:
             for i in range(k + 1, n):
@@ -510,6 +523,8 @@ def _bareiss(mat):
             try:
                 m[i] = _bareiss_row(m[k], m[i], k, prev, kb)
             except _TooNarrow:
+                if 8 * kb >= limit:
+                    raise InternalError("fraction-free elimination's coefficient bound fails past its ceiling")
                 m[k:] = [[e and _widened(e, kb) for e in row] for row in m[k:]]
                 prev = _widened(prev, kb)
                 kb *= 2
@@ -527,8 +542,10 @@ def laurent_det_up_to_units(rows):
     ``rows`` is a list of {column: Laurent}.  Unit entries are eliminated
     first, which keeps Wirtinger-style matrices sparse, at 8-byte digits;
     whatever dense core remains goes through fraction-free elimination from
-    the width of its largest coefficient.  Each phase runs once: a failed
-    bound widens the digits of the entries it holds, in place.
+    the width of its largest coefficient.  Both certify their digits by one
+    bound per entry, on sum |c|.  Each phase runs once: a failed bound
+    widens the digits of the entries it holds, in place, and raises
+    InternalError past ``_width_limit``, where no correct bound fails.
     """
     if len(rows) != len({c for r in rows for c in r}) or not all(rows):
         return Laurent.zero()

@@ -87,6 +87,16 @@ def test_round_trip_formats():
     assert (back.diagram.names, back.roles) == (odd_names, ("r[1]", "x\ty,z"))
     assert formats.parse_diagram(formats.serialize(empty_name)).names == ("",)
     assert formats.parse_framed_link(formats.serialize(empty_role)).roles == ("",)
+    # with no C block, components follow strand continuation, each in
+    # consecutive-label order
+    for text, components in (("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]", ((1, 2, 3, 4, 5, 6),)),
+                             ("X[4,1,3,2] X[2,3,1,4]", ((1, 2), (3, 4)))):
+        assert formats.parse_diagram(text).components == components
+    cable = cable_pattern(2, 3)
+    text = formats.serialize(cable)
+    without = re.sub(r" C\[[^]]*\]", "", text)
+    assert "C[" not in without and "CUT[" in without
+    assert formats.serialize(formats.parse_pattern(without)) == text
 
 
 def test_named_components_round_trip():
@@ -508,6 +518,7 @@ def test_corpus_skips_unreadable(tmp_path, capsys):
     d = tmp_path / "corpus3"
     d.mkdir()
     (d / "broken.pd").write_text("X[1,1,1]")
+    (d / "nested.pd").mkdir()  # a subdirectory is no input, whatever its name
     (d / "empty.json").write_text('{"type": "diagram"}')
     (d / "truncated.json").write_text('{"type": "satellite-fixture", "pattern": {')
     k = formats.to_obj(trefoil())

@@ -20,7 +20,7 @@ from satkit.catalog import (
 )
 from satkit import groups
 from code_strategies import relabeled
-from satkit.diagram import connected_sum, unknot
+from satkit.diagram import Diagram, connected_sum, insert_poke, unknot
 from satkit.errors import DomainError, InternalError
 from satkit.groups import (
     EnumerationResult,
@@ -64,6 +64,20 @@ def test_wirtinger_link_rank():
     d = braid_closure(3, [1, 1])  # hopf + split loop
     g = wirtinger(d)
     assert abelianization(g).invariant_factors == (0, 0, 0)
+
+
+def test_wirtinger_component_with_no_under_crossing():
+    # a circle poked over the trefoil passes over at both crossings: its
+    # one arc is the whole component
+    t = trefoil()
+    d = insert_poke(Diagram(t.crossings, t.components + ((99,),)), 1, 99)
+    over = d.components[1]
+    assert all(x[0] not in over and x[2] not in over for x in d.crossings)
+    arc_of_edge, arc_count = groups.arc_data(d)
+    assert len({arc_of_edge[e] for e in over}) == 1
+    g = wirtinger(d)
+    assert g.generator_count == arc_count == 6
+    assert abelianization(g) == AbelianGroup((0, 0))
 
 
 def test_word_rendering():

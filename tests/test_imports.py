@@ -694,6 +694,35 @@ def test_one_repacking_path():
     assert not found, "packing or repacking outside _entry, _widened and _digits:\n" + "\n".join(found)
 
 
+def _max_abs_outside_digit_bytes(tree):
+    """(line, source) for every read of ``_max_abs`` that is not inside an
+    argument of a ``_digit_bytes(...)`` call: the largest coefficient picks
+    a start width, and the elimination loops check sum |c| alone."""
+    inside = {id(node) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_digit_bytes"
+              for arg in call.args + [k.value for k in call.keywords] for node in ast.walk(arg)}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_max_abs"
+                  and isinstance(node.ctx, ast.Load) and id(node) not in inside)
+
+
+def test_checker_flags_max_abs_outside_digit_bytes():
+    src = (
+        "def _max_abs(co):\n    return max(co)\n"
+        "kb = _digit_bytes(max(_max_abs(c) for c in cs))\n"
+        "top = _max_abs(co)\n"
+        "kb = _digit_bytes(bound=_max_abs(co)) + _max_abs(co)\n"
+        "norm = _max_abs\n"
+    )
+    assert _max_abs_outside_digit_bytes(ast.parse(src)) == [(4, "_max_abs"), (5, "_max_abs"), (6, "_max_abs")]
+
+
+def test_one_bound():
+    found = [f"invariants.py:{line} {text}"
+             for line, text in _max_abs_outside_digit_bytes(ast.parse((SRC / "invariants.py").read_text()))]
+    assert not found, "_max_abs read outside a _digit_bytes(...) argument:\n" + "\n".join(found)
+
+
 def _relative_imports(nodes, modules):
     """The modules among ``modules`` that these import statements name."""
     found = set()

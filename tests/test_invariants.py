@@ -190,6 +190,8 @@ def test_laurent_basics():
     assert terms(t * t + t) == {1: 1, 2: 1}
     assert (t - t) == Laurent.zero()
     assert value(lp(1, -1, 1), -1) == 3
+    assert lp(1, 0, -3) * 3 == 3 * lp(1, 0, -3) == lp(3, 0, -9)
+    assert lp(1, 0, -3) * 0 == Laurent.zero()
 
 
 def test_laurent_normalize():
@@ -627,42 +629,66 @@ def test_dense_core_widens_until_its_bounds_hold(monkeypatch, n, widths, middle)
     assert sparse["packed"] == core["packed"] == n
 
 
+def core_steps(monkeypatch):
+    """Watch ``_bareiss_row``: returns a list with (k, digit width in bytes,
+    the check that raised _TooNarrow or None) for each row step."""
+    steps = []
+    step = invariants._bareiss_row
+
+    def traced(pivot_row, row, k, prev, kb):
+        try:
+            out = step(pivot_row, row, k, prev, kb)
+        except invariants._TooNarrow as exc:
+            steps.append((k, kb, exc.args[0]))
+            raise
+        steps.append((k, kb, None))
+        return out
+
+    monkeypatch.setattr(invariants, "_bareiss_row", traced)
+    return steps
+
+
 def test_core_widens_where_only_the_quotient_outgrows_the_digits(monkeypatch):
-    # the determinant, the last quotient, has the coefficient -132; the last
-    # numerator's bound is 119, so only the quotient's bound, max|q| l1(p)
-    # with the previous pivot p = 1 - t, finds one-byte digits too narrow
-    runs = phase_runs(monkeypatch)
-    tri = lp(1, 1, 1)
-    mat = [[lp(1, -1), lp(1), lp(-1)],
-           [tri * tri * tri * tri, lp(1), lp(1, -2, 1)],
-           [Laurent.zero(), tri * tri, lp(-1)]]
+    # at step 1, row 2's numerator is c d with the bound l1(c) l1(d) =
+    # 14 * 8 = 112 < 2^7, so one-byte digits hold it; its quotient q has
+    # l1(q) = 24, and with the previous pivot p = t (2 - 2t + 2t^2),
+    # l1(q) l1(p) = 144 does not fit: only the quotient's check widens
+    runs, steps = phase_runs(monkeypatch), core_steps(monkeypatch)
+    t = Laurent.t()
+    mat = [[t * lp(2, -2, 2), Laurent.t(-1), lp(-1), Laurent.t(-1)],
+           [lp(-1, -1), Laurent.zero(), t * lp(-1), Laurent.zero()],
+           [Laurent.zero(), Laurent.t(-1) * lp(2, 3), Laurent.zero(), Laurent.zero()],
+           [Laurent.zero(), Laurent.t(-1) * lp(-2, -3), Laurent.zero(), t * lp(3, 0, 2)]]
     det = lp(*invariants._bareiss([[(e.lo, e.co) if e else None for e in row] for row in mat]))
     assert det.normalized() == reference_bareiss(mat).normalized()
-    assert min(det.co) == -132 and [run["widths"] for run in runs["_bareiss"]] == [[1, 2]]
+    assert [check for _, _, check in steps if check] == ["quotient"]
+    assert [run["widths"] for run in runs["_bareiss"]] == [[1, 2]]
 
 
 def test_core_widens_in_place_and_goes_on_at_the_failed_row(monkeypatch):
     # the rows swap (no pivot in column 0), so step 1 divides by the pivot
-    # 3 + 3t, a two-digit integer; at step 1 row 2 fits one-byte digits and
-    # row 3 does not.  Rows 1 to 3 and that pivot are repacked at two bytes
-    # and step 1 goes on at row 3: row 2, already eliminated, is not
-    # eliminated again, and each input entry is packed once
-    runs = phase_runs(monkeypatch)
-    t3 = lp(3, 3)
-    mat = [[Laurent.zero(), lp(-3, 3), lp(1, 2, -1), lp(-1, -3)],
-           [t3, lp(-2, -1), Laurent.zero(), lp(-3, -2, -2)],
-           [Laurent.zero(), Laurent.zero(), Laurent.zero(), lp(2)],
-           [Laurent.zero(), t3, t3, Laurent.zero()]]
+    # 1 + 2t - 3t^2, a three-digit integer; at step 1 row 2 fits one-byte
+    # digits and row 3's numerator does not.  Rows 1 to 3 and that pivot
+    # are repacked at two bytes and step 1 goes on at row 3: row 2, already
+    # eliminated, is not eliminated again, and each input entry is packed once
+    runs, steps = phase_runs(monkeypatch), core_steps(monkeypatch)
+    z = Laurent.zero()
+    mat = [[z, lp(-1), z, lp(1, 2)],
+           [lp(1, 2, -3), lp(2, 2), z, lp(3, 1)],
+           [z, z, lp(2, 2), z],
+           [lp(-1, 2), z, lp(-2), lp(1, -2)]]
     det = lp(*invariants._bareiss([[(e.lo, e.co) if e else None for e in row] for row in mat]))
     assert det.normalized() == reference_bareiss(mat).normalized()
+    assert steps == [(0, 1, None)] * 3 + [(1, 1, None), (1, 1, "numerator"), (1, 2, None), (2, 2, None)]
     (core,) = runs["_bareiss"]
     assert core["widths"] == [1, 2] and core["packed"] == core["inputs"] == 9
 
 
 def test_unit_pivot_chain_widens_past_eight_byte_digits(monkeypatch):
     # rows e_i + (1+t) e_(i+1), i < 69, and (1+t) e_0: each unit pivot
-    # multiplies the last row's entry by 1 + t, so its tracked bound passes
-    # 2^63 and so does (1+t)^70's coefficient C(70, 35)
+    # multiplies the last row's entry by 1 + t, so after k pivots its
+    # sum |c| is exactly 2^k, and from k = 63 on no tightening brings the
+    # bound below 2^63; (1+t)^70's coefficient C(70, 35) passes 2^63 too
     runs = phase_runs(monkeypatch)
     p = lp(1, 1)
     rows = [{i: Laurent.one(), i + 1: p} for i in range(69)] + [{0: p}]
@@ -677,9 +703,9 @@ def test_unit_pivot_chain_widens_past_eight_byte_digits(monkeypatch):
 def test_sparse_bound_lost_to_cancellation_stays_at_eight_bytes(monkeypatch):
     # rows e_i - (1+t) e_(i+1) + t e_(i+2): eliminating them one by one
     # sends the last row's entry through a_(i+1) = (1+t) a_i - t a_(i-1),
-    # whose tracked bounds grow like (1 + sqrt 2)^i and pass 2^63 while
-    # a_i = 1 + t + ... + t^i.  Bounding the operands by their digits keeps
-    # the phase at 8 bytes
+    # whose tracked bounds on sum |c| grow like (1 + sqrt 2)^i and pass 2^63
+    # while a_i = 1 + t + ... + t^i has sum |c| = i + 1.  Bounding the
+    # operands by their digits keeps the phase at 8 bytes
     runs = phase_runs(monkeypatch)
     n, t = 64, Laurent.t()
     rows = [{i: Laurent.one(), i + 1: -lp(1, 1), i + 2: t} for i in range(n - 2)]
@@ -691,6 +717,38 @@ def test_sparse_bound_lost_to_cancellation_stays_at_eight_bytes(monkeypatch):
     core = sum(run["inputs"] for run in runs["_bareiss"])
     # digits read beyond the dense core handed on: the bound failed and was tightened
     assert sparse["widths"] == [8] and sparse["digits"] > core
+
+
+def test_sparse_bound_that_never_holds_is_internal(monkeypatch):
+    # the chain above with every operand's digits read as sum |c| = 2^1000:
+    # its rows' sums of sum |c| are 3 (69 rows) and 2, so every entry a
+    # correct phase stores has sum |c| below H = 2^140 and every bound it
+    # checks is below 2^282.  A bound failing at 64-byte digits (2^511) is
+    # a bug: the phase stops there instead of widening without end
+    runs = phase_runs(monkeypatch)
+    monkeypatch.setattr(invariants, "_norm", lambda x, kb: 1 << 1000)
+    p = lp(1, 1)
+    rows = [{i: Laurent.one(), i + 1: p} for i in range(69)] + [{0: p}]
+    with pytest.raises(InternalError, match="ceiling"):
+        laurent_det_up_to_units(rows)
+    assert [run["widths"] for run in runs["_eliminate_units"]] == [[8, 16, 32, 64]]
+
+
+def test_core_bound_that_never_holds_is_internal(monkeypatch):
+    # the core diag(d, d), d = (1+t)^5 with sum |c| = 32: every entry a
+    # correct core stores has sum |c| below H = 2^12 and every bound it
+    # checks is below 2^26.  A bound failing at 4-byte digits (2^31) is a
+    # bug: the core stops there instead of widening without end
+    runs = phase_runs(monkeypatch)
+
+    def never(pivot_row, row, k, prev, kb):
+        raise invariants._TooNarrow("numerator")
+
+    monkeypatch.setattr(invariants, "_bareiss_row", never)
+    d = lp(1, 5, 10, 10, 5, 1)
+    with pytest.raises(InternalError, match="ceiling"):
+        laurent_det_up_to_units([{0: d}, {1: d}])
+    assert [run["widths"] for run in runs["_bareiss"]] == [[1, 2, 4]]
 
 
 # the benchmark's formula ladder: (cable p, q), companion T(2, k)
