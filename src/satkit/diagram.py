@@ -432,9 +432,8 @@ class _Faces:
 
     @property
     def genus(self) -> int:
-        """Total genus over the pieces, each with V - E + F = 2 - 2g and
-        E = 2V, where V is a quarter of the darts."""
-        return len(set(self.piece.values())) - (len(self.walks) - len(self.face) // 4) // 2
+        """Total genus over the pieces (see ``_genus``)."""
+        return _genus(len(set(self.piece.values())), len(self.walks), len(self.face) // 4)
 
     def shared(self, u, v):
         """The (u forward, v forward) walk directions of each face that runs
@@ -445,34 +444,70 @@ class _Faces:
                 if apart or self.face[u, a] == self.face[v, b]]
 
 
-def faces(d: Diagram) -> _Faces:
-    """The face record of ``d``, from one walk over its darts."""
-    crossings = d.crossings
-    occ = _occurrences(crossings)
-    orient = _orient(d)
-    head, comp = orient.edge_head, orient.edge_component
-    walks, face = [], {}
-    for ci in range(len(crossings)):
-        for s in range(4):
-            walk, cur = [], (ci, s)
-            while True:
-                e = crossings[cur[0]][cur[1]]
-                key = e, head[e] != cur
-                if key in face:
-                    break
-                face[key] = len(walks)
-                walk.append((cur, *key))
-                a, b = occ[e]
-                cj, t = b if a == cur else a
-                cur = cj, (t + 1) % 4
-            if walk:
-                walks.append(tuple(walk))
-    # components that cross lie on one piece
+def _genus(pieces, face_count, crossing_count):
+    """Total genus over the pieces, each with V - E + F = 2 - 2g and
+    E = 2V, where V is the crossing count."""
+    return pieces - (face_count - crossing_count) // 2
+
+
+def _face_walks(crossings):
+    """Every face of the combinatorial map, as its darts in walk order.
+
+    Dart 4 ci + s is slot s of crossing ci.  A walk runs from a dart to its
+    partner, the other occurrence of its edge, and turns to the partner's
+    next slot counterclockwise; faces start at the lowest dart not yet
+    walked."""
+    partner = [0] * (4 * len(crossings))
+    first = {}
+    for p, e in enumerate(e for x in crossings for e in x):
+        q = first.pop(e, None)
+        if q is None:
+            first[e] = p
+        else:
+            partner[p], partner[q] = q, p
+    seen = bytearray(len(partner))
+    walks = []
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        walk, p = [], start
+        while not seen[p]:
+            seen[p] = 1
+            walk.append(p)
+            q = partner[p]
+            p = q - (q & 3) + ((q + 1) & 3)
+        walks.append(walk)
+    return walks
+
+
+def _piece_roots(d: Diagram, comp):
+    """Per component, the component naming its connected piece: components
+    that cross lie on one piece."""
     root = list(range(len(d.components)))
-    for x in crossings:
+    for x in d.crossings:
         under, over = root[comp[x[0]]], root[comp[x[1]]]
         if under != over:
             root = [over if r == under else r for r in root]
+    return root
+
+
+def faces(d: Diagram) -> _Faces:
+    """The face record of ``d``, from one walk over its darts
+    (``_face_walks``)."""
+    crossings = d.crossings
+    orient = _orient(d)
+    head, comp = orient.edge_head, orient.edge_component
+    walks, face = [], {}
+    for index, darts in enumerate(_face_walks(crossings)):
+        walk = []
+        for p in darts:
+            dart = p >> 2, p & 3
+            e = crossings[p >> 2][p & 3]
+            forward = head[e] != dart
+            face[e, forward] = index
+            walk.append((dart, e, forward))
+        walks.append(tuple(walk))
+    root = _piece_roots(d, comp)
     return _Faces(tuple(walks), face, {e: root[comp[e]] for e in head})
 
 
@@ -481,9 +516,13 @@ def embedding_genus(d: Diagram) -> int:
 
     Zero for every honestly planar diagram; a positive value means the
     code is virtual (some construction wired strands inconsistently).
-    Read from the face record.
+    Counted from the same dart walk as the face record (``_face_walks``)
+    and the same pieces, without building the record.
     """
-    return faces(d).genus
+    comp = _orient(d).edge_component
+    root = _piece_roots(d, comp)
+    pieces = len({root[comp[x[0]]] for x in d.crossings})
+    return _genus(pieces, len(_face_walks(d.crossings)), len(d.crossings))
 
 
 class _Splice:

@@ -186,19 +186,32 @@ def fox_row_abelian(word, ngens):
     """Abelianized Fox derivatives, every generator sent to t.
 
     Returns {generator index: Laurent}, omitting zero entries, generators
-    in order of first appearance.
+    in order of first appearance.  Each letter adds one term +-t^e; a
+    generator met once is that term.
     """
-    row = {}
+    terms = {}
     tpow = 0
     for x in word:
-        coeffs = row.setdefault(abs(x), {})
         if x > 0:
-            coeffs[tpow] = coeffs.get(tpow, 0) + 1
+            terms.setdefault(x, []).append((tpow, 1))
             tpow += 1
         else:
             tpow -= 1
-            coeffs[tpow] = coeffs.get(tpow, 0) - 1
-    return {g: v for g, coeffs in row.items() if (v := Laurent(coeffs))}
+            terms.setdefault(-x, []).append((tpow, -1))
+    row = {}
+    for g, ts in terms.items():
+        if len(ts) == 1:
+            (e, v), = ts
+            row[g] = _raw(e, (v,))
+            continue
+        lo = min(ts)[0]
+        co = [0] * (max(ts)[0] - lo + 1)
+        for e, v in ts:
+            co[e - lo] += v
+        p = _trimmed(lo, co)
+        if p.co:
+            row[g] = p
+    return row
 
 
 # -- determinants of sparse Laurent matrices ----------------------------------
@@ -222,12 +235,14 @@ def _bias(n, kb):
     return int.from_bytes((b"\0" * (kb - 1) + b"\x80") * n, "little")
 
 
+@lru_cache(maxsize=1024)
 def _pack(co, kb):
     """The polynomial with coefficients co evaluated at t = 2^(8 kb).
 
     At a word width the digits are packed as signed little-endian words;
     flipping each word's top bit (XOR with the bias) turns its two's
-    complement into v + half, the byte loop's biased digit."""
+    complement into v + half, the byte loop's biased digit.  Cached: the
+    entries of a Fox minor repeat a handful of coefficient tuples."""
     bias = _bias(len(co), kb)
     code = _WORD_CODES.get(kb)
     if code:
@@ -317,7 +332,8 @@ def _eliminate_units(rows):
     (row entries - 1) * (column entries - 1), the first such entry in
     row order and then in the row's own column order.
     """
-    kb = max(8, _digit_bytes(max((_max_abs(v.co) for r in rows for v in r.values()), default=0)))
+    # the widest coefficient, read from the distinct coefficient tuples
+    kb = max(8, _digit_bytes(max(map(_max_abs, {v.co for r in rows for v in r.values()}), default=0)))
     w = 8 * kb
     rows = [{c: _entry(v.lo, v.co, kb) for c, v in r.items()} for r in rows]
     limit = _width_limit([r.values() for r in rows])
@@ -325,41 +341,36 @@ def _eliminate_units(rows):
     live_cols = {c for r in rows for c in r}
 
     col_rows = {}
-    for i in live:
-        for c in rows[i]:
+    for i, row in enumerate(rows):
+        for c in row:
             col_rows.setdefault(c, set()).add(i)
-
-    def unit_cols(row):
-        return [c for c, v in row.items() if v[1] == 1 or v[1] == -1]
-
-    def score(i, c):
-        return (len(rows[i]) - 1) * (len(col_rows[c]) - 1)
 
     # units: the unit columns of every live row that has one.  queue: a heap
     # of (score, row, position in units[row], column) holding every such
-    # entry at its current score, beside outdated ones skipped when popped.
-    # A step changes only the rows it modifies and the counts of the pivot
-    # row's columns, so only their entries are queued again.
+    # entry at its current score (row entries - 1) * (column entries - 1),
+    # beside outdated ones skipped when popped.  A step changes only the
+    # rows it modifies and the counts of the pivot row's columns, so only
+    # their entries are queued again.
     units, queue = {}, []
-
-    def enqueue(i):
-        for pos, c in enumerate(units[i]):
-            heappush(queue, (score(i, c), i, pos, c))
-
-    for i in live:
-        cols = unit_cols(rows[i])
+    for i, row in enumerate(rows):
+        cols = [c for c, v in row.items() if v[1] == 1 or v[1] == -1]
         if cols:
             units[i] = cols
-            enqueue(i)
+            n = len(row) - 1
+            for pos, c in enumerate(cols):
+                heappush(queue, (n * (len(col_rows[c]) - 1), i, pos, c))
 
     while queue:
         s, pi, pos, pc = heappop(queue)
         cols = units.get(pi)
-        if cols is None or pos >= len(cols) or cols[pos] != pc or s != score(pi, pc):
+        if (cols is None or pos >= len(cols) or cols[pos] != pc
+                or s != (len(rows[pi]) - 1) * (len(col_rows[pc]) - 1)):
             continue
         plo, px = rows[pi][pc][:2]
         pivot_row = [(c, v) for c, v in rows[pi].items() if c != pc]
-        modified = col_rows[pc] - {pi}
+        # column pc goes with this step: every other row in it is modified
+        modified = col_rows.pop(pc)
+        modified.discard(pi)
         for i in modified:
             row = rows[i]
             # minus the factor row[pc] / pivot: row[pc]'s integer up to sign;
@@ -412,25 +423,29 @@ def _eliminate_units(rows):
                     lo += strip
                 row[c] = lo, x, l1
             del row[pc]
-            col_rows[pc].discard(i)
             if not row:
                 return None
-            units.pop(i, None)
-            cols = unit_cols(row)
+            cols = [c for c, v in row.items() if v[1] == 1 or v[1] == -1]
             if cols:
                 units[i] = cols
+            else:
+                units.pop(i, None)
         live.discard(pi)
         live_cols.discard(pc)
         del units[pi]
-        for c in rows[pi]:
-            col_rows[c].discard(pi)
+        for c, _ in pivot_row:
+            rest = col_rows[c]
+            rest.discard(pi)
+            n = len(rest) - 1
+            for i in rest:
+                if i not in modified and c in units.get(i, ()):
+                    heappush(queue, ((len(rows[i]) - 1) * n, i, units[i].index(c), c))
         for i in modified:
-            if i in units:
-                enqueue(i)
-        for c in rows[pi]:
-            for i in col_rows[c] - modified:
-                if c in units.get(i, ()):
-                    heappush(queue, (score(i, c), i, units[i].index(c), c))
+            cols = units.get(i)
+            if cols:
+                n = len(rows[i]) - 1
+                for pos, c in enumerate(cols):
+                    heappush(queue, (n * (len(col_rows[c]) - 1), i, pos, c))
 
     colpos = {c: j for j, c in enumerate(sorted(live_cols))}
     core = []

@@ -10,6 +10,7 @@ from satkit import diagram
 from satkit.catalog import (
     braid_closure,
     both_strands_operator,
+    cable_pattern,
     pattern_from_braid,
     string_link_from_braid,
     corpus_knots,
@@ -17,6 +18,7 @@ from satkit.catalog import (
     double_kink_unknot,
     figure_eight,
     positive_kink_unknot,
+    torus_knot,
     torus_link,
     trefoil,
 )
@@ -40,7 +42,7 @@ from satkit.diagram import (
     writhe,
 )
 from satkit.errors import DomainError, ValidationError
-from satkit.patterns import Pattern, _pattern_key, to_link
+from satkit.patterns import Pattern, _pattern_key, satellite, to_link
 from satkit.stringlinks import closure, infect, parallel
 
 
@@ -344,6 +346,10 @@ def _check_faces(d):
             assert d.crossings[ci][s] == e
             assert forward == (head[e] != (ci, s))
             assert f.face[e, forward] == index
+        # each step runs along its edge to the other end and turns one slot
+        # counterclockwise there
+        for ((ci, s), e, _), ((cj, t), _, _) in zip(walk, walk[1:] + walk[:1]):
+            assert d.crossings[cj][(t - 1) % 4] == e and (cj, (t - 1) % 4) != (ci, s)
     # the four edges at a crossing lie on one piece
     assert f.piece.keys() == set(edges)
     for x in d.crossings:
@@ -356,6 +362,21 @@ def test_face_record_of_corpus_diagrams():
     for _, p in corpus_patterns():
         diagrams += [p.base, to_link(p)]
     diagrams += [torus_link(2, 2), torus_link(3, 3), unknot(), _split_union(trefoil(), 2)]
+    for d in diagrams:
+        _check_faces(d)
+
+
+def test_face_record_of_ladder_and_corpus_satellites():
+    # the Alexander polynomial's planarity guard runs on these: the six
+    # cabling-formula ladder rungs (21 to 429 crossings), every corpus
+    # satellite, and each corpus knot under a random relabelling
+    ladder = (((2, 3), 3), ((3, 2), 5), ((3, 4), 7), ((4, 5), 5), ((4, 5), 7), ((5, 6), 9))
+    knots = [d for _, d in corpus_knots()]
+    diagrams = [satellite(cable_pattern(p, q), torus_knot(2, k)) for (p, q), k in ladder]
+    diagrams += [satellite(p, d) for _, p in corpus_patterns() for d in knots]
+    rng = random.Random(30)
+    diagrams += [_shuffled(d, rng)[0] for d in knots]
+    assert len(diagrams) == 6 + 264 + 33
     for d in diagrams:
         _check_faces(d)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 from fractions import Fraction
@@ -66,6 +67,18 @@ def value(p, x):
     for the arithmetic."""
     x = Fraction(x)
     return sum((v * x ** (p.lo + i) for i, v in enumerate(p.co)), Fraction(0))
+
+
+# the benchmark's formula ladder: (cable p, q), companion T(2, k)
+LADDER = (((2, 3), 3), ((3, 2), 5), ((3, 4), 7), ((4, 5), 5), ((4, 5), 7), ((5, 6), 9))
+
+
+def ladder_and_corpus():
+    """The ladder's satellites (21 to 429 crossings), the corpus knots and
+    their satellites by the corpus patterns: 303 knot diagrams."""
+    knots = [d for _, d in corpus_knots()]
+    diagrams = [satellite(cable_pattern(p, q), torus_knot(2, k)) for (p, q), k in LADDER]
+    return diagrams + knots + [satellite(p, d) for _, p in corpus_patterns() for d in knots]
 
 
 # -- the Laurent determinant: the reference for the packed kernel --------------
@@ -393,6 +406,23 @@ def test_abelian_group_api():
 # -- Fox calculus ---------------------------------------------------------------
 
 
+def reference_fox_row(word, ngens):
+    """The abelianized Fox row through a dict exponent -> coefficient per
+    generator and ``Laurent.__init__``, as satkit once built it: the
+    reference for ``fox_row_abelian``."""
+    row = {}
+    tpow = 0
+    for x in word:
+        coeffs = row.setdefault(abs(x), {})
+        if x > 0:
+            coeffs[tpow] = coeffs.get(tpow, 0) + 1
+            tpow += 1
+        else:
+            tpow -= 1
+            coeffs[tpow] = coeffs.get(tpow, 0) - 1
+    return {g: v for g, coeffs in row.items() if (v := Laurent(coeffs))}
+
+
 def test_fox_commutator_abelianized():
     # d(h g h^-1 g^-1)/dg abelianizes to t - 1
     row = fox_row_abelian((2, 1, -2, -1), 2)
@@ -411,6 +441,25 @@ def test_fox_product_rule_property(u, v):
     for g in (1, 2):
         expect = du.get(g, Laurent()) + Laurent.t(tu) * dv.get(g, Laurent())
         assert left.get(g, Laurent()) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=12))
+def test_fox_row_matches_the_reference(word):
+    # same entries in the same column order (first appearance), zero
+    # entries (a generator whose letters cancel) omitted
+    assert list(fox_row_abelian(word, 4).items()) == list(reference_fox_row(word, 4).items())
+
+
+def test_fox_rows_of_the_ladder_and_corpus_match_the_reference():
+    count = 0
+    for d in ladder_and_corpus():
+        pres = wirtinger(d)
+        for rel in pres.relators:
+            row = fox_row_abelian(rel, pres.generator_count)
+            assert list(row.items()) == list(reference_fox_row(rel, pres.generator_count).items())
+            count += 1
+    assert count > 10_000
 
 
 # -- Alexander polynomials -------------------------------------------------------
@@ -751,10 +800,6 @@ def test_core_bound_that_never_holds_is_internal(monkeypatch):
     assert [run["widths"] for run in runs["_bareiss"]] == [[1, 2, 4]]
 
 
-# the benchmark's formula ladder: (cable p, q), companion T(2, k)
-LADDER = (((2, 3), 3), ((3, 2), 5), ((3, 4), 7), ((4, 5), 5), ((4, 5), 7), ((5, 6), 9))
-
-
 def test_no_phase_runs_twice_on_the_ladder_or_the_corpus(monkeypatch):
     # every determinant of the ladder (21 to 429 crossings), the corpus knots
     # and their satellites by the corpus patterns: each phase packs each input
@@ -762,9 +807,7 @@ def test_no_phase_runs_twice_on_the_ladder_or_the_corpus(monkeypatch):
     # its tracked bound passes 2^63, no true coefficient does), and each
     # core widens in place, to a wider width each time
     runs = phase_runs(monkeypatch)
-    knots = [d for _, d in corpus_knots()]
-    diagrams = [satellite(cable_pattern(p, q), torus_knot(2, k)) for (p, q), k in LADDER]
-    diagrams += knots + [satellite(p, d) for _, p in corpus_patterns() for d in knots]
+    diagrams = ladder_and_corpus()
     for d in diagrams:
         alexander_poly.__wrapped__(d)
     sparse, core = runs["_eliminate_units"], runs["_bareiss"]
@@ -803,14 +846,32 @@ def test_alexander_independent_of_companion_labels():
         assert repr(alexander_poly.__wrapped__(relabelled)) == expect
 
 
+# sha256 of the repr of [(size, core)] over the dense cores of
+# ``ladder_and_corpus()``, in order: every entry as (lo, coefficients)
+_CORES_SHA256 = "1928af071608fef126b3ab765acdbdbe534bf328cf46570dffb7578316d29ee0"
+
+
 def test_unit_pivoting_leaves_the_same_dense_core(monkeypatch):
     # the pivot rule (least Markowitz score, then row, then column order)
-    # decides how much is left for fraction-free elimination
-    from satkit import invariants
-
-    sizes = []
+    # decides how much is left for fraction-free elimination; the digest
+    # pins the size and entries of every core, so the pivot order too
+    cores = []
     bareiss = invariants._bareiss
-    monkeypatch.setattr(invariants, "_bareiss", lambda m: sizes.append(len(m)) or bareiss(m))
-    for (p, q), k in (((4, 5), 5), ((3, 4), 7), ((5, 6), 9)):
-        alexander_poly.__wrapped__(satellite(cable_pattern(p, q), torus_knot(2, k)))
-    assert sizes == [11, 8, 14]
+    monkeypatch.setattr(invariants, "_bareiss", lambda m: cores.append((len(m), m)) or bareiss(m))
+    for d in ladder_and_corpus():
+        alexander_poly.__wrapped__(d)
+    assert len(cores) == 297
+    assert [n for n, _ in cores[:6]] == [3, 8, 8, 11, 11, 14]
+    assert hashlib.sha256(repr(cores).encode()).hexdigest() == _CORES_SHA256
+
+
+def test_alexander_builds_no_laurent_from_a_dict(monkeypatch):
+    # Fox rows, the kernel and the normalized result build every Laurent
+    # from a (lo, coefficients) pair: none goes through the dict constructor
+    calls = []
+    init = Laurent.__init__
+    monkeypatch.setattr(Laurent, "__init__", lambda self, coeffs=None: calls.append(coeffs) or init(self, coeffs))
+    d = satellite(cable_pattern(5, 6), torus_knot(2, 9))
+    assert d.crossing_count == 429
+    assert alexander_poly.__wrapped__(d).co
+    assert calls == []
