@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 def smith_normal_form(rows, ncols):
@@ -10,67 +11,49 @@ def smith_normal_form(rows, ncols):
 
     ``rows`` is a list of length-``ncols`` integer lists.  Returns the
     nonnegative diagonal entries d1 | d2 | ... (zeros trimmed).
+
+    Two phases.  Diagonalize: an entry of least magnitude in the block
+    below and right of (t, t) moves to (t, t) and reduces its column and
+    row by floor division; a remainder is smaller than that pivot, so
+    picking again ends.  Normalize: each pair (di, dj), i < j, becomes
+    (gcd, lcm), since Z/a + Z/b = Z/gcd + Z/lcm; for every prime this
+    sorts the exponents.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     diag = []
     t = 0
     while t < nrows and t < ncols:
-        # find the entry of least magnitude in the remaining block
-        pr = pc = None
         best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
                 v = m[i][j]
-                if v != 0 and (best is None or abs(v) < best):
+                if v and (best is None or abs(v) < best):
                     best, pr, pc = abs(v), i, j
         if best is None:
             break
         m[t], m[pr] = m[pr], m[t]
         for row in m:
             row[t], row[pc] = row[pc], row[t]
-        while True:
-            pivot = m[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // pivot
-                    for j in range(t, ncols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // pivot
-                    for i in range(t, nrows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        pivot = m[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, ncols):
-                m[t][j] += m[offender][j]
-            continue
-        diag.append(abs(pivot))
-        t += 1
+        top, *rest = m[t:]
+        pivot = top[t]
+        for row in rest:
+            q = row[t] // pivot
+            if q:
+                for j in range(t, ncols):
+                    row[j] -= q * top[j]
+        for j in range(t + 1, ncols):
+            q = top[j] // pivot
+            if q:
+                for row in m[t:]:
+                    row[j] -= q * row[t]
+        if not any(top[t + 1:]) and not any(row[t] for row in rest):
+            diag.append(best)
+            t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
     return diag
 
 

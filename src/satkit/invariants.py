@@ -182,7 +182,7 @@ def equal_up_to_units(a: Laurent, b: Laurent) -> bool:
 # -- free differential calculus ----------------------------------------------
 
 
-def fox_row_abelian(word, ngens):
+def fox_row_abelian(word):
     """Abelianized Fox derivatives, every generator sent to t.
 
     Returns {generator index: Laurent}, omitting zero entries, generators
@@ -338,7 +338,6 @@ def _eliminate_units(rows):
     rows = [{c: _entry(v.lo, v.co, kb) for c, v in r.items()} for r in rows]
     limit = _width_limit([r.values() for r in rows])
     live = set(range(len(rows)))
-    live_cols = {c for r in rows for c in r}
 
     col_rows = {}
     for i, row in enumerate(rows):
@@ -431,7 +430,6 @@ def _eliminate_units(rows):
             else:
                 units.pop(i, None)
         live.discard(pi)
-        live_cols.discard(pc)
         del units[pi]
         for c, _ in pivot_row:
             rest = col_rows[c]
@@ -447,7 +445,8 @@ def _eliminate_units(rows):
                 for pos, c in enumerate(cols):
                     heappush(queue, (n * (len(col_rows[c]) - 1), i, pos, c))
 
-    colpos = {c: j for j, c in enumerate(sorted(live_cols))}
+    # each step pops its pivot column from col_rows, so its keys are the core's columns
+    colpos = {c: j for j, c in enumerate(sorted(col_rows))}
     core = []
     for i in sorted(live):
         dense = [None] * len(colpos)
@@ -591,7 +590,7 @@ def alexander_poly(d) -> Laurent:
     ngens = pres.generator_count
     rows = []
     for rel in pres.relators[:-1]:
-        row = fox_row_abelian(rel, ngens)
+        row = fox_row_abelian(rel)
         rows.append({g: v for g, v in row.items() if g != ngens})
     det = laurent_det_up_to_units(rows)
     if not det:
