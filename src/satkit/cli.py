@@ -329,6 +329,7 @@ COMMANDS = {
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     top = argparse.ArgumentParser(prog="satkit", description=__doc__)
     top.add_argument("--limit", type=int, default=10**6,

@@ -178,28 +178,37 @@ def _component_of(orient: _Orientation, edge: int) -> int:
     return orient.edge_component[edge]
 
 
-def _writhe(crossings, orient: _Orientation, c: int) -> int:
-    comp = orient.edge_component
-    return sum(
-        sign
-        for x, sign in zip(crossings, orient.signs)
-        if comp[x[0]] == c and comp[x[1]] == c
-    )
-
-
 def _check_component(d: Diagram, c: int):
     if not 0 <= c < len(d.components):
         raise DomainError(f"component {c} out of range")
 
 
+def _crossing_sums(crossings, orient: _Orientation, n: int) -> list[list[int]]:
+    """Signed crossing counts by component, from one pass over the
+    crossings: entry (c, c) is the writhe of component c, entry (a, b) =
+    (b, a) the signed count of the crossings between a and b, twice their
+    linking number on a planar code (``_half``)."""
+    comp = orient.edge_component
+    sums = [[0] * n for _ in range(n)]
+    for x, sign in zip(crossings, orient.signs):
+        a, b = comp[x[0]], comp[x[1]]
+        sums[a][b] += sign
+        if a != b:
+            sums[b][a] += sign
+    return sums
+
+
+def _half(total: int) -> int:
+    """A linking number from its crossing sum, even on every planar code."""
+    if total % 2:
+        raise ValidationError("odd inter-component crossing sum; diagram is corrupt")
+    return total // 2
+
+
 def writhe(d: Diagram, c: int) -> int:
     """Signed count of the self-crossings of component ``c``."""
     _check_component(d, c)
-    return _writhe(d.crossings, _orient(d), c)
-
-
-def total_writhe(d: Diagram) -> int:
-    return sum(crossing_signs(d))
+    return _crossing_sums(d.crossings, _orient(d), len(d.components))[c][c]
 
 
 def linking_number(d: Diagram, a: int, b: int) -> int:
@@ -208,12 +217,7 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
     _check_component(d, b)
     if a == b:
         raise DomainError("linking number needs two distinct components; use writhe")
-    orient = _orient(d)
-    comp = orient.edge_component
-    total = sum(sign for x, sign in zip(d.crossings, orient.signs) if {comp[x[0]], comp[x[1]]} == {a, b})
-    if total % 2:
-        raise ValidationError("odd inter-component crossing sum; diagram is corrupt")
-    return total // 2
+    return _half(_crossing_sums(d.crossings, _orient(d), len(d.components))[a][b])
 
 
 def mirror(d: Diagram) -> Diagram:

@@ -46,11 +46,8 @@ def word_to_text(word):
 
     def enc(x):
         g = abs(x) - 1
-        if g < 26:
-            ch = letters[g]
-        else:
-            ch = f"g{abs(x)}"
-        return ch.upper() if x < 0 and g < 26 else (f"G{abs(x)}" if x < 0 else ch)
+        ch = letters[g] if g < 26 else f"g{abs(x)}"
+        return ch.upper() if x < 0 else ch
 
     return " ".join(enc(x) for x in word)
 
@@ -78,27 +75,14 @@ def arc_data(d: Diagram):
     arc_of_edge = {}
     arc_count = 0
     for cyc in d.components:
-        if cyc[0] in orient.free:
-            arc_of_edge[cyc[0]] = arc_count
-            arc_count += 1
-            continue
-        breaks = [i for i, e in enumerate(cyc) if orient.edge_head[e][1] == 0]
-        if not breaks:
-            for e in cyc:
-                arc_of_edge[e] = arc_count
-            arc_count += 1
-            continue
-        # the arc starting after break position b runs through the next break
-        n = len(cyc)
-        for k, b in enumerate(breaks):
-            nxt = breaks[(k + 1) % len(breaks)]
-            i = (b + 1) % n
-            while True:
-                arc_of_edge[cyc[i]] = arc_count
-                if i == nxt:
-                    break
-                i = (i + 1) % n
-            arc_count += 1
+        # each component is walked from the edge after its first
+        # under-passage; a new arc starts after every under-passage
+        under = [e not in orient.free and orient.edge_head[e][1] == 0 for e in cyc]
+        start = under.index(True) + 1 if any(under) else 0
+        for e, ends in zip(cyc[start:] + cyc[:start], under[start:] + under[:start]):
+            arc_of_edge[e] = arc_count
+            arc_count += ends
+        arc_count += not any(under)
     return arc_of_edge, arc_count
 
 

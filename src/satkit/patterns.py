@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 from .diagram import (
     Diagram,
+    _crossing_sums,
     _delete_components,
     _least_labelling,
     _orient,
     mirror,
     reverse,
-    total_writhe,
 )
 from .errors import DomainError, ValidationError, built
 from .wires import Builder, build_cable, encircle, swap, twist_chain
@@ -119,7 +119,7 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     # Each copy opens into an exit (tail piece) and an entry (head piece);
     # a free loop opens into one wire serving as both.
     exits, entries = zip(*[b.cut(w) for w in copies[cut_edge]])
-    exits = twist_chain(b, exits, -total_writhe(companion) + extra_twists)
+    exits = twist_chain(b, exits, -_crossing_sums(companion.crossings, orient, 1)[0][0] + extra_twists)
     # cut order and copy offsets run through the disk in opposite transverse
     # directions: cut strand i meets copy m-1-i
     ports = zip(reversed(entries), reversed(exits))

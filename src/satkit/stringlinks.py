@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Diagram, _component_of, _Orientation, _orient_paths, _writhe, embedding_genus
+from .diagram import Diagram, _component_of, _crossing_sums, _Orientation, _orient_paths, embedding_genus
 from .errors import DomainError, InternalError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
 from .wires import Builder, band, build_cable, swap, twist_chain
@@ -62,10 +62,6 @@ def _orient_tangle(sl: StringLink) -> _Orientation:
 
 def strand_of_edge(sl: StringLink, edge: int) -> int:
     return _component_of(_orient_tangle(sl), edge)
-
-
-def self_writhe(sl: StringLink, strand: int) -> int:
-    return _writhe(sl.crossings, _orient_tangle(sl), strand)
 
 
 def trivial_string_link(m: int) -> StringLink:
@@ -197,6 +193,7 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     if all(k == 0 for k in kvec):
         raise DomainError("at least one strand must survive")
     orient = _orient_tangle(sl)
+    sums = _crossing_sums(sl.crossings, orient, sl.strand_count)
     widths = {e: abs(kvec[orient.edge_component[e]]) for e in sl.edges()}
     b = Builder()
     copies = build_cable(b, sl.crossings, orient.signs, widths)
@@ -211,8 +208,8 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     directions = []
     for si, path in enumerate(sl.strands):
         k = kvec[si]
-        # untwisted copies: twist each strand's top copies by its self-writhe
-        top = twist_chain(b, copies[path[-1]][:abs(k)], -self_writhe(sl, si))
+        # untwisted copies: twist each strand's top copies by its writhe
+        top = twist_chain(b, copies[path[-1]][:abs(k)], -sums[si][si])
         # forward copies are seeded where the strand starts, reversed ones
         # at its twisted top
         if k > 0:

@@ -26,8 +26,8 @@ from .diagram import (
     diagrams_equal,
     embedding_genus,
     faces,
-    linking_number,
-    writhe,
+    _crossing_sums,
+    _half,
     _orient,
 )
 from .errors import DomainError, InternalError, ValidationError
@@ -63,14 +63,10 @@ def zero_surgery(k: Diagram) -> FramedLink:
 
 
 def linking_matrix(fl: FramedLink):
-    n = fl.diagram.component_count
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = fl.framings[i]
-        for j in range(i + 1, n):
-            v = linking_number(fl.diagram, i, j)
-            m[i][j] = m[j][i] = v
-    return m
+    """Framings on the diagonal, linking numbers off it."""
+    d = fl.diagram
+    sums = _crossing_sums(d.crossings, _orient(d), d.component_count)
+    return [[fl.framings[i] if j == i else _half(v) for j, v in enumerate(row)] for i, row in enumerate(sums)]
 
 
 def h1(fl: FramedLink) -> AbelianGroup:
@@ -102,13 +98,14 @@ class BandArc:
 def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orientation):
     d = fl.diagram
     orient = _orient(d)
+    sums = _crossing_sums(d.crossings, orient, len(d.components))
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
     widths = {e: 2 if c == j else 1 for e, c in orient.edge_component.items()}
     gb = Builder()
     copies = build_cable(gb, d.crossings, orient.signs, widths, loops=orient.free)
     tails, heads = zip(*[gb.cut(w) for w in copies[handle_edge]])
-    for stub, h in zip(twist_chain(gb, tails, fl.framings[j] - writhe(d, j)), heads):
+    for stub, h in zip(twist_chain(gb, tails, fl.framings[j] - sums[j][j]), heads):
         gb.join(stub, h)
     su = copies[slide_edge][0]
     sv = copies[handle_edge][copy_index]
@@ -126,7 +123,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
         gb.fuse(gb.single_dangle(hv), gb.single_dangle(hu))
 
     framings = list(fl.framings)
-    framings[i] += fl.framings[j] + 2 * orientation * linking_number(d, i, j)
+    framings[i] += fl.framings[j] + 2 * orientation * _half(sums[i][j])
     # component j goes on as the copy that was not banded in
     seeds = [(copies[cyc[0]][1 - copy_index if c == j else 0], True) for c, cyc in enumerate(d.components)]
     seeds[i] = (su, True)

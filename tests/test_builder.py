@@ -34,8 +34,8 @@ from satkit.diagram import (
     diagrams_equal,
     embedding_genus,
     linking_number,
-    total_writhe,
     unknot,
+    writhe,
 )
 from satkit.errors import InternalError, ParseError
 from satkit.patterns import Pattern, compose, difference_pattern, satellite, to_link, winding_number
@@ -133,7 +133,7 @@ def test_blackboard_cable_of_every_corpus_knot(m):
         assert d.component_count == m, name
         for i in range(m):
             for j in range(i + 1, m):
-                assert linking_number(d, i, j) == total_writhe(k), (name, i, j)
+                assert linking_number(d, i, j) == writhe(k, 0), (name, i, j)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -155,7 +155,7 @@ def test_twist_chain_on_one_edge_of_a_cable(m, count):
         assert embedding_genus(d) == 0, name
         for i in range(m):
             for j in range(i + 1, m):
-                assert linking_number(d, i, j) == total_writhe(k) + count, (name, i, j)
+                assert linking_number(d, i, j) == writhe(k, 0) + count, (name, i, j)
 
 
 def test_twist_chain_with_nothing_to_twist_adds_no_crossing():

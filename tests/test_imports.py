@@ -19,7 +19,10 @@ fields, a call to an attribute any function of that name, and
 dispatch (``serialize``, ``to_obj``, ``load_path``, ``obj_to_any``), never a
 per-type function.  Outside ``groups.py``, ``src/satkit`` and ``scripts``
 never read ``todd_coxeter``: only ``strong_winding_check`` enumerates
-cosets.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
+cosets.  Outside ``__init__.py``, ``src/satkit`` never reads ``writhe`` or
+``linking_number`` and defines no ``_writhe``, ``total_writhe`` or
+``self_writhe``: ``diagram._crossing_sums`` is the one signed-crossing
+tally.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
 ``to_bytes``, ``from_bytes`` or a ``struct`` packing function: one packing
 path.  Only ``_entry`` and ``_widened`` call ``_pack``, and only
 ``_digits`` calls ``_unpack``; ``_widened`` packs ``_digits(...)`` and
@@ -568,6 +571,44 @@ def test_one_triviality_decision():
             continue
         found += [f"{path.name}:{line} {text}" for line, text in _reads(ast.parse(path.read_text()), "todd_coxeter")]
     assert not found, "todd_coxeter read outside groups.py:\n" + "\n".join(found)
+
+
+_RETIRED_SUMS = {"_writhe", "total_writhe", "self_writhe"}
+
+
+def _second_tallies(tree):
+    """(line, source) for every definition or binding of a retired
+    per-component crossing sum, and every read of ``writhe`` or
+    ``linking_number``."""
+    defined = [(node.lineno, f"def {node.name}") for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in _RETIRED_SUMS]
+    bound = [(node.lineno, node.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in _RETIRED_SUMS]
+    return sorted(defined + bound + _reads(tree, "writhe") + _reads(tree, "linking_number"))
+
+
+def test_checker_flags_a_second_crossing_tally():
+    src = (
+        "from .diagram import _crossing_sums, writhe as w\n"
+        "def _writhe(crossings, orient, c):\n    return 0\n"
+        "total_writhe = sum\n"
+        "class self_writhe:\n    pass\n"
+        "w(d, 0)\n"
+        "diagram.linking_number(d, 0, 1)\n"
+        "_crossing_sums(d.crossings, orient, 2)[0][1]\n"
+    )
+    assert _second_tallies(ast.parse(src)) == [
+        (2, "def _writhe"), (4, "total_writhe"), (5, "def self_writhe"), (7, "w"), (8, "diagram.linking_number"),
+    ]
+
+
+def test_one_crossing_tally():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        found += [f"{path.name}:{line} {text}" for line, text in _second_tallies(ast.parse(path.read_text()))]
+    assert not found, "signed crossing sums outside diagram._crossing_sums:\n" + "\n".join(found)
 
 
 _BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}

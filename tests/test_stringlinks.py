@@ -22,6 +22,7 @@ from satkit.diagram import (
     linking_number,
     simplify,
     unknot,
+    writhe,
 )
 from satkit.errors import DomainError, InternalError
 from satkit.invariants import alexander_poly, determinant, equal_up_to_units, satellite_formula_report
@@ -36,7 +37,6 @@ from satkit.stringlinks import (
     mirror_reverse,
     parallel,
     reduce_to_pattern,
-    self_writhe,
     stack,
     trivial_string_link,
     winding_gcd,
@@ -184,6 +184,22 @@ def test_parallel_w23_choice():
     assert winding_vector(out) == (2, 2, -3)
     assert sum(winding_vector(out)) == 1
     assert embedding_genus(closure(out.link)) == 0
+
+
+def test_parallel_copies_are_untwisted():
+    # every copy of strand i keeps its writhe, and the twist region
+    # cancels it between copies: copies of one strand link zero times
+    operators = [w23(), infect(w23(), trefoil()), infect(strand_meridian_operator(2, 0), trefoil())]
+    for op in operators:
+        base = closure(op.link)
+        for kvec in ((2, -1), (2, 3), (-3, 2)):
+            d = closure(parallel(op, kvec).link)
+            strand = [i for i, k in enumerate(kvec) for _ in range(abs(k))]
+            for a, i in enumerate(strand):
+                assert writhe(d, a) == writhe(base, i), (op, kvec, a)
+                for b in range(a + 1, len(strand)):
+                    if strand[b] == i:
+                        assert linking_number(d, a, b) == 0, (op, kvec, a, b)
 
 
 def test_parallel_rejects_empty():

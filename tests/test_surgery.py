@@ -21,8 +21,17 @@ from satkit.catalog import (
     wiggle_base_pattern,
     zigzag_pattern,
 )
-from satkit.diagram import Diagram, diagrams_equal, embedding_genus, linking_number, simplify, unknot
-from satkit.errors import DomainError
+from satkit.diagram import (
+    Diagram,
+    crossing_signs,
+    diagrams_equal,
+    embedding_genus,
+    linking_number,
+    simplify,
+    unknot,
+    writhe,
+)
+from satkit.errors import DomainError, ValidationError
 from satkit.invariants import alexander_poly, equal_up_to_units
 from satkit.patterns import Pattern, satellite, winding_number
 from satkit.surgery import (
@@ -63,6 +72,39 @@ def test_linking_matrix_symmetric():
     fl = FramedLink(torus_link(2, 2), (3, -2))
     m = linking_matrix(fl)
     assert m == [[3, 1], [1, -2]]
+
+
+def _pair_sum(d, a, b):
+    """Signed count of the crossings whose two strands lie on components
+    ``a`` and ``b``, in either order."""
+    comp = {e: c for c, cyc in enumerate(d.components) for e in cyc}
+    return sum(s for x, s in zip(d.crossings, crossing_signs(d)) if sorted((comp[x[0]], comp[x[1]])) == sorted((a, b)))
+
+
+def test_crossing_tally_matches_a_per_pair_sum():
+    links = [FramedLink(k, (0,)) for _, k in corpus_knots()]
+    links += random_framed_links(200)
+    links += [FramedLink(d, range(d.component_count)) for d in (torus_link(p, q) for p in (2, 3, 4) for q in range(2, 9))]
+    for fl in links:
+        d, n = fl.diagram, fl.diagram.component_count
+        m = linking_matrix(fl)
+        for a in range(n):
+            assert writhe(d, a) == _pair_sum(d, a, a), fl
+            assert m[a][a] == fl.framings[a], fl
+            for b in range(n):
+                if a != b:
+                    assert 2 * linking_number(d, a, b) == 2 * m[a][b] == _pair_sum(d, a, b), (fl, a, b)
+
+
+def test_odd_inter_component_sum_is_rejected():
+    # a virtual code: one crossing between two loops, on the torus
+    d = Diagram(((1, 2, 1, 2),), ((1,), (2,)))
+    assert embedding_genus(d) == 1
+    fl = FramedLink(d, (0, 0))
+    for read in (lambda: linking_number(d, 0, 1), lambda: linking_matrix(fl), lambda: h1(fl),
+                 lambda: handle_slide(fl, 0, 1)):
+        with pytest.raises(ValidationError, match="odd inter-component crossing sum"):
+            read()
 
 
 def test_handle_slide_framing_rule():
