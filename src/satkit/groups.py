@@ -86,23 +86,33 @@ def arc_data(d: Diagram):
     return arc_of_edge, arc_count
 
 
-def wirtinger(d: Diagram) -> GroupPresentation:
-    """One generator per arc and one conjugation relator per crossing.
-    Every generator is a meridian of its arc's component."""
+def wirtinger_crossings(d: Diagram):
+    """Per crossing, the generators of its outgoing under-arc, its over-arc
+    and its incoming under-arc, with the crossing's sign: a list of
+    (out, over, in, sign), beside the arc count."""
     signs = crossing_signs(d)
     arc_of_edge, arc_count = arc_data(d)
-    relators = []
-    for ci, x in enumerate(d.crossings):
-        g_in = arc_of_edge[x[0]] + 1
-        g_out = arc_of_edge[x[2]] + 1
+    crossings = []
+    for x, s in zip(d.crossings, signs):
         g_over = arc_of_edge[x[1]] + 1
         if arc_of_edge[x[3]] + 1 != g_over:
             raise DomainError("over-strand arc mismatch; corrupt diagram")
-        s = signs[ci]
-        rel = free_reduce((-g_out, s * g_over, g_in, -s * g_over))
-        if rel:
-            relators.append(rel)
-    return GroupPresentation(arc_count, tuple(relators))
+        crossings.append((arc_of_edge[x[2]] + 1, g_over, arc_of_edge[x[0]] + 1, s))
+    return crossings, arc_count
+
+
+def wirtinger_relator(g_out, g_over, g_in, s):
+    """The conjugation relator of one crossing, freely reduced (empty when
+    all three arcs are one)."""
+    return free_reduce((-g_out, s * g_over, g_in, -s * g_over))
+
+
+def wirtinger(d: Diagram) -> GroupPresentation:
+    """One generator per arc and one conjugation relator per crossing.
+    Every generator is a meridian of its arc's component."""
+    crossings, arc_count = wirtinger_crossings(d)
+    relators = (wirtinger_relator(*c) for c in crossings)
+    return GroupPresentation(arc_count, tuple(rel for rel in relators if rel))
 
 
 def cut_loop_word(pattern) -> tuple[int, ...]:

@@ -5,6 +5,8 @@ Everything here is exact integer arithmetic.  The Alexander polynomial is
 computed as a maximal minor of the abelianized Fox Jacobian of a Wirtinger
 presentation; for a knot all such minors agree up to units, so the
 normalized determinant of one minor is the gcd the contract asks for.  The
+minor's rows are read off the crossings: each crossing shape's Fox row is
+built once and filled in with the crossing's arcs.  The
 determinant takes Laurent rows in and gives a normalized Laurent out; in
 between, both of its phases (unit pivots, then fraction-free elimination of
 the dense core) hold each entry as one packed integer with proved bounds on
@@ -19,7 +21,7 @@ from heapq import heappop, heappush
 
 from .diagram import embedding_genus
 from .errors import DomainError, InternalError
-from .groups import wirtinger
+from .groups import wirtinger_crossings, wirtinger_relator
 from .patterns import satellite, winding_number
 
 # -- Laurent polynomials -----------------------------------------------------
@@ -286,8 +288,10 @@ class _TooNarrow(Exception):
     its argument names the check, "numerator" or "quotient"."""
 
 
+@lru_cache(maxsize=1024)
 def _entry(lo, co, kb):
-    """The packed entry of the polynomial t^lo (co[0] + co[1] t + ...)."""
+    """The packed entry of the polynomial t^lo (co[0] + co[1] t + ...).
+    Cached: the Fox rows of a diagram share a handful of entries."""
     return lo, _pack(co, kb), sum(map(abs, co))
 
 
@@ -572,29 +576,63 @@ def laurent_det_up_to_units(rows):
 # -- knot invariants -----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _fox_template(over, g_in, s):
+    """The abelianized Fox row of one crossing shape, as (position in
+    (out, over, in), Laurent) pairs in column order; empty when the
+    relator is.
+
+    A Wirtinger relator is (-out, s over, in, -s over), freely reduced, so
+    its Fox row depends only on the sign s and on which of the three arcs
+    coincide.  The shape names each arc by the first of (out, over, in)
+    it equals, numbered 1 to 3: out is 1, ``over`` is 1 or 2, ``g_in`` is
+    1, 2 or 3.  The row is built once, from that relator itself.
+    """
+    row = fox_row_abelian(wirtinger_relator(1, over, g_in, s))
+    return tuple((g - 1, v) for g, v in row.items())
+
+
+def _fox_minor(d):
+    """The abelianized Fox Jacobian of ``wirtinger(d)`` less its last
+    relator and last generator, as rows of {generator: Laurent}.
+
+    Each crossing's row is its shape's template (``_fox_template``) with
+    the crossing's arcs filled in, so its columns come in the order
+    ``fox_row_abelian`` gives the relator itself; rows share their
+    entries.  A crossing whose relator reduces away has no row.
+    """
+    crossings, ngens = wirtinger_crossings(d)
+    rows = []
+    for g_out, g_over, g_in, s in crossings:
+        template = _fox_template(1 if g_over == g_out else 2,
+                                 1 if g_in == g_out else 2 if g_in == g_over else 3, s)
+        if template:
+            arcs = g_out, g_over, g_in
+            rows.append({arcs[i]: v for i, v in template if arcs[i] != ngens})
+    return rows[:-1]
+
+
 @lru_cache(maxsize=2048)
 def alexander_poly(d) -> Laurent:
-    """Normalized Alexander polynomial of a planar knot diagram.
+    """Normalized Alexander polynomial of a planar knot diagram: the
+    determinant of its Fox minor (``_fox_minor``).
 
-    Virtual (non-planar) codes are refused: the Fox minor drops one
-    Wirtinger relation, which is redundant only on planar codes.
+    Virtual (non-planar) codes are refused: the minor drops one Wirtinger
+    relation, which is redundant only on planar codes.  On a planar knot
+    the minor is Δ up to a unit, so Δ(1) = ±1; any other value, zero
+    included, is a kernel bug and raises InternalError.
     """
     if not d.is_knot():
         raise DomainError("Alexander polynomial implemented for knots only")
     genus = embedding_genus(d)
     if genus:
         raise DomainError(f"Alexander polynomial needs a planar diagram; this code has genus {genus}")
-    pres = wirtinger(d)
-    if not pres.relators:
+    rows = _fox_minor(d)
+    if not rows:
         return Laurent.one()
-    ngens = pres.generator_count
-    rows = []
-    for rel in pres.relators[:-1]:
-        row = fox_row_abelian(rel)
-        rows.append({g: v for g, v in row.items() if g != ngens})
     det = laurent_det_up_to_units(rows)
-    if not det:
-        raise DomainError("degenerate Alexander matrix; input is not a knot diagram")
+    if sum(det.co) not in (1, -1):
+        raise InternalError(f"the Alexander minor of a planar knot diagram is {det!r}, not +-1 at t = 1")
     return det
 
 

@@ -14,6 +14,7 @@ curve) is an import/export format handled by ``to_link``/``from_link``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import (
     Diagram,
@@ -143,7 +144,12 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     return marked
 
 
+@lru_cache(maxsize=512)
 def _satellite_parts(p: Pattern, k: Diagram, extra_twists: int = 0):
+    """The satellite diagram of ``p`` and ``k`` with the cut it inherits
+    from ``p``, as (diagram, cut).  Cached, so that ``satellite`` and
+    ``compose`` of one pair share one assembly: the corpus command asks
+    for both on each winding-one pair."""
     b, wmap = Builder.from_diagram(p.base)
     marked = _tie_companion(b, wmap, p.cut, k, extra_twists)
     d, labels = b.to_diagram([(wmap[p.cut[0][0]], True)])

@@ -3,6 +3,8 @@ import hashlib
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -321,6 +323,18 @@ def test_strong_winding_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
+@pytest.mark.parametrize("wrong", ["zero", "double"])
+def test_wrong_alexander_kernel_exits_3(files, capsys, monkeypatch, wrong):
+    from satkit import invariants
+
+    kernel = invariants.laurent_det_up_to_units
+    monkeypatch.setattr(invariants, "laurent_det_up_to_units",
+                        lambda rows: invariants.Laurent.zero() if wrong == "zero" else kernel(rows) * 2)
+    invariants.alexander_poly.cache_clear()
+    assert run(["invariants", files["fig8.pd"]]) == 3
+    assert capsys.readouterr().err.startswith("internal error: the Alexander minor of a planar knot diagram is ")
+
+
 def test_check_formula_command(files, capsys):
     assert run(["check-satellite-formula", files["cable23.pat"], files["fig8.pd"]]) == 0
     capsys.readouterr()
@@ -512,6 +526,24 @@ def test_corpus_negative_control(files, tmp_path, capsys):
     assert code == 1
     assert "bad.json" in out
     assert "declared=" in out and "expected=" in out
+
+
+def test_corpus_assembles_each_satellite_once(tmp_path, capsys):
+    # the formula suite's satellite and the pipeline suite's composed
+    # pattern of one (pattern, companion) pair are one assembly
+    from satkit.patterns import _satellite_parts
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path), "--with-bad"], check=True, capture_output=True)
+    _satellite_parts.cache_clear()
+    assert run(["--format", "structured", "corpus", str(tmp_path)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["stats"]["knots"], rep["stats"]["patterns"]) == (8, 8)
+    assert rep["outputs"]["satellite-formula"] == "65/66 ok; failing: misframed.json"
+    assert rep["outputs"]["pipeline"] == "32/32 ok"
+    # 64 formula pairs assembled once each; the 32 pipelines reuse theirs
+    info = _satellite_parts.cache_info()
+    assert (info.misses, info.hits) == (64, 32)
 
 
 def test_corpus_skips_unreadable(tmp_path, capsys):

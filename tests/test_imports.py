@@ -564,13 +564,39 @@ def test_checker_flags_a_read_of_a_name():
     assert _reads(ast.parse(src), "todd_coxeter") == [(4, "groups.todd_coxeter"), (5, "tc"), (7, "todd_coxeter")]
 
 
-def test_one_triviality_decision():
+def _reads_outside_groups(name):
+    """"file:line source" for every read of ``name`` in src and scripts,
+    groups.py excepted."""
     found = []
     for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         if path.name == "groups.py" and path.parent == SRC:
             continue
-        found += [f"{path.name}:{line} {text}" for line, text in _reads(ast.parse(path.read_text()), "todd_coxeter")]
+        found += [f"{path.name}:{line} {text}" for line, text in _reads(ast.parse(path.read_text()), name)]
+    return found
+
+
+def test_one_triviality_decision():
+    found = _reads_outside_groups("todd_coxeter")
     assert not found, "todd_coxeter read outside groups.py:\n" + "\n".join(found)
+
+
+def test_checker_flags_a_read_of_free_reduce():
+    src = (
+        "from .groups import free_reduce as fr, wirtinger_relator\n"
+        "from . import groups\n"
+        "fr((1, -1))\n"
+        "groups.free_reduce(word)\n"
+        "wirtinger_relator(1, 2, 3, 1)\n"
+        "def free_reduce(word):\n    return word\n"
+    )
+    assert _reads(ast.parse(src), "free_reduce") == [(3, "fr"), (4, "groups.free_reduce")]
+
+
+def test_one_wirtinger_relator_writer():
+    # the Wirtinger relator is written once, in groups.wirtinger_relator;
+    # a second writer would have to reduce its word
+    found = _reads_outside_groups("free_reduce")
+    assert not found, "free_reduce read outside groups.py:\n" + "\n".join(found)
 
 
 _RETIRED_SUMS = {"_writhe", "total_writhe", "self_writhe"}

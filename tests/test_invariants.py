@@ -7,8 +7,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from code_strategies import relabeled
-from satkit import invariants
+from code_strategies import relabeled, valid_codes
+from satkit import groups, invariants
 from satkit.abelian import AbelianGroup, cokernel, smith_normal_form
 from satkit.catalog import (
     braid_closure,
@@ -468,6 +468,37 @@ def test_fox_rows_of_the_ladder_and_corpus_match_the_reference():
     assert count > 10_000
 
 
+def wirtinger_minor(d):
+    """The Fox minor as satkit once built it: ``fox_row_abelian`` of every
+    Wirtinger relator but the last, the last generator's column dropped."""
+    pres = wirtinger(d)
+    return [[(g, v) for g, v in fox_row_abelian(rel).items() if g != pres.generator_count]
+            for rel in pres.relators[:-1]]
+
+
+def test_template_rows_match_the_wirtinger_minor():
+    # row for row and column for column, on the ladder, the corpus knots
+    # and satellites, and relabelled copies of each
+    rng = random.Random(0)
+    diagrams = ladder_and_corpus()
+    for d in diagrams:
+        edges = sorted(d.edges())
+        image = edges[:]
+        rng.shuffle(image)
+        for code in (d, relabeled(d, dict(zip(edges, image)))):
+            assert [list(r.items()) for r in invariants._fox_minor(code)] == wirtinger_minor(code)
+    assert len(diagrams) == 303
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_codes())
+def test_template_rows_match_the_wirtinger_minor_on_any_code(code):
+    # the templates are read off the crossings alone, so they hold on every
+    # valid code: planar knots, virtual codes and links alike
+    d = Diagram(*code)
+    assert [list(r.items()) for r in invariants._fox_minor(d)] == wirtinger_minor(d)
+
+
 # -- Alexander polynomials -------------------------------------------------------
 
 
@@ -522,6 +553,17 @@ def test_alexander_stable_under_moves():
 # a genus-1 (virtual) knot code: its Fox-calculus value is 1, yet a
 # genus-keeping poke of edge 5 under edge 6 gives 1 - t + t^2
 VIRTUAL_KNOT = Diagram(((6, 1, 1, 2), (2, 4, 3, 5), (3, 5, 4, 6)), ((1, 2, 3, 4, 5, 6),))
+
+
+@pytest.mark.parametrize("wrong", [lambda det: Laurent.zero(), lambda det: det * 2])
+def test_alexander_raises_on_a_wrong_kernel(monkeypatch, wrong):
+    # a planar knot's Fox minor is a unit at t = 1: a zero or a doubled
+    # determinant is a kernel bug, not a property of the input
+    kernel = invariants.laurent_det_up_to_units
+    monkeypatch.setattr(invariants, "laurent_det_up_to_units", lambda rows: wrong(kernel(rows)))
+    for d in (trefoil(), figure_eight(), torus_knot(2, 5)):
+        with pytest.raises(InternalError, match="not \\+-1 at t = 1"):
+            alexander_poly.__wrapped__(d)
 
 
 def test_alexander_refuses_virtual_codes():
@@ -879,5 +921,13 @@ def test_alexander_builds_no_laurent_from_a_dict(monkeypatch):
     monkeypatch.setattr(Laurent, "__init__", lambda self, coeffs=None: calls.append(coeffs) or init(self, coeffs))
     d = satellite(cable_pattern(5, 6), torus_knot(2, 9))
     assert d.crossing_count == 429
+    # no presentation is built, and each crossing shape's Fox row once
+    words = []
+    fox = invariants.fox_row_abelian
+    monkeypatch.setattr(invariants, "fox_row_abelian", lambda word: words.append(word) or fox(word))
+    monkeypatch.setattr(groups, "wirtinger", lambda d: pytest.fail("wirtinger called"))
+    invariants._fox_template.cache_clear()
     assert alexander_poly.__wrapped__(d).co
     assert calls == []
+    assert len(set(words)) == len(words) == invariants._fox_template.cache_info().currsize
+    assert 1 < len(words) <= 10
