@@ -22,6 +22,7 @@ usual planar-diagram code convention in which ``X[i,j,k,l]`` with
 from __future__ import annotations
 
 from bisect import bisect_left
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,46 +65,58 @@ class Diagram:
         return f"Diagram({len(self.crossings)} crossings, {len(self.components)} components)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Orientation:
-    """Derived orientation data, produced by the validating walk.
+    """Derived orientation data, produced by the validating walk and kept
+    by dart: dart 4 ci + s is slot s of crossing ci.  Per-edge entries are
+    indexed by the edge's position in path order (the order of
+    ``Diagram.edges()`` and ``StringLink.edges()``); nothing is keyed by
+    edge label, so a record holds no Python object per edge.
 
-    signs: per crossing, +1 when the over-strand enters at position 1 and
-        -1 when it enters at position 3 (the under-strand always enters
-        at position 0).
-    edge_head: edge -> (crossing, slot) occurrence where the edge ends.
-        The edge after it starts at the opposite slot, (crossing, slot ^ 2).
-    edge_component: edge -> index of the path (component or strand) on it.
+    signs: array('b'), per crossing, +1 when the over-strand enters at
+        position 1 and -1 when it enters at position 3 (the under-strand
+        always enters at position 0).
+    head: array('i'), per edge, the dart where the edge ends, or -1 where
+        it has none (a free edge, the last edge of a strand).  The edge
+        after it starts at the opposite slot, dart ^ 2.
+    component: array('i'), per edge, the index of the path (component or
+        strand) it lies on.
     free: the edges that meet no crossing (free loops, bare strands).
     """
 
-    signs: tuple[int, ...]
-    edge_head: dict
-    edge_component: dict
+    signs: array
+    head: array
+    component: array
     free: frozenset
 
 
-def _occurrences(crossings):
-    occ = {}
-    for ci, x in enumerate(crossings):
-        for s, e in enumerate(x):
-            occ.setdefault(e, []).append((ci, s))
-    return occ
+def _partners(labels):
+    """The partner table of a crossing code given as its slot labels,
+    crossing after crossing (dart p holds ``labels[p]``): per dart, the
+    dart holding the other occurrence of its label, or -1 where there is
+    none.  Where a label is met other than twice the table pairs no darts
+    reliably; ``_orient_paths`` counts before it walks.  Returns (partner,
+    first), first mapping each label to its first dart, in the order the
+    labels are first met."""
+    partner = [-1] * len(labels)
+    first = {}
+    for p, e in enumerate(labels):
+        q = first.setdefault(e, p)
+        if q != p:
+            partner[p], partner[q] = q, p
+    return partner, first
 
 
-def _trace(crossings, occ, path, start, steps):
-    """The heads of the first ``steps`` edges of ``path``, walking from
-    ``start`` as the head of ``path[0]``, or None where the crossings
+def _trace(labels, partner, path, start, steps):
+    """The head darts of the first ``steps`` edges of ``path``, walking
+    from ``start`` as the head of ``path[0]``, or None where the crossings
     lead off the path or into an under-strand at position 2."""
-    heads, cur = [], start
-    for i in range(steps):
-        ci, s = cur
-        e = crossings[ci][s ^ 2]
-        if s == 2 or e != path[(i + 1) % len(path)]:
+    heads, p, n = [], start, len(path)
+    for i in range(1, steps + 1):
+        if p & 3 == 2 or labels[p ^ 2] != path[i % n]:
             return None
-        heads.append(cur)
-        where = occ[e]
-        cur = where[0] if where[-1] == (ci, s ^ 2) else where[-1]
+        heads.append(p)
+        p = partner[p ^ 2]
     return heads
 
 
@@ -112,17 +125,18 @@ def _orient_paths(crossings, paths, closed):
 
     ``paths`` lists each component's edges in flow order: cycles when
     ``closed``, strands from their start otherwise.  A one-edge path that
-    meets no crossing is free.  Every other path is walked taking its first
-    edge's head at each occurrence of that edge in sorted order, and the
-    first walk that follows the whole path wins.  A walk leaves each
-    crossing at the slot opposite the one it entered, onto the next edge of
-    the path, and never enters an under-strand at position 2.  The
-    occurrence counts are checked first (two per edge, one for each end of
-    an open strand), so a closed walk that follows its cycle comes back to
-    its start, and the walks together use every slot once, giving each
-    crossing one under and one over entry.
+    meets no crossing is free.  Every other path is walked over the
+    partner table, taking its first edge's head at each occurrence of that
+    edge in dart order, and the first walk that follows the whole path
+    wins.  A walk leaves each crossing at the slot opposite the one it
+    entered, onto the next edge of the path, and never enters an
+    under-strand at position 2.  The occurrence counts are checked first
+    (two per edge, one for each end of an open strand), so a closed walk
+    that follows its cycle comes back to its start, and the walks together
+    use every slot once, giving each crossing one under and one over entry.
     """
-    occ = _occurrences(crossings)
+    labels = [e for x in crossings for e in x]
+    partner, first = _partners(labels)
     declared = [e for path in paths for e in path]
     if not all(paths):
         raise ValidationError("a component path is empty")
@@ -131,35 +145,40 @@ def _orient_paths(crossings, paths, closed):
     for e in declared:
         if e <= 0:
             raise ValidationError(f"edge labels must be positive, got {e}")
-    free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in occ)
-    if set(declared) - free != set(occ):
+    free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in first)
+    if set(declared) - free != first.keys():
         raise ValidationError("component paths do not partition the crossing edges")
-    # an open path's first edge has no tail and its last edge no head
-    ends = Counter() if closed else Counter(e for p in paths for e in (p[0], p[-1]))
-    for e, where in occ.items():
-        expected = 2 - ends[e]
-        if len(where) != expected:
-            raise ValidationError(f"edge label {e} occurs {len(where)} times, expected {expected}")
+    # every dart paired, with two darts per label, is two occurrences of
+    # each; an open path's first edge has no tail and its last edge no head
+    if not closed or -1 in partner or len(labels) != 2 * len(first):
+        ends = Counter() if closed else Counter(e for p in paths for e in (p[0], p[-1]))
+        for e, n in Counter(labels).items():
+            expected = 2 - ends[e]
+            if n != expected:
+                raise ValidationError(f"edge label {e} occurs {n} times, expected {expected}")
 
-    signs = [0] * len(crossings)
-    edge_head, edge_component = {}, {}
+    signs = array("b", bytes(len(crossings)))
+    head, component = array("i"), array("i")
     for index, path in enumerate(paths):
-        for e in path:
-            edge_component[e] = index
+        component.extend([index] * len(path))
         if path[0] in free:
+            head.append(-1)
             continue
+        f = first[path[0]]
         steps = len(path) if closed else len(path) - 1
-        for start in sorted(occ[path[0]]):
-            heads = _trace(crossings, occ, path, start, steps)
+        for start in (f,) if partner[f] < 0 else (f, partner[f]):
+            heads = _trace(labels, partner, path, start, steps)
             if heads is not None:
                 break
         else:
             raise ValidationError(f"component {index} is inconsistent with the crossings")
-        for i, (ci, s) in enumerate(heads):
-            edge_head[path[i]] = (ci, s)
-            if s != 0:
-                signs[ci] = 1 if s == 1 else -1
-    return _Orientation(tuple(signs), edge_head, edge_component, free)
+        head.extend(heads)
+        if not closed:
+            head.append(-1)
+        for p in heads:
+            if p & 3:
+                signs[p >> 2] = 2 - (p & 3)
+    return _Orientation(signs, head, component, free)
 
 
 @lru_cache(maxsize=4096)
@@ -169,13 +188,19 @@ def _orient(d: Diagram) -> _Orientation:
 
 def crossing_signs(d: Diagram) -> tuple[int, ...]:
     """Sign of every crossing: +1 when the over-strand enters at position 1."""
-    return _orient(d).signs
+    return tuple(_orient(d).signs)
 
 
-def _component_of(orient: _Orientation, edge: int) -> int:
-    if edge not in orient.edge_component:
-        raise DomainError(f"no edge labelled {edge}")
-    return orient.edge_component[edge]
+def _strand_components(orient: _Orientation):
+    """(under, over): per crossing, the component of its under-strand and
+    of its over-strand, read off the head darts.  Each crossing has one
+    edge ending at slot 0, the under-strand entering, and one at slot 1
+    or 3, the over-strand."""
+    under, over = [0] * len(orient.signs), [0] * len(orient.signs)
+    for c, p in zip(orient.component, orient.head):
+        if p >= 0:
+            (over if p & 1 else under)[p >> 2] = c
+    return under, over
 
 
 def _check_component(d: Diagram, c: int):
@@ -183,15 +208,13 @@ def _check_component(d: Diagram, c: int):
         raise DomainError(f"component {c} out of range")
 
 
-def _crossing_sums(crossings, orient: _Orientation, n: int) -> list[list[int]]:
+def _crossing_sums(orient: _Orientation, n: int) -> list[list[int]]:
     """Signed crossing counts by component, from one pass over the
     crossings: entry (c, c) is the writhe of component c, entry (a, b) =
     (b, a) the signed count of the crossings between a and b, twice their
     linking number on a planar code (``_half``)."""
-    comp = orient.edge_component
     sums = [[0] * n for _ in range(n)]
-    for x, sign in zip(crossings, orient.signs):
-        a, b = comp[x[0]], comp[x[1]]
+    for a, b, sign in zip(*_strand_components(orient), orient.signs):
         sums[a][b] += sign
         if a != b:
             sums[b][a] += sign
@@ -208,7 +231,7 @@ def _half(total: int) -> int:
 def writhe(d: Diagram, c: int) -> int:
     """Signed count of the self-crossings of component ``c``."""
     _check_component(d, c)
-    return _crossing_sums(d.crossings, _orient(d), len(d.components))[c][c]
+    return _crossing_sums(_orient(d), len(d.components))[c][c]
 
 
 def linking_number(d: Diagram, a: int, b: int) -> int:
@@ -217,7 +240,7 @@ def linking_number(d: Diagram, a: int, b: int) -> int:
     _check_component(d, b)
     if a == b:
         raise DomainError("linking number needs two distinct components; use writhe")
-    return _half(_crossing_sums(d.crossings, _orient(d), len(d.components))[a][b])
+    return _half(_crossing_sums(_orient(d), len(d.components))[a][b])
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -235,8 +258,8 @@ def reverse(d: Diagram, comp: int) -> Diagram:
     no tuple change.
     """
     _check_component(d, comp)
-    comp_of = _orient(d).edge_component
-    new = [x[2:] + x[:2] if comp_of[x[0]] == comp else x for x in d.crossings]
+    under, _ = _strand_components(_orient(d))
+    new = [x[2:] + x[:2] if u == comp else x for x, u in zip(d.crossings, under)]
     comps = list(d.components)
     cyc = comps[comp]
     comps[comp] = (cyc[0],) + tuple(reversed(cyc[1:]))
@@ -260,11 +283,10 @@ def _least_labelling(d: Diagram, held=()):
     # per component, in walk order: (position, crossing) of each edge that
     # enters a crossing as the under-strand; these make up its block
     unders = [[] for _ in comps]
-    for i, cyc in enumerate(comps):
-        for p, e in enumerate(cyc):
-            head = orient.edge_head.get(e)
-            if head is not None and head[1] == 0:
-                unders[i].append((p, d.crossings[head[0]]))
+    for i, n in enumerate(sizes):
+        for p, h in enumerate(orient.head[offsets[i]:offsets[i] + n]):
+            if h >= 0 and h & 3 == 0:
+                unders[i].append((p, d.crossings[h >> 2]))
     # components whose rotation some block after j still reads
     read_after = [()] * len(comps)
     read = set(held)
@@ -399,17 +421,17 @@ def _delete_components(d: Diagram, keep):
     each crossing a deleted component passes through goes, and a kept
     strand through it is spliced.  Returns (diagram, old label -> new
     label), as ``_Splice.diagram``."""
-    comp = _orient(d).edge_component
+    orient = _orient(d)
     kept = set(keep)
     sp = _Splice(d)
-    for ci, x in enumerate(d.crossings):
-        under, over = comp[x[0]] in kept, comp[x[1]] in kept
+    for ci, (u, o) in enumerate(zip(*_strand_components(orient))):
+        under, over = u in kept, o in kept
         if not (under and over):
             sp.live[ci] = False
             if under or over:
                 s = 0 if under else 1
                 sp.join((ci, s), (ci, s + 2))
-    for e, c in comp.items():
+    for e, c in zip(d.edges(), orient.component):
         if c not in kept:
             sp.delete_edge(e)
     return sp.diagram(keep)
@@ -424,7 +446,7 @@ class _Faces:
     counterclockwise, so the face lies to the right of the walk.
     walks: per face, its darts in walk order as (dart, edge, forward);
         forward: the walk runs along the edge's orientation, that is, the
-        dart is not the edge's ``edge_head``.
+        dart is not where the edge ends (its ``head``).
     face: (edge, forward) -> index of the face that walk lies in.
     piece: edge -> its connected piece, named by one of its components;
         a free loop is a piece of its own and is not listed.
@@ -461,14 +483,7 @@ def _face_walks(crossings):
     partner, the other occurrence of its edge, and turns to the partner's
     next slot counterclockwise; faces start at the lowest dart not yet
     walked."""
-    partner = [0] * (4 * len(crossings))
-    first = {}
-    for p, e in enumerate(e for x in crossings for e in x):
-        q = first.pop(e, None)
-        if q is None:
-            first[e] = p
-        else:
-            partner[p], partner[q] = q, p
+    partner, _ = _partners([e for x in crossings for e in x])
     seen = bytearray(len(partner))
     walks = []
     for start in range(len(partner)):
@@ -484,14 +499,15 @@ def _face_walks(crossings):
     return walks
 
 
-def _piece_roots(d: Diagram, comp):
-    """Per component, the component naming its connected piece: components
-    that cross lie on one piece."""
-    root = list(range(len(d.components)))
-    for x in d.crossings:
-        under, over = root[comp[x[0]]], root[comp[x[1]]]
-        if under != over:
-            root = [over if r == under else r for r in root]
+def _piece_roots(n, under, over):
+    """Per component (``n`` of them), the component naming its connected
+    piece: components that cross lie on one piece (``under`` and ``over``
+    per crossing, as ``_strand_components`` gives them)."""
+    root = list(range(n))
+    for u, o in zip(under, over):
+        a, b = root[u], root[o]
+        if a != b:
+            root = [b if r == a else r for r in root]
     return root
 
 
@@ -500,19 +516,22 @@ def faces(d: Diagram) -> _Faces:
     (``_face_walks``)."""
     crossings = d.crossings
     orient = _orient(d)
-    head, comp = orient.edge_head, orient.edge_component
+    ends = bytearray(4 * len(crossings))
+    for p in orient.head:
+        if p >= 0:
+            ends[p] = 1
     walks, face = [], {}
     for index, darts in enumerate(_face_walks(crossings)):
         walk = []
         for p in darts:
-            dart = p >> 2, p & 3
             e = crossings[p >> 2][p & 3]
-            forward = head[e] != dart
+            forward = not ends[p]
             face[e, forward] = index
-            walk.append((dart, e, forward))
+            walk.append(((p >> 2, p & 3), e, forward))
         walks.append(tuple(walk))
-    root = _piece_roots(d, comp)
-    return _Faces(tuple(walks), face, {e: root[comp[e]] for e in head})
+    root = _piece_roots(len(d.components), *_strand_components(orient))
+    piece = {e: root[c] for e, c, p in zip(d.edges(), orient.component, orient.head) if p >= 0}
+    return _Faces(tuple(walks), face, piece)
 
 
 def embedding_genus(d: Diagram) -> int:
@@ -523,9 +542,9 @@ def embedding_genus(d: Diagram) -> int:
     Counted from the same dart walk as the face record (``_face_walks``)
     and the same pieces, without building the record.
     """
-    comp = _orient(d).edge_component
-    root = _piece_roots(d, comp)
-    pieces = len({root[comp[x[0]]] for x in d.crossings})
+    under, over = _strand_components(_orient(d))
+    root = _piece_roots(len(d.components), under, over)
+    pieces = len({root[u] for u in under})
     return _genus(pieces, len(_face_walks(d.crossings)), len(d.crossings))
 
 
@@ -545,7 +564,10 @@ class _Splice:
         self.components = [list(c) for c in d.components]
         self.crossings = [list(x) for x in d.crossings]
         self.live = [True] * len(d.crossings)
-        self.occ = _occurrences(d.crossings)
+        self.occ = {}
+        for ci, x in enumerate(d.crossings):
+            for s, e in enumerate(x):
+                self.occ.setdefault(e, []).append((ci, s))
         self.occ.update((e, []) for e in orient.free)
         self.signs = list(orient.signs)
 

@@ -71,13 +71,15 @@ def arc_data(d: Diagram):
     Returns (arc_of_edge, arc_count) with arcs numbered deterministically
     component by component.
     """
-    orient = _orient(d)
+    head = _orient(d).head
     arc_of_edge = {}
     arc_count = 0
+    first = 0
     for cyc in d.components:
         # each component is walked from the edge after its first
         # under-passage; a new arc starts after every under-passage
-        under = [e not in orient.free and orient.edge_head[e][1] == 0 for e in cyc]
+        under = [h >= 0 and h & 3 == 0 for h in head[first:first + len(cyc)]]
+        first += len(cyc)
         start = under.index(True) + 1 if any(under) else 0
         for e, ends in zip(cyc[start:] + cyc[:start], under[start:] + under[:start]):
             arc_of_edge[e] = arc_count

@@ -353,7 +353,9 @@ def _eliminate_units(rows):
     # entry at its current score (row entries - 1) * (column entries - 1),
     # beside outdated ones skipped when popped.  A step changes only the
     # rows it modifies and the counts of the pivot row's columns, so only
-    # their entries are queued again.
+    # their entries are queued again: in another row, only at a column
+    # whose count moved, and only in a row of two or more entries (a
+    # one-entry row scores 0 whatever the count).
     units, queue = {}, []
     for i, row in enumerate(rows):
         cols = [c for c, v in row.items() if v[1] == 1 or v[1] == -1]
@@ -371,6 +373,7 @@ def _eliminate_units(rows):
             continue
         plo, px = rows[pi][pc][:2]
         pivot_row = [(c, v) for c, v in rows[pi].items() if c != pc]
+        counts = [len(col_rows[c]) for c, _ in pivot_row]
         # column pc goes with this step: every other row in it is modified
         modified = col_rows.pop(pc)
         modified.discard(pi)
@@ -435,12 +438,14 @@ def _eliminate_units(rows):
                 units.pop(i, None)
         live.discard(pi)
         del units[pi]
-        for c, _ in pivot_row:
+        for (c, _), count in zip(pivot_row, counts):
             rest = col_rows[c]
             rest.discard(pi)
+            if len(rest) == count:
+                continue
             n = len(rest) - 1
             for i in rest:
-                if i not in modified and c in units.get(i, ()):
+                if i not in modified and len(rows[i]) > 1 and c in units.get(i, ()):
                     heappush(queue, ((len(rows[i]) - 1) * n, i, units[i].index(c), c))
         for i in modified:
             cols = units.get(i)

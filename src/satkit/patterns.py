@@ -22,6 +22,7 @@ from .diagram import (
     _delete_components,
     _least_labelling,
     _orient,
+    _strand_components,
     mirror,
     reverse,
 )
@@ -120,7 +121,7 @@ def _tie_companion(b: Builder, wmap, cut, companion: Diagram, extra_twists: int 
     # Each copy opens into an exit (tail piece) and an entry (head piece);
     # a free loop opens into one wire serving as both.
     exits, entries = zip(*[b.cut(w) for w in copies[cut_edge]])
-    exits = twist_chain(b, exits, -_crossing_sums(companion.crossings, orient, 1)[0][0] + extra_twists)
+    exits = twist_chain(b, exits, -_crossing_sums(orient, 1)[0][0] + extra_twists)
     # cut order and copy offsets run through the disk in opposite transverse
     # directions: cut strand i meets copy m-1-i
     ports = zip(reversed(entries), reversed(exits))
@@ -228,28 +229,22 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     if len(d.components) != 2:
         raise DomainError("pattern import needs exactly two components")
     orient = _orient(d)
-    comp_of = orient.edge_component
+    under, over = _strand_components(orient)
 
     passages = []  # (crossing index, circle is over)
-    for ci, x in enumerate(d.crossings):
-        on_circle = [comp_of[e] == circle for e in x]
-        if all(on_circle):
+    for ci, (u, o) in enumerate(zip(under, over)):
+        if u == o == circle:
             raise DomainError("marked component crosses itself; not a round curve")
-        if any(on_circle):
-            over = comp_of[x[1]] == circle
-            passages.append((ci, over))
+        if circle in (u, o):
+            passages.append((ci, o == circle))
     if not passages:
         raise DomainError("marked component is split from the knot; no passages")
     if len(passages) % 2:
         raise ValidationError("odd passage count")
 
     # order the passages along the circle
-    cyc = d.components[circle]
-    order = []
-    for e in cyc:
-        ci, s = orient.edge_head[e]
-        over = comp_of[d.crossings[ci][1]] == circle
-        order.append((ci, over))
+    first = sum(map(len, d.components[:circle]))
+    order = [(h >> 2, over[h >> 2] == circle) for h in orient.head[first:first + len(d.components[circle])]]
     # rotate so an over-run starts the list, then demand over^m under^m
     m = len(order) // 2
     starts = [i for i in range(len(order)) if order[i][1] and not order[i - 1][1]]
@@ -266,9 +261,9 @@ def from_link(d: Diagram, circle: int) -> Pattern:
     cut_info = []
     for i, ci in enumerate(over_run):
         cj = under_run[m - 1 - i]
+        # an edge met at two distinct crossings runs between them; the
+        # circle runs over ci, so its under-strand edges are the knot's
         mids = set(d.crossings[ci][0::2]) & set(d.crossings[cj][0::2] + d.crossings[cj][1::2])
-        # an edge met at two distinct crossings runs between them
-        mids = {e for e in mids if comp_of[e] != circle}
         if not mids:
             raise DomainError("circle passages do not pair up across the disk")
         *_, shared = mids

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Diagram, _component_of, _crossing_sums, _Orientation, _orient_paths, embedding_genus
+from .diagram import Diagram, _crossing_sums, _Orientation, _orient_paths, embedding_genus
 from .errors import DomainError, InternalError, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
 from .wires import Builder, band, build_cable, swap, twist_chain
@@ -61,7 +61,10 @@ def _orient_tangle(sl: StringLink) -> _Orientation:
 
 
 def strand_of_edge(sl: StringLink, edge: int) -> int:
-    return _component_of(_orient_tangle(sl), edge)
+    for index, path in enumerate(sl.strands):
+        if edge in path:
+            return index
+    raise DomainError(f"no edge labelled {edge}")
 
 
 def trivial_string_link(m: int) -> StringLink:
@@ -193,8 +196,8 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     if all(k == 0 for k in kvec):
         raise DomainError("at least one strand must survive")
     orient = _orient_tangle(sl)
-    sums = _crossing_sums(sl.crossings, orient, sl.strand_count)
-    widths = {e: abs(kvec[orient.edge_component[e]]) for e in sl.edges()}
+    sums = _crossing_sums(orient, sl.strand_count)
+    widths = {e: abs(kvec[c]) for e, c in zip(sl.edges(), orient.component)}
     b = Builder()
     copies = build_cable(b, sl.crossings, orient.signs, widths)
     # a strand that meets no crossing is one bare wire per copy
@@ -220,8 +223,7 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     out, labels = _walk_out(b, seeds, directions)
     new_cut = []
     for e, s in op.cut:
-        si = orient.edge_component[e]
-        k = kvec[si]
+        k = kvec[strand_of_edge(sl, e)]
         for j in range(abs(k) - 1, -1, -1):
             new_cut.append((labels[copies[e][j]], s if k > 0 else -s))
     if not new_cut:

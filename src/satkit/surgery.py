@@ -29,6 +29,7 @@ from .diagram import (
     _crossing_sums,
     _half,
     _orient,
+    _strand_components,
 )
 from .errors import DomainError, InternalError, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
@@ -65,7 +66,7 @@ def zero_surgery(k: Diagram) -> FramedLink:
 def linking_matrix(fl: FramedLink):
     """Framings on the diagonal, linking numbers off it."""
     d = fl.diagram
-    sums = _crossing_sums(d.crossings, _orient(d), d.component_count)
+    sums = _crossing_sums(_orient(d), d.component_count)
     return [[fl.framings[i] if j == i else _half(v) for j, v in enumerate(row)] for i, row in enumerate(sums)]
 
 
@@ -98,10 +99,10 @@ class BandArc:
 def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orientation):
     d = fl.diagram
     orient = _orient(d)
-    sums = _crossing_sums(d.crossings, orient, len(d.components))
+    sums = _crossing_sums(orient, len(d.components))
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
-    widths = {e: 2 if c == j else 1 for e, c in orient.edge_component.items()}
+    widths = {e: 2 if c == j else 1 for e, c in zip(d.edges(), orient.component)}
     gb = Builder()
     copies = build_cable(gb, d.crossings, orient.signs, widths, loops=orient.free)
     tails, heads = zip(*[gb.cut(w) for w in copies[handle_edge]])
@@ -154,12 +155,11 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     if band.orientation not in (1, -1):
         raise DomainError(f"band orientation must be +1 or -1, got {band.orientation}")
     d = fl.diagram
-    comp_of = _orient(d).edge_component
     slide_edges = [band.slide_edge] if band.slide_edge is not None else list(d.components[i])
     handle_edges = [band.handle_edge] if band.handle_edge is not None else list(d.components[j])
-    if any(comp_of.get(se) != i for se in slide_edges):
+    if any(se not in d.components[i] for se in slide_edges):
         raise DomainError("band must start on the sliding component")
-    if any(comp_of.get(he) != j for he in handle_edges):
+    if any(he not in d.components[j] for he in handle_edges):
         raise DomainError("band must end on the handle component")
     f = faces(d)
     # copy 1 runs on the handle's left, beside the face whose walk runs
@@ -194,8 +194,8 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
         raise DomainError("the meridional circle must be zero framed")
     d = fl.diagram
     orient = _orient(d)
-    comp_of = orient.edge_component
-    meets = {ci: {comp_of[e] for e in x} for ci, x in enumerate(d.crossings)}
+    under, over = _strand_components(orient)
+    meets = {ci: {u, o} for ci, (u, o) in enumerate(zip(under, over))}
     hits = [ci for ci, comps in meets.items() if small in comps]
     if len(hits) != 2:
         raise DomainError("the small circle must meet the diagram in exactly two crossings")
@@ -205,7 +205,8 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
     if orient.signs[c1] != orient.signs[c2]:
         raise DomainError("passage signs differ: the partner does not pierce the disk once")
     # the partner's passage through the disk: one edge shared by both crossings
-    if not {e for e in d.crossings[c1] if comp_of[e] == other} & set(d.crossings[c2]):
+    x = d.crossings[c1]
+    if not set(x[0::2] if under[c1] == other else x[1::2]) & set(d.crossings[c2]):
         raise DomainError("the two passages do not share an edge of the partner")
 
     kept = [c for c in range(n) if c not in (small, other)]

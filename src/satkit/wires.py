@@ -126,17 +126,20 @@ class Builder:
 
     def add_code(self, crossings, edges, orient):
         """Import a crossing code beside what the builder holds: one wire
-        per edge, in ``edges`` order.  Each edge's head is bound at its
-        (crossing, slot) occurrence in ``orient.edge_head``, and the edge
-        leaving that crossing opposite it has its tail bound there.
-        Returns the edge label -> wire id map."""
+        per edge, in ``edges`` order, the path order of ``orient``.  Each
+        edge's head is bound at its dart in ``orient.head`` (dart 4 ci + s
+        is slot s of crossing ci), and the edge leaving that crossing
+        opposite it has its tail bound there.  Returns the edge label ->
+        wire id map."""
         off = len(self.crossings)
         wmap = {e: self.fresh() for e in edges}
         for x in crossings:
             self.crossings.append([wmap[e] for e in x])
-        for e, (ci, s) in orient.edge_head.items():
-            self.wires[wmap[e]][1] = ("x", ci + off, s)
-            self.wires[wmap[crossings[ci][s ^ 2]]][0] = ("x", ci + off, s ^ 2)
+        for e, p in zip(edges, orient.head):
+            if p >= 0:
+                ci, s = p >> 2, p & 3
+                self.wires[wmap[e]][1] = ("x", ci + off, s)
+                self.wires[wmap[crossings[ci][s ^ 2]]][0] = ("x", ci + off, s ^ 2)
         return wmap
 
     def cut(self, w):

@@ -119,7 +119,7 @@ def _cable(d, widths):
     walk out one component per copy."""
     orient = _orient(d)
     b = Builder()
-    copies = build_cable(b, d.crossings, orient.signs, {e: widths[c] for e, c in orient.edge_component.items()},
+    copies = build_cable(b, d.crossings, orient.signs, {e: widths[c] for e, c in zip(d.edges(), orient.component)},
                          loops=orient.free)
     seeds = [(w, True) for cyc in d.components for w in copies[cyc[0]]]
     return b.to_diagram(seeds)[0]

@@ -334,7 +334,7 @@ def _counted_genus(d):
 
 def _check_faces(d):
     f = faces(d)
-    head = _orient(d).edge_head
+    head = {e: (p >> 2, p & 3) for e, p in zip(d.edges(), _orient(d).head) if p >= 0}
     darts = [dart for walk in f.walks for dart, _, _ in walk]
     # every dart lies in exactly one face
     assert sorted(darts) == [(ci, s) for ci in range(len(d.crossings)) for s in range(4)]

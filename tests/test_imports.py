@@ -22,7 +22,9 @@ never read ``todd_coxeter``: only ``strong_winding_check`` enumerates
 cosets.  Outside ``__init__.py``, ``src/satkit`` never reads ``writhe`` or
 ``linking_number`` and defines no ``_writhe``, ``total_writhe`` or
 ``self_writhe``: ``diagram._crossing_sums`` is the one signed-crossing
-tally.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
+tally.  In ``src/satkit`` only ``diagram._partners`` stores into an item
+of a ``partner`` table: the face walk and the validating walk share one
+partner table.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
 ``to_bytes``, ``from_bytes`` or a ``struct`` packing function: one packing
 path.  Only ``_entry`` and ``_widened`` call ``_pack``, and only
 ``_digits`` calls ``_unpack``; ``_widened`` packs ``_digits(...)`` and
@@ -635,6 +637,39 @@ def test_one_crossing_tally():
             continue
         found += [f"{path.name}:{line} {text}" for line, text in _second_tallies(ast.parse(path.read_text()))]
     assert not found, "signed crossing sums outside diagram._crossing_sums:\n" + "\n".join(found)
+
+
+def _partner_writes(tree):
+    """(line, function) for every store into an item of a ``partner``
+    table in a function other than ``_partners``."""
+    return sorted({(node.lineno, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name != "_partners"
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "partner"})
+
+
+def test_checker_flags_a_second_partner_table():
+    src = (
+        "def _partners(labels):\n"
+        "    partner = [-1] * len(labels)\n"
+        "    partner[0], partner[1] = 1, 0\n"
+        "    return partner\n"
+        "def _face_walks(crossings):\n"
+        "    partner = [0] * 4\n"
+        "    partner[2] = 3\n"
+        "    return partner[1]\n"
+    )
+    assert _partner_writes(ast.parse(src)) == [(7, "_face_walks")]
+
+
+def test_one_partner_table():
+    # the face walk and the validating walk read one partner table,
+    # built by diagram._partners
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line} {name}" for line, name in _partner_writes(ast.parse(path.read_text()))]
+    assert not found, "partner table written outside diagram._partners:\n" + "\n".join(found)
 
 
 _BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}

@@ -4,24 +4,31 @@
 separate open-strand walk (for ``StringLink``).  Both earlier walks are
 kept below as references: on codes whose labels are all positive, the
 shared walk must accept exactly what they accepted and derive the same
-signs, edge heads, edge tails and edge components.  Labels that are not
-positive are now rejected everywhere.
+signs, edge heads, edge tails and edge components, once its record (kept
+by dart and by edge position) is expanded by edge label.  Labels that are
+not positive are now rejected everywhere.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from code_strategies import random_codes
 from satkit.catalog import (
+    cable_pattern,
     corpus_knots,
     string_link_from_braid,
+    torus_knot,
     torus_link,
+    trefoil,
     winding_two_three_operator,
 )
 from satkit.diagram import Diagram, _orient_paths
 from satkit.errors import ValidationError
+from satkit.patterns import satellite
 from satkit.stringlinks import StringLink
 
 
@@ -181,14 +188,21 @@ def _shared(crossings, paths, closed):
         o = _orient_paths(crossings, paths, closed)
     except ValidationError:
         return None
-    # the edge after each head starts at the opposite slot
-    edge_tail = {}
+    # expand the dart record by edge label: entry i of head and component
+    # belongs to the i-th edge in path order, and the edge after each head
+    # starts at the opposite slot
+    assert len(o.head) == len(o.component) == sum(map(len, paths))
+    edge_head, edge_tail, edge_component = {}, {}, {}
+    i = 0
     for path in paths:
-        for i, e in enumerate(path):
-            if e in o.edge_head:
-                ci, s = o.edge_head[e]
-                edge_tail[path[(i + 1) % len(path)]] = (ci, s ^ 2)
-    return o.signs, o.edge_head, edge_tail, o.edge_component
+        for k, e in enumerate(path):
+            edge_component[e] = o.component[i]
+            p = o.head[i]
+            if p >= 0:
+                edge_head[e] = (p >> 2, p & 3)
+                edge_tail[path[(k + 1) % len(path)]] = (p >> 2, (p & 3) ^ 2)
+            i += 1
+    return tuple(o.signs), edge_head, edge_tail, edge_component
 
 
 def _agree(crossings, paths):
@@ -333,3 +347,48 @@ def test_empty_path_is_rejected():
         Diagram((), ((1,), ()))
     with pytest.raises(ValidationError, match="empty"):
         StringLink(2, (), ((1,), ()))
+
+
+_TREFOIL = trefoil()
+
+
+@pytest.mark.parametrize("crossings, paths, closed, message", [
+    ((), ((1,), ()), True, "a component path is empty"),
+    ((), ((1,), ()), False, "a component path is empty"),
+    ((), ((1,), (1,)), True, "an edge label appears twice in the component paths"),
+    ((), ((2,), (2,)), False, "an edge label appears twice in the component paths"),
+    ((), ((0,),), True, "edge labels must be positive, got 0"),
+    ((), ((-3,),), False, "edge labels must be positive, got -3"),
+    (((1, 1, 2, 2),), ((1,),), True, "component paths do not partition the crossing edges"),
+    (((1, 1, 2, 2),), ((2,),), False, "component paths do not partition the crossing edges"),
+    (((1, 2, 3, 1),), ((1,), (2,), (3,)), True, "edge label 2 occurs 1 times, expected 2"),
+    # every dart has a partner, but a label occurs four times
+    (((1, 1, 1, 1),), ((1,),), True, "edge label 1 occurs 4 times, expected 2"),
+    (((1, 2, 2, 1),), ((1, 2),), False, "edge label 1 occurs 2 times, expected 1"),
+    (_TREFOIL.crossings, tuple(tuple(reversed(c)) for c in _TREFOIL.components), True,
+     "component 0 is inconsistent with the crossings"),
+    (((1, 4, 2, 3),), ((2, 1), (3, 4)), False, "component 0 is inconsistent with the crossings"),
+])
+def test_each_check_raises_its_message(crossings, paths, closed, message):
+    with pytest.raises(ValidationError) as caught:
+        _orient_paths(crossings, paths, closed)
+    assert str(caught.value) == message
+
+
+def test_orientation_records_hold_no_object_per_edge():
+    # the record is kept by dart in arrays: a few bytes per edge, where a
+    # tuple and two dict slots per edge came to about 137 bytes
+    diagrams = [satellite(cable_pattern(p, q), torus_knot(2, k))
+                for (p, q), k in (((2, 3), 3), ((3, 2), 5), ((3, 4), 7), ((4, 5), 5), ((4, 5), 7), ((5, 6), 9))]
+    edges = sum(len(d.edges()) for d in diagrams)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [_orient_paths(d.crossings, d.components, closed=True) for d in diagrams]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 6 and edges == 2016
+    assert retained / edges < 24, f"{retained / edges:.1f} bytes per edge"

@@ -211,7 +211,7 @@ def _seeds(b, wmap, cycles):
 
 def _reference_subdiagram(d, keep):
     b, wmap = _ReferenceBuilder.from_diagram(d)
-    comp = _orient(d).edge_component
+    comp = dict(zip(d.edges(), _orient(d).component))
     b.remove_edges({wmap[e] for e, c in comp.items() if c not in keep})
     return b.walk_out(_seeds(b, wmap, [d.components[c] for c in sorted(keep)]))
 

@@ -134,7 +134,7 @@ def test_closure_keeps_the_tangle_crossing_signs():
     # the tests read a string link's crossing signs off its closure
     operators = (strand_meridian_operator(), both_strands_operator(), w23())
     for sl in [op.link for op in operators] + [string_link_from_braid(3, [1, -2, 1, 1, -2, 1])]:
-        assert crossing_signs(closure(sl)) == _orient_tangle(sl).signs
+        assert crossing_signs(closure(sl)) == tuple(_orient_tangle(sl).signs)
 
 
 def test_infect_with_unknot_is_identity():
