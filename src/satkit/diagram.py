@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, InternalError, ValidationError
 
 Crossing = tuple[int, int, int, int]
 
@@ -148,14 +148,12 @@ def _orient_paths(crossings, paths, closed):
     free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in first)
     if set(declared) - free != first.keys():
         raise ValidationError("component paths do not partition the crossing edges")
-    # every dart paired, with two darts per label, is two occurrences of
-    # each; an open path's first edge has no tail and its last edge no head
-    if not closed or -1 in partner or len(labels) != 2 * len(first):
-        ends = Counter() if closed else Counter(e for p in paths for e in (p[0], p[-1]))
-        for e, n in Counter(labels).items():
-            expected = 2 - ends[e]
-            if n != expected:
-                raise ValidationError(f"edge label {e} occurs {n} times, expected {expected}")
+    # an open path's first edge has no tail and its last edge no head
+    ends = Counter() if closed else Counter(e for p in paths for e in (p[0], p[-1]))
+    for e, n in Counter(labels).items():
+        expected = 2 - ends[e]
+        if n != expected:
+            raise ValidationError(f"edge label {e} occurs {n} times, expected {expected}")
 
     signs = array("b", bytes(len(crossings)))
     head, component = array("i"), array("i")
@@ -201,6 +199,18 @@ def _strand_components(orient: _Orientation):
         if p >= 0:
             (over if p & 1 else under)[p >> 2] = c
     return under, over
+
+
+def _path_heads(orient: _Orientation, paths):
+    """Per path of the record (the ``components`` or ``strands`` it was
+    walked from), an iterator over its edges in path order: the (crossing,
+    slot) where the edge ends, or None where it has no head."""
+    if len(orient.head) != sum(map(len, paths)):
+        raise InternalError("paths do not match the orientation record")
+    start = 0
+    for path in paths:
+        yield (None if p < 0 else (p >> 2, p & 3) for p in orient.head[start:start + len(path)])
+        start += len(path)
 
 
 def _check_component(d: Diagram, c: int):
@@ -275,18 +285,14 @@ def _least_labelling(d: Diagram, held=()):
     rotations of components no later block reads and ``held`` does not
     name.  See ``canonical`` for the search.
     """
-    orient = _orient(d)
     comps = d.components
     sizes = [len(cyc) for cyc in comps]
     offsets = [sum(sizes[:i]) for i in range(len(comps))]
     where = {e: (i, p) for i, cyc in enumerate(comps) for p, e in enumerate(cyc)}
     # per component, in walk order: (position, crossing) of each edge that
     # enters a crossing as the under-strand; these make up its block
-    unders = [[] for _ in comps]
-    for i, n in enumerate(sizes):
-        for p, h in enumerate(orient.head[offsets[i]:offsets[i] + n]):
-            if h >= 0 and h & 3 == 0:
-                unders[i].append((p, d.crossings[h >> 2]))
+    unders = [[(p, d.crossings[h[0]]) for p, h in enumerate(heads) if h is not None and h[1] == 0]
+              for heads in _path_heads(_orient(d), comps)]
     # components whose rotation some block after j still reads
     read_after = [()] * len(comps)
     read = set(held)

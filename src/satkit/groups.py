@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .abelian import AbelianGroup, cokernel
-from .diagram import Diagram, _orient, crossing_signs
+from .diagram import Diagram, _orient, _path_heads, crossing_signs
 from .errors import DomainError, InternalError
 from .patterns import winding_number
 
@@ -71,15 +71,12 @@ def arc_data(d: Diagram):
     Returns (arc_of_edge, arc_count) with arcs numbered deterministically
     component by component.
     """
-    head = _orient(d).head
     arc_of_edge = {}
     arc_count = 0
-    first = 0
-    for cyc in d.components:
+    for cyc, heads in zip(d.components, _path_heads(_orient(d), d.components)):
         # each component is walked from the edge after its first
         # under-passage; a new arc starts after every under-passage
-        under = [h >= 0 and h & 3 == 0 for h in head[first:first + len(cyc)]]
-        first += len(cyc)
+        under = [h is not None and h[1] == 0 for h in heads]
         start = under.index(True) + 1 if any(under) else 0
         for e, ends in zip(cyc[start:] + cyc[:start], under[start:] + under[:start]):
             arc_of_edge[e] = arc_count

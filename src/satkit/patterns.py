@@ -22,6 +22,7 @@ from .diagram import (
     _delete_components,
     _least_labelling,
     _orient,
+    _path_heads,
     _strand_components,
     mirror,
     reverse,
@@ -243,8 +244,8 @@ def from_link(d: Diagram, circle: int) -> Pattern:
         raise ValidationError("odd passage count")
 
     # order the passages along the circle
-    first = sum(map(len, d.components[:circle]))
-    order = [(h >> 2, over[h >> 2] == circle) for h in orient.head[first:first + len(d.components[circle])]]
+    heads = list(_path_heads(orient, d.components))[circle]
+    order = [(ci, over[ci] == circle) for ci, _ in heads]
     # rotate so an over-run starts the list, then demand over^m under^m
     m = len(order) // 2
     starts = [i for i in range(len(order)) if order[i][1] and not order[i - 1][1]]

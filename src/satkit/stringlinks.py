@@ -60,11 +60,9 @@ def _orient_tangle(sl: StringLink) -> _Orientation:
     return _orient_paths(sl.crossings, sl.strands, closed=False)
 
 
-def strand_of_edge(sl: StringLink, edge: int) -> int:
-    for index, path in enumerate(sl.strands):
-        if edge in path:
-            return index
-    raise DomainError(f"no edge labelled {edge}")
+def _strand_index(sl: StringLink) -> dict[int, int]:
+    """Edge label -> the index of the strand it lies on."""
+    return {e: index for index, path in enumerate(sl.strands) for e in path}
 
 
 def trivial_string_link(m: int) -> StringLink:
@@ -87,7 +85,7 @@ class InfectionOperator:
 def _add_string_link(b: Builder, sl: StringLink):
     """Import ``sl`` beside what ``b`` holds, its strand ends bound to the
     terminals.  Returns the edge label -> wire id map."""
-    wmap = b.add_code(sl.crossings, sl.edges(), _orient_tangle(sl))
+    wmap = b.add_code(sl.crossings, sl.strands, _orient_tangle(sl))
     for si, path in enumerate(sl.strands):
         first, last = wmap[path[0]], wmap[path[-1]]
         start_key = ("bot", si) if sl.directions[si] > 0 else ("top", si)
@@ -173,9 +171,10 @@ def infect(op: InfectionOperator, k: Diagram) -> InfectionOperator:
 
 def winding_vector(op: InfectionOperator) -> tuple[int, ...]:
     """Per-strand algebraic passage counts through the marked disk."""
+    strand = _strand_index(op.link)
     w = [0] * op.link.strand_count
     for e, s in op.cut:
-        w[strand_of_edge(op.link, e)] += s
+        w[strand[e]] += s
     return tuple(w)
 
 
@@ -197,7 +196,8 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
         raise DomainError("at least one strand must survive")
     orient = _orient_tangle(sl)
     sums = _crossing_sums(orient, sl.strand_count)
-    widths = {e: abs(kvec[c]) for e, c in zip(sl.edges(), orient.component)}
+    strand = _strand_index(sl)
+    widths = {e: abs(kvec[i]) for e, i in strand.items()}
     b = Builder()
     copies = build_cable(b, sl.crossings, orient.signs, widths)
     # a strand that meets no crossing is one bare wire per copy
@@ -223,7 +223,7 @@ def parallel(op: InfectionOperator, kvec) -> InfectionOperator:
     out, labels = _walk_out(b, seeds, directions)
     new_cut = []
     for e, s in op.cut:
-        k = kvec[strand_of_edge(sl, e)]
+        k = kvec[strand[e]]
         for j in range(abs(k) - 1, -1, -1):
             new_cut.append((labels[copies[e][j]], s if k > 0 else -s))
     if not new_cut:

@@ -102,7 +102,7 @@ def _slide_assembly(fl, i, j, slide_edge, handle_edge, copy_index, over, orienta
     sums = _crossing_sums(orient, len(d.components))
     # double component j: blackboard parallel plus twists setting the
     # copy's linking with j equal to the framing
-    widths = {e: 2 if c == j else 1 for e, c in zip(d.edges(), orient.component)}
+    widths = {e: 2 if c == j else 1 for c, cyc in enumerate(d.components) for e in cyc}
     gb = Builder()
     copies = build_cable(gb, d.crossings, orient.signs, widths, loops=orient.free)
     tails, heads = zip(*[gb.cut(w) for w in copies[handle_edge]])
@@ -155,12 +155,12 @@ def handle_slide(fl: FramedLink, i: int, j: int, band: BandArc | None = None) ->
     if band.orientation not in (1, -1):
         raise DomainError(f"band orientation must be +1 or -1, got {band.orientation}")
     d = fl.diagram
+    if band.slide_edge is not None and band.slide_edge not in d.components[i]:
+        raise DomainError("band must start on the sliding component")
+    if band.handle_edge is not None and band.handle_edge not in d.components[j]:
+        raise DomainError("band must end on the handle component")
     slide_edges = [band.slide_edge] if band.slide_edge is not None else list(d.components[i])
     handle_edges = [band.handle_edge] if band.handle_edge is not None else list(d.components[j])
-    if any(se not in d.components[i] for se in slide_edges):
-        raise DomainError("band must start on the sliding component")
-    if any(he not in d.components[j] for he in handle_edges):
-        raise DomainError("band must end on the handle component")
     f = faces(d)
     # copy 1 runs on the handle's left, beside the face whose walk runs
     # back along the handle (fh False) and on along the slide edge

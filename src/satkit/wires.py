@@ -47,7 +47,7 @@ there is an ``InternalError``.
 
 from __future__ import annotations
 
-from .diagram import Diagram, _orient
+from .diagram import Diagram, _orient, _path_heads
 from .errors import DomainError, InternalError, built
 
 LOOP = ("loop",)
@@ -119,27 +119,28 @@ class Builder:
         """Import a diagram beside what the builder holds.  Returns its
         edge label -> wire id map."""
         orient = _orient(d)
-        wmap = self.add_code(d.crossings, d.edges(), orient)
+        wmap = self.add_code(d.crossings, d.components, orient)
         for e in orient.free:
             self.wires[wmap[e]] = [LOOP, LOOP]
         return wmap
 
-    def add_code(self, crossings, edges, orient):
+    def add_code(self, crossings, paths, orient):
         """Import a crossing code beside what the builder holds: one wire
-        per edge, in ``edges`` order, the path order of ``orient``.  Each
-        edge's head is bound at its dart in ``orient.head`` (dart 4 ci + s
-        is slot s of crossing ci), and the edge leaving that crossing
-        opposite it has its tail bound there.  Returns the edge label ->
-        wire id map."""
+        per edge, path after path, where ``orient`` is the code's record
+        walked from ``paths``.  Each edge's head is bound at its (crossing,
+        slot) in the record, and the edge leaving that crossing opposite
+        it has its tail bound there.  Returns the edge label -> wire id
+        map."""
         off = len(self.crossings)
-        wmap = {e: self.fresh() for e in edges}
+        wmap = {e: self.fresh() for path in paths for e in path}
         for x in crossings:
             self.crossings.append([wmap[e] for e in x])
-        for e, p in zip(edges, orient.head):
-            if p >= 0:
-                ci, s = p >> 2, p & 3
-                self.wires[wmap[e]][1] = ("x", ci + off, s)
-                self.wires[wmap[crossings[ci][s ^ 2]]][0] = ("x", ci + off, s ^ 2)
+        for path, heads in zip(paths, _path_heads(orient, paths)):
+            for e, h in zip(path, heads):
+                if h is not None:
+                    ci, s = h
+                    self.wires[wmap[e]][1] = ("x", ci + off, s)
+                    self.wires[wmap[crossings[ci][s ^ 2]]][0] = ("x", ci + off, s ^ 2)
         return wmap
 
     def cut(self, w):

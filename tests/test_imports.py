@@ -24,7 +24,10 @@ cosets.  Outside ``__init__.py``, ``src/satkit`` never reads ``writhe`` or
 ``self_writhe``: ``diagram._crossing_sums`` is the one signed-crossing
 tally.  In ``src/satkit`` only ``diagram._partners`` stores into an item
 of a ``partner`` table: the face walk and the validating walk share one
-partner table.  In ``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
+partner table.  Outside ``diagram.py``, ``src/satkit`` and ``scripts``
+read no ``head`` or ``component`` attribute: the orientation record's
+per-edge arrays are read back through ``diagram._path_heads``.  In
+``src/satkit`` only ``_pack``, ``_unpack`` and ``_bias`` read
 ``to_bytes``, ``from_bytes`` or a ``struct`` packing function: one packing
 path.  Only ``_entry`` and ``_widened`` call ``_pack``, and only
 ``_digits`` calls ``_unpack``; ``_widened`` packs ``_digits(...)`` and
@@ -670,6 +673,37 @@ def test_one_partner_table():
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.name}:{line} {name}" for line, name in _partner_writes(ast.parse(path.read_text()))]
     assert not found, "partner table written outside diagram._partners:\n" + "\n".join(found)
+
+
+def _record_layout_reads(tree):
+    """(line, source) for every read of a ``head`` or ``component``
+    attribute, the per-edge arrays of an orientation record."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in ("head", "component"))
+
+
+def test_checker_flags_a_read_of_the_record_layout():
+    src = (
+        "from .diagram import _orient, _path_heads\n"
+        "orient = _orient(d)\n"
+        "for p in orient.head:\n    pass\n"
+        "widths = dict(zip(d.edges(), _orient(d).component))\n"
+        "heads = list(_path_heads(orient, d.components))\n"
+        "head, component = 1, 2\n"
+    )
+    assert _record_layout_reads(ast.parse(src)) == [(3, "orient.head"), (5, "_orient(d).component")]
+
+
+def test_record_layout_read_in_diagram_only():
+    # the orientation record's per-edge arrays run in path order and hold
+    # darts 4 ci + s; outside diagram.py they are read through _path_heads
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        if path.name == "diagram.py" and path.parent == SRC:
+            continue
+        found += [f"{path.name}:{line} {text}" for line, text in _record_layout_reads(ast.parse(path.read_text()))]
+    assert not found, "orientation record arrays read outside diagram.py:\n" + "\n".join(found)
 
 
 _BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}
