@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .errors import Record
 
 
 def smith_normal_form(rows, ncols):
@@ -57,8 +58,7 @@ def smith_normal_form(rows, ncols):
     return diag
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Invariant factors d1 | d2 | ..., with 0 for an infinite cyclic summand."""
 
     invariant_factors: tuple[int, ...]

@@ -21,11 +21,11 @@ import json
 import pathlib
 import sys
 import time
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
 
 from . import formats
 from .diagram import Diagram
-from .errors import DomainError, InternalError, ParseError, SatkitError
+from .errors import DomainError, InternalError, ParseError, Record, SatkitError
 from .groups import cut_loop_word, strong_winding_check, word_to_text
 from .invariants import alexander_poly, determinant, satellite_formula_report
 from .patterns import (
@@ -55,7 +55,7 @@ from . import suites as suites_mod
 SCHEMA = "satkit-report/1"
 
 
-class Command(NamedTuple):
+class Command(Record):
     """A subcommand.  ``run`` takes the parsed arguments and the loaded
     inputs.  With ``output`` or ``fields`` set, it returns one object: the
     report holds that object serialized under ``output`` (which ``-o``
@@ -64,8 +64,8 @@ class Command(NamedTuple):
 
     inputs: tuple  # (positional name, accepted type or types), one per input file
     run: Callable
-    output: Optional[str] = None
-    fields: Optional[Callable] = None
+    output: str | None = None
+    fields: Callable | None = None
     options: tuple = ()  # further (flags, keywords) for argparse
 
 

@@ -24,16 +24,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InternalError, ValidationError
+from .errors import DomainError, InternalError, Record, ValidationError
 
 Crossing = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     crossings: tuple[Crossing, ...]
     components: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
@@ -65,8 +63,7 @@ class Diagram:
         return f"Diagram({len(self.crossings)} crossings, {len(self.components)} components)"
 
 
-@dataclass(frozen=True, slots=True)
-class _Orientation:
+class _Orientation(Record):
     """Derived orientation data, produced by the validating walk and kept
     by dart: dart 4 ci + s is slot s of crossing ci.  Per-edge entries are
     indexed by the edge's position in path order (the order of
@@ -81,13 +78,18 @@ class _Orientation:
         after it starts at the opposite slot, dart ^ 2.
     component: array('i'), per edge, the index of the path (component or
         strand) it lies on.
-    free: the edges that meet no crossing (free loops, bare strands).
+    free: the edges that meet no crossing (free loops, bare strands);
+        every record with none shares ``_NO_FREE``.
     """
 
+    __slots__ = ("signs", "head", "component", "free")
     signs: array
     head: array
     component: array
     free: frozenset
+
+
+_NO_FREE = frozenset()
 
 
 def _partners(labels):
@@ -145,7 +147,7 @@ def _orient_paths(crossings, paths, closed):
     for e in declared:
         if e <= 0:
             raise ValidationError(f"edge labels must be positive, got {e}")
-    free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in first)
+    free = frozenset(p[0] for p in paths if len(p) == 1 and p[0] not in first) or _NO_FREE
     if set(declared) - free != first.keys():
         raise ValidationError("component paths do not partition the crossing edges")
     # an open path's first edge has no tail and its last edge no head
@@ -443,8 +445,7 @@ def _delete_components(d: Diagram, keep):
     return sp.diagram(keep)
 
 
-@dataclass(frozen=True)
-class _Faces:
+class _Faces(Record):
     """The faces of the combinatorial map of a crossing code.
 
     A face is traced from a dart (crossing, slot) by running along its edge

@@ -20,17 +20,15 @@ moves stall.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .abelian import AbelianGroup, cokernel
 from .diagram import Diagram, _orient, _path_heads, crossing_signs
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, Record
 from .patterns import winding_number
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     generator_count: int
     relators: tuple[tuple[int, ...], ...]
 
@@ -275,8 +273,7 @@ def simplify_presentation(g: GroupPresentation, length_cap=6000, log=None):
 # -- Todd-Coxeter ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     outcome: str  # "trivial" | "finite" | "exceeded" | "not-run"
     order: int | None
     cosets_used: int
@@ -443,8 +440,7 @@ def todd_coxeter(g: GroupPresentation, limit: int = 10**6) -> EnumerationResult:
 # -- the decision procedure ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongWindingResult:
+class StrongWindingResult(Record):
     """A strong-winding verdict and its evidence.  ``verified`` is a Tietze
     log that reaches the empty presentation, or a coset table that closes at
     order 1; ``refuted`` is a nontrivial Smith form, or a perfect quotient

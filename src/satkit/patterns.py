@@ -13,7 +13,6 @@ curve) is an import/export format handled by ``to_link``/``from_link``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import (
@@ -27,12 +26,11 @@ from .diagram import (
     mirror,
     reverse,
 )
-from .errors import DomainError, ValidationError, built
+from .errors import DomainError, Record, ValidationError, built
 from .wires import Builder, build_cable, encircle, swap, twist_chain
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     base: Diagram
     cut: tuple[tuple[int, int], ...]
 

@@ -15,19 +15,17 @@ bottom boundary, where they are face to face below every crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import Diagram, _crossing_sums, _Orientation, _orient_paths, embedding_genus
-from .errors import DomainError, InternalError, ValidationError, built
+from .errors import DomainError, InternalError, Record, ValidationError, built
 from .patterns import Pattern, _check_cut, _tie_companion
 from .wires import Builder, band, build_cable, swap, twist_chain
 
 Crossing = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class StringLink:
+class StringLink(Record):
     strand_count: int
     crossings: tuple[Crossing, ...]
     strands: tuple[tuple[int, ...], ...]
@@ -69,8 +67,7 @@ def trivial_string_link(m: int) -> StringLink:
     return StringLink(m, (), tuple((i + 1,) for i in range(m)))
 
 
-@dataclass(frozen=True)
-class InfectionOperator:
+class InfectionOperator(Record):
     link: StringLink
     cut: tuple[tuple[int, int], ...]
 

@@ -17,7 +17,6 @@ meridional pair, strands through the partner passing through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .abelian import AbelianGroup, cokernel
 from .diagram import (
@@ -31,14 +30,13 @@ from .diagram import (
     _orient,
     _strand_components,
 )
-from .errors import DomainError, InternalError, ValidationError
+from .errors import DomainError, InternalError, Record, ValidationError
 from .invariants import alexander_poly, equal_up_to_units
 from .patterns import Pattern, compose, winding_number
 from .wires import Builder, band, build_cable, encircle, swap, twist_chain
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(Record):
     diagram: Diagram
     framings: tuple[int, ...]
     roles: tuple[str, ...] | None = None
@@ -81,8 +79,7 @@ def framed_links_equal(a: FramedLink, b: FramedLink) -> bool:
     return a.framings == b.framings and diagrams_equal(a.diagram, b.diagram)
 
 
-@dataclass(frozen=True)
-class BandArc:
+class BandArc(Record):
     """Band specification for a handle slide: the edge of the sliding
     component and the edge of the handle whose parallel copy is banded in
     (None: any that ``handle_slide`` can band), the crossing sense of the
@@ -219,8 +216,7 @@ def slam_dunk(fl: FramedLink, small: int, other: int) -> FramedLink:
 # -- the three-stage pipeline -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(Record):
     stages: tuple[tuple[str, FramedLink, AbelianGroup], ...]
     moves: tuple[str, ...]
     final: FramedLink

@@ -10,7 +10,7 @@ of the declared library API alone: the names ``__init__.py`` imports and
 the public module-level definitions of ``catalog.py``, never a method.
 ``satkit.__all__`` is exactly the names ``__init__.py`` imports.  Every
 defaulted parameter of a ``src/satkit`` function, and every defaulted field
-of a ``@dataclass`` or ``NamedTuple`` class, is set by some call there, or
+of a ``Record`` subclass, is set by some call there, or
 in ``tests`` for the API (a call to a class sets its ``__init__`` or its
 fields, a call to an attribute any function of that name, and
 ``*args``/``**kwargs`` set everything).  Every ``name = ...`` local in a
@@ -37,12 +37,16 @@ import sits at the top of its file.
 Every import in ``src/satkit`` is relative or names a module of the
 standard library (``sys.stdlib_module_names``).  Every
 ``functools.lru_cache`` in ``src/satkit`` is called with an integer
-``maxsize``, and ``functools.cache`` is not used.  Standard library only:
-the checks walk each module's syntax tree."""
+``maxsize``, and ``functools.cache`` is not used.  No module in
+``src/satkit`` or ``scripts`` imports ``dataclasses`` or ``typing``:
+``errors.Record`` is the one record implementation, and a fresh
+``import satkit, satkit.cli`` loads neither, nor ``inspect``.  Standard
+library only: the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -332,13 +336,13 @@ def _defaulted_parameters(tree):
     with a default of every function in ``tree``; ``position`` counts the
     arguments a call passes (a method's ``self``/``cls`` skipped), None for
     a keyword-only parameter.  A class's ``__init__`` is listed under the
-    class name, as is each defaulted field of a ``@dataclass`` or
-    ``NamedTuple`` class, its position the field order; ``method`` is true
-    for a parameter of any other function in a class body."""
+    class name, as is each defaulted field of a ``Record`` subclass, its
+    position the field order; ``method`` is true for a parameter of any
+    other function in a class body."""
     owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     found = []
     for c in ast.walk(tree):
-        if isinstance(c, ast.ClassDef) and ("dataclass" in _names(c.decorator_list) or "NamedTuple" in _names(c.bases)):
+        if isinstance(c, ast.ClassDef) and "Record" in _names(c.bases):
             fields = [a for a in c.body if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
             found += [(a.lineno, c.name, a.target.id, i, False) for i, a in enumerate(fields) if a.value is not None]
     for f in ast.walk(tree):
@@ -406,14 +410,13 @@ def test_checker_flags_a_default_no_caller_sets():
 
 def test_checker_flags_a_field_default_no_caller_sets():
     src = (
-        "from dataclasses import dataclass\n"
-        "from typing import NamedTuple\n"
-        "@dataclass(frozen=True)\n"
-        "class D:\n"
+        "from satkit import errors\n"
+        "from satkit.errors import Record\n"
+        "class D(Record):\n"
         "    a: int\n"
         "    b: int = 0\n"
         "    c: int = 0\n"
-        "class N(NamedTuple):\n"
+        "class N(errors.Record):\n"
         "    x: int = 0\n"
         "    y: int = 0\n"
         "class Plain:\n"
@@ -422,7 +425,7 @@ def test_checker_flags_a_field_default_no_caller_sets():
         "N(y=1)\n"
     )
     tree = ast.parse(src)
-    assert _unset_defaults(tree, _passed_parameters(tree), set()) == [(7, "D", "c"), (9, "N", "x")]
+    assert _unset_defaults(tree, _passed_parameters(tree), set()) == [(6, "D", "c"), (8, "N", "x")]
 
 
 def test_checker_counts_tests_as_setting_defaults_of_the_api_only():
@@ -1001,3 +1004,55 @@ def test_every_cache_is_bounded():
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.name}:{line} {text}" for line, text in _unbounded_caches(ast.parse(path.read_text()))]
     assert not found, "caches without an integer maxsize:\n" + "\n".join(found)
+
+
+_RECORD_MODULES = {"dataclasses", "typing"}
+
+
+def _record_module_imports(tree):
+    """(line, module) for every import of ``dataclasses`` or ``typing``, or
+    of a name from either."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] in _RECORD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in _RECORD_MODULES:
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_checker_flags_a_record_module_import():
+    src = (
+        "import dataclasses\n"
+        "import typing as t, types\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "from .errors import Record\n"
+        "from collections.abc import Callable\n"
+        "def f():\n"
+        "    import typing\n"
+    )
+    assert _record_module_imports(ast.parse(src)) == [
+        (1, "dataclasses"), (2, "typing"), (3, "dataclasses"), (4, "typing"), (8, "typing"),
+    ]
+
+
+def test_one_record_implementation():
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        found += [f"{path.name}:{line} {name}" for line, name in _record_module_imports(ast.parse(path.read_text()))]
+    assert not found, "dataclasses or typing imported beside errors.Record:\n" + "\n".join(found)
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: site can import typing itself (through a .pth file), which would
+    # hide an import of it by satkit
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import satkit, satkit.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.strip() == "[]", f"import satkit, satkit.cli loaded {out.strip()}"

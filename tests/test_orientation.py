@@ -26,7 +26,7 @@ from satkit.catalog import (
     trefoil,
     winding_two_three_operator,
 )
-from satkit.diagram import Diagram, _orient_paths
+from satkit.diagram import Diagram, _NO_FREE, _orient_paths
 from satkit.errors import ValidationError
 from satkit.patterns import satellite
 from satkit.stringlinks import StringLink
@@ -392,3 +392,10 @@ def test_orientation_records_hold_no_object_per_edge():
         tracemalloc.stop()
     assert len(records) == 6 and edges == 2016
     assert retained / edges < 24, f"{retained / edges:.1f} bytes per edge"
+
+
+def test_records_without_free_edges_share_one_empty_set():
+    knots = [_orient_paths(d.crossings, d.components, closed=True) for d in (trefoil(), torus_knot(2, 5))]
+    assert knots[0].free is knots[1].free is _NO_FREE
+    t = trefoil()
+    assert _orient_paths(t.crossings, t.components + ((99,),), closed=True).free == {99}
